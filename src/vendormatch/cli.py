@@ -27,18 +27,22 @@ class ConfigError(Exception):
     """A run configuration that cannot work: missing or unreadable paths."""
 
 
-class EmptyCorpusError(Exception):
-    """A corpus directory with no documents in it."""
+class CorpusError(Exception):
+    """A corpus directory with no documents, or a document that is not UTF-8."""
 
 
 def _read_corpus(directory: Path) -> dict[str, str]:
     """Read every ``*.txt`` file; the file stem is the document id."""
-    docs = {
-        path.stem: path.read_text(encoding="utf-8")
-        for path in sorted(directory.glob("*.txt"))
-    }
+    docs = {}
+    for path in sorted(directory.glob("*.txt")):
+        try:
+            docs[path.stem] = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
     if not docs:
-        raise EmptyCorpusError(f"no .txt documents found in {directory}")
+        raise CorpusError(f"no .txt documents found in {directory}")
     return docs
 
 
@@ -175,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MarkingFormatError, TaxonomyError, EmptyCorpusError) as exc:
+    except (MarkingFormatError, TaxonomyError, CorpusError) as exc:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

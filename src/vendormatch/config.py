@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,9 @@ class Thresholds:
     wup_threshold: float = DEFAULT_WUP_THRESHOLD
 
     def __post_init__(self) -> None:
+        for name in ("r_threshold", "fallback_threshold", "wup_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.r_threshold <= 0:
             raise ValueError("r_threshold must be strictly positive")
         if self.fallback_threshold <= 0:

@@ -40,9 +40,6 @@ class InstanceSet:
     document_id: str
     instances: dict[str, InstanceRecord] = field(default_factory=dict)
 
-    def phrases(self) -> list[str]:
-        return list(self.instances)
-
     def __len__(self) -> int:
         return len(self.instances)
 

@@ -70,12 +70,18 @@ def load_marking(path: Path | str) -> MarkingFile:
     """Load a marking file, preserving entry order.
 
     Raises FileNotFoundError for a missing file and MarkingFormatError for
-    a malformed or duplicate line (the message names the line number).
+    a file that is not UTF-8 or a malformed or duplicate line (the message
+    names the line number).
     """
     path = Path(path)
     mf = MarkingFile(source_path=path)
     with open(path, encoding="utf-8", newline="") as fh:
-        content = fh.read()
+        try:
+            content = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MarkingFormatError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
     for lineno, line in enumerate(content.splitlines(), start=1):
         parts = line.split("\t")
         if len(parts) != 2:

@@ -53,20 +53,30 @@ def semantic_match(
     t: Taxonomy,
     cfg: Thresholds,
     stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
+    *,
+    _scores: dict[str, dict[str, float]] | None = None,
 ) -> list[MatchPair]:
     """Best vendor match per query instance, kept if it clears the threshold.
 
     At most one pair per query instance, so a vendor phrase never gets
     double-counted into the percentage; score ties break to the
-    lexicographically smallest vendor phrase.
+    lexicographically smallest vendor phrase. ``_scores`` is the
+    query phrase -> vendor phrase -> score table that :func:`rank_vendors`
+    shares across vendors, so each distinct pair is scored once per run.
     """
+    scores = {} if _scores is None else _scores
     pairs: list[MatchPair] = []
     vendor_phrases = sorted(vendor.instances)
     for query_phrase in sorted(query.instances):
+        row = scores.setdefault(query_phrase, {})
         best_score = -1.0
         best_vendor_phrase = None
         for vendor_phrase in vendor_phrases:
-            score = phrase_score(t, query_phrase, vendor_phrase, stopwords).value
+            score = row.get(vendor_phrase)
+            if score is None:
+                score = row[vendor_phrase] = phrase_score(
+                    t, query_phrase, vendor_phrase, stopwords
+                ).value
             if score > best_score:
                 best_score = score
                 best_vendor_phrase = vendor_phrase
@@ -87,14 +97,16 @@ def semantic_match(
 def match_percentage(query: InstanceSet, pairs: list[MatchPair]) -> float:
     """Frequency-weighted, score-weighted coverage of the query set, 0-100.
 
-    100 * sum(query_freq * score over matched instances) divided by the
+    100 * sum(frequency * score over matched instances) divided by the
     total query frequency mass; 100 exactly only when every query instance
-    matched at score 1.0, and 0 for an empty query set.
+    matched at score 1.0, and 0 for an empty query set. Frequencies are
+    read from ``query``, so pairs matched for a pool that contains it can
+    be passed, restricted to its phrases.
     """
     total = sum(rec.frequency for rec in query.instances.values())
     if total == 0:
         return 0.0
-    matched = sum(p.query_freq * p.score for p in pairs)
+    matched = sum(query.instances[p.query_phrase].frequency * p.score for p in pairs)
     return 100.0 * matched / total
 
 
@@ -120,18 +132,25 @@ def rank_vendors(
     cfg: Thresholds,
     stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
 ) -> MatchReport:
-    """Score every vendor against the pooled queries and rank them."""
+    """Score every vendor against the pooled queries and rank them.
+
+    A query phrase's best vendor phrase does not depend on which query it
+    came from, so each per-query percentage reuses the pooled pairs,
+    restricted to that query's phrases (in sorted order).
+    """
     pooled = pool_queries(queries)
+    query_phrases = {qid: sorted(queries[qid].instances) for qid in sorted(queries)}
+    scores: dict[str, dict[str, float]] = {}
     results = []
     for vendor_id in sorted(vendors):
         vendor = vendors[vendor_id]
-        pairs = semantic_match(pooled, vendor, t, cfg, stopwords)
+        pairs = semantic_match(pooled, vendor, t, cfg, stopwords, _scores=scores)
+        best = {p.query_phrase: p for p in pairs}
         per_query = {
             query_id: match_percentage(
-                queries[query_id],
-                semantic_match(queries[query_id], vendor, t, cfg, stopwords),
+                queries[query_id], [best[p] for p in phrases if p in best]
             )
-            for query_id in sorted(queries)
+            for query_id, phrases in query_phrases.items()
         }
         results.append(
             VendorResult(

@@ -151,12 +151,17 @@ def load_taxonomy(path: Path | str) -> Taxonomy:
 
     One edge per line, ``<child>\\t<parent>``; ids are lowercased; blank
     lines are ignored. Malformed lines raise TaxonomyError with the line
-    number.
+    number, as does a file that is not UTF-8.
     """
     path = Path(path)
     edges: list[tuple[str, str]] = []
     with open(path, encoding="utf-8", newline="") as fh:
-        content = fh.read()
+        try:
+            content = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TaxonomyError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
     for lineno, line in enumerate(content.splitlines(), start=1):
         if not line.strip():
             continue

@@ -228,3 +228,54 @@ def test_main_malformed_taxonomy(tmp_path, tmp_marking, capsys):
     )
     assert code == EXIT_DATA
     assert "cycle" in capsys.readouterr().err
+
+
+def test_main_non_utf8_corpus_file_is_a_data_error(tmp_path, tmp_marking, capsys):
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    bad = queries / "q01.txt"
+    bad.write_bytes(b"solar \xff panel\n")
+    code = main(
+        [
+            "--vendors-dir", str(DATA_DIR / "vendors"),
+            "--queries-dir", str(queries),
+            "--marking", str(tmp_marking),
+            "--taxonomy", str(DATA_DIR / "taxonomy.tsv"),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"vendormatch: error: {bad}: not valid UTF-8")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["marking", "taxonomy"])
+def test_main_non_utf8_marking_or_taxonomy_is_a_data_error(tmp_path, which, capsys):
+    files = {
+        "marking": tmp_path / "marking.tsv",
+        "taxonomy": tmp_path / "taxonomy.tsv",
+    }
+    files["marking"].write_bytes((DATA_DIR / "marking.tsv").read_bytes())
+    files["taxonomy"].write_bytes((DATA_DIR / "taxonomy.tsv").read_bytes())
+    files[which].write_bytes(files[which].read_bytes() + b"\xff\tenergy\n")
+    code = main(
+        [
+            "--vendors-dir", str(DATA_DIR / "vendors"),
+            "--queries-dir", str(DATA_DIR / "queries"),
+            "--marking", str(files["marking"]),
+            "--taxonomy", str(files["taxonomy"]),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"vendormatch: error: {files[which]}: not valid UTF-8")
+
+
+@pytest.mark.parametrize(
+    "flag", ["--r-threshold", "--fallback-threshold", "--wup-threshold"]
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_non_finite_threshold_exits_one(tmp_marking, capsys, flag, value):
+    code = main(cli_args(tmp_marking, flag, value))
+    assert code == EXIT_USAGE
+    assert "must be a finite number" in capsys.readouterr().err

@@ -1,13 +1,20 @@
 """Pairing, match percentage, and vendor ranking."""
 
+import math
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synth_corpus import fresh_marking, make_corpus
 from vendormatch.config import Thresholds
-from vendormatch.extraction import InstanceRecord, InstanceSet
+from vendormatch.extraction import InstanceRecord, InstanceSet, extract_corpus
 from vendormatch.matchmaker import (
     MatchPair,
+    MatchReport,
+    VendorResult,
     match_percentage,
     pool_queries,
     rank_vendors,
@@ -279,6 +286,97 @@ def test_report_is_deterministic(little_taxonomy):
     assert a == b
 
 
+# ------------------------------------------- rank_vendors vs. reference
+
+
+def reference_rank_vendors(queries, vendors, t, cfg):
+    """Ranking as V x (Q+1) independent semantic_match calls.
+
+    Every vendor is matched against the pooled queries and then again
+    against each query on its own, with no score shared between calls.
+    """
+    pooled = pool_queries(queries)
+    results = []
+    for vendor_id in sorted(vendors):
+        vendor = vendors[vendor_id]
+        pairs = semantic_match(pooled, vendor, t, cfg)
+        per_query = {
+            query_id: match_percentage(
+                queries[query_id], semantic_match(queries[query_id], vendor, t, cfg)
+            )
+            for query_id in sorted(queries)
+        }
+        results.append(
+            VendorResult(
+                vendor_id=vendor_id,
+                pairs=tuple(pairs),
+                match_percentage=match_percentage(pooled, pairs),
+                per_query=per_query,
+            )
+        )
+    results.sort(key=lambda r: (-r.match_percentage, r.vendor_id))
+    winner = None
+    if results and results[0].match_percentage > 0:
+        winner = results[0].vendor_id
+    return MatchReport(results=tuple(results), winner=winner)
+
+
+@pytest.mark.parametrize("wup", [0.5, 0.9])
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_vendors_equals_reference_on_synth_corpora(bundled_taxonomy, seed, wup):
+    rng = random.Random(seed)
+    cfg = Thresholds(wup_threshold=wup)
+    mf = fresh_marking()
+    vendors = extract_corpus(make_corpus(rng, 6), mf, cfg)
+    queries = extract_corpus(make_corpus(rng, 5, words_per_doc=12), mf, cfg)
+    expected = reference_rank_vendors(queries, vendors, bundled_taxonomy, cfg)
+    assert expected.winner is not None
+    assert rank_vendors(queries, vendors, bundled_taxonomy, cfg) == expected
+
+
+def test_rank_vendors_equals_reference_with_tied_vendor_phrases(little_taxonomy):
+    # both vendor phrases score 1.0 against "wind speed"; "solar" and
+    # "wind speed" each appear in more than one query
+    queries = {
+        "q1": instance_set("q1", **{"wind speed": 2, "solar": 1}),
+        "q2": instance_set("q2", **{"wind speed": 1, "sun": 3}),
+        "q3": instance_set("q3", solar=4, wind=1),
+    }
+    vendors = {
+        "v1": instance_set("v1", **{"speed wind": 5, "speed of wind": 1, "sun": 1}),
+        "v2": instance_set("v2", **{"speed of wind": 2, "solar": 2}),
+    }
+    report = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
+    assert report == reference_rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
+    v1 = next(r for r in report.results if r.vendor_id == "v1")
+    tied = next(p for p in v1.pairs if p.query_phrase == "wind speed")
+    assert (tied.vendor_phrase, tied.query_freq, tied.vendor_freq) == (
+        "speed of wind", 3, 1
+    )
+
+
+_WORDS = ["solar", "sun", "wind", "speed", "radiant", "energy", "of", "quartz"]
+_PHRASES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+_INSTANCE_SETS = st.dictionaries(_PHRASES, st.integers(1, 5), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    query_sets=st.lists(_INSTANCE_SETS, min_size=1, max_size=4),
+    vendor_sets=st.lists(_INSTANCE_SETS, min_size=1, max_size=4),
+    wup=st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+)
+def test_rank_vendors_equals_reference_on_random_sets(
+    little_taxonomy, query_sets, vendor_sets, wup
+):
+    queries = {f"q{i}": instance_set(f"q{i}", **f) for i, f in enumerate(query_sets)}
+    vendors = {f"v{i}": instance_set(f"v{i}", **f) for i, f in enumerate(vendor_sets)}
+    cfg = Thresholds(wup_threshold=wup)
+    assert rank_vendors(queries, vendors, little_taxonomy, cfg) == (
+        reference_rank_vendors(queries, vendors, little_taxonomy, cfg)
+    )
+
+
 # ------------------------------------------------------------- thresholds
 
 
@@ -295,6 +393,15 @@ def test_report_is_deterministic(little_taxonomy):
 def test_threshold_validation(kwargs):
     with pytest.raises(ValueError):
         Thresholds(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name", ["r_threshold", "fallback_threshold", "wup_threshold"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_threshold_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        Thresholds(**{name: value})
 
 
 def test_threshold_defaults():
