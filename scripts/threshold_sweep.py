@@ -9,6 +9,7 @@ the ranking usually stabilizes early because exact hits dominate.
 import argparse
 from pathlib import Path
 
+from vendormatch.cli import _read_corpus
 from vendormatch.config import Thresholds
 from vendormatch.extraction import extract_corpus
 from vendormatch.marking import load_marking
@@ -16,12 +17,6 @@ from vendormatch.matchmaker import rank_vendors
 from vendormatch.taxonomy import load_taxonomy
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def read_docs(directory: Path) -> dict[str, str]:
-    return {
-        p.stem: p.read_text(encoding="utf-8") for p in sorted(directory.glob("*.txt"))
-    }
 
 
 def main() -> None:
@@ -35,8 +30,8 @@ def main() -> None:
     args = parser.parse_args()
 
     taxonomy = load_taxonomy(ROOT / "data" / "taxonomy.tsv")
-    vendors = read_docs(ROOT / "data" / "vendors")
-    queries = read_docs(ROOT / "data" / "queries")
+    vendors = _read_corpus(ROOT / "data" / "vendors")
+    queries = _read_corpus(ROOT / "data" / "queries")
 
     print(f"{'r_threshold':>12} {'vendor inst':>12} {'query inst':>11} "
           f"{'top %':>8}  winner")

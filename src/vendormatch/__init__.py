@@ -37,9 +37,7 @@ from .textstats import (
     candidates,
     encode,
     euclidean,
-    mean,
     relatedness,
-    stddev,
     tokenize,
     variance_pair,
 )
@@ -74,14 +72,12 @@ __all__ = [
     "load_marking",
     "load_taxonomy",
     "match_percentage",
-    "mean",
     "phrase_score",
     "pool_queries",
     "rank_vendors",
     "relatedness",
     "save_marking",
     "semantic_match",
-    "stddev",
     "tokenize",
     "update_marking",
     "variance_pair",

@@ -16,10 +16,12 @@ DEFAULT_WUP_THRESHOLD = 0.9
 class Thresholds:
     """Decision thresholds for extraction and semantic matching.
 
-    ``r_threshold`` admits a candidate whose best relatedness falls under
-    it; ``fallback_threshold`` is the second-chance bound applied when the
-    primary test fails; ``wup_threshold`` is the minimum phrase similarity
-    that counts as a semantic match.
+    Extraction admits a candidate whose best relatedness falls under
+    ``max(r_threshold, fallback_threshold)`` and flags it ``via_fallback``
+    when it is not under ``r_threshold``, so a fallback at or below
+    ``r_threshold`` (the defaults) admits nothing extra;
+    ``wup_threshold`` is the minimum phrase similarity that counts as a
+    semantic match.
     """
 
     r_threshold: float = DEFAULT_R_THRESHOLD

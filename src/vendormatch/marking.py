@@ -132,7 +132,7 @@ def update_marking(
 
 
 def save_marking(mf: MarkingFile, path: Path | str | None = None) -> Path:
-    """Persist the marking file atomically (write temp, then rename).
+    """Persist the marking file atomically (write and fsync temp, then rename).
 
     On failure the original file is left intact. Clears the dirty flag.
     """
@@ -146,6 +146,8 @@ def save_marking(mf: MarkingFile, path: Path | str | None = None) -> Path:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp_name, target)
     except BaseException:
         try:

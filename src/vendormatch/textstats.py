@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 log = logging.getLogger(__name__)
 
 # Character codes are divided by this so every element lies in [0, 1];
@@ -117,18 +119,47 @@ def encode(phrase: str) -> ObjectVector:
     return ObjectVector.from_codes(ord(ch) / CODE_SCALE for ch in phrase)
 
 
-def mean(v: ObjectVector) -> float:
-    """Arithmetic mean of the code elements (cached at construction)."""
-    return v.mean
+def relatedness_terms(
+    rows: np.ndarray, lengths: np.ndarray, sigmas: np.ndarray, vec: ObjectVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three relatedness terms of one vector against each of k rows.
+
+    ``rows`` is a (k, width) matrix of code vectors right-padded with zeros,
+    ``lengths`` their unpadded lengths and ``sigmas`` their standard
+    deviations. Each pair is compared at its common length L, the shorter
+    side padded with zeros; a ``vec`` longer than ``width`` differs from
+    every row by its tail against zeros, folded in as scalar corrections.
+    Returns, per row, the Euclidean distance divided by sqrt(L), the gap
+    between the two standard deviations, and the population variance of
+    the difference vector (as ``s2/L - (s1/L)**2``, clamped at zero).
+    """
+    width = rows.shape[1]
+    cand = np.zeros(width)
+    head = vec.codes[:width]
+    cand[: len(head)] = head
+    tail = np.array(vec.codes[width:])
+    tail_sum = float(tail.sum())
+    tail_sumsq = float((tail * tail).sum())
+
+    diff = cand[None, :] - rows
+    s1 = diff.sum(axis=1) + tail_sum
+    s2 = (diff * diff).sum(axis=1) + tail_sumsq
+    pair_len = np.maximum(lengths, float(len(vec)))
+    dist = np.sqrt(s2) / np.sqrt(pair_len)
+    gap = np.abs(sigmas - vec.stddev)
+    variance = np.maximum(s2 / pair_len - (s1 / pair_len) ** 2, 0.0)
+    return dist, gap, variance
 
 
-def stddev(v: ObjectVector) -> float:
-    """Population standard deviation of the code elements (divide by N)."""
-    return v.stddev
-
-
-def _padded(codes: tuple[float, ...], length: int) -> tuple[float, ...]:
-    return codes + (0.0,) * (length - len(codes))
+def _pair_terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:
+    # One-row call: the row is padded to the common width, so ``b`` has no
+    # tail and the terms do not depend on which side is the row.
+    row = np.zeros((1, max(len(a), len(b))))
+    row[0, : len(a)] = a.codes
+    dist, gap, variance = relatedness_terms(
+        row, np.array([float(len(a))]), np.array([a.stddev]), b
+    )
+    return float(dist[0]), float(gap[0]), float(variance[0])
 
 
 def euclidean(p: ObjectVector, q: ObjectVector) -> float:
@@ -138,11 +169,7 @@ def euclidean(p: ObjectVector, q: ObjectVector) -> float:
     and the root of the squared-difference sum is divided by sqrt(L), so
     values stay comparable across phrase lengths.
     """
-    length = max(len(p), len(q))
-    a = _padded(p.codes, length)
-    b = _padded(q.codes, length)
-    total = math.fsum((y - x) ** 2 for x, y in zip(a, b))
-    return math.sqrt(total) / math.sqrt(length)
+    return _pair_terms(p, q)[0]
 
 
 def variance_pair(a: ObjectVector, b: ObjectVector) -> float:
@@ -151,12 +178,7 @@ def variance_pair(a: ObjectVector, b: ObjectVector) -> float:
     Both vectors are zero-padded to the common length first; identical
     vectors therefore give exactly zero, and the result is sign-invariant.
     """
-    length = max(len(a), len(b))
-    pa = _padded(a.codes, length)
-    pb = _padded(b.codes, length)
-    diff = [y - x for x, y in zip(pa, pb)]
-    mu = math.fsum(diff) / length
-    return math.fsum((d - mu) ** 2 for d in diff) / length
+    return _pair_terms(a, b)[2]
 
 
 def relatedness(marked: ObjectVector, candidate: ObjectVector) -> float:
@@ -166,8 +188,5 @@ def relatedness(marked: ObjectVector, candidate: ObjectVector) -> float:
     two standard deviations, and the variance of the difference vector.
     Non-negative; exactly zero when the two vectors are equal.
     """
-    return (
-        euclidean(marked, candidate)
-        + abs(marked.stddev - candidate.stddev)
-        + variance_pair(marked, candidate)
-    )
+    dist, gap, variance = _pair_terms(marked, candidate)
+    return dist + gap + variance

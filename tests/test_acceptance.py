@@ -15,7 +15,7 @@ from conftest import DATA_DIR
 from synth_corpus import fresh_marking, make_corpus
 from test_taxonomy import oracle_lcs_and_depth, random_rooted_dag, random_rooted_tree
 from test_textstats import direct_mean, direct_var
-from vendormatch.cli import emit_report, run
+from vendormatch.cli import _read_corpus, emit_report, run
 from vendormatch.config import RunConfig, Thresholds
 from vendormatch.extraction import InstanceSet, extract_corpus
 from vendormatch.marking import load_marking, save_marking
@@ -28,12 +28,6 @@ DEFAULTS = Thresholds()
 
 def _passed(criterion: str) -> None:
     print(f"ACCEPTANCE PASS: {criterion}")
-
-
-def _read_docs(directory):
-    return {
-        p.stem: p.read_text(encoding="utf-8") for p in sorted(directory.glob("*.txt"))
-    }
 
 
 def bundled_config(marking_path, update_marking):
@@ -241,8 +235,8 @@ def test_seed_table_terms_extracted_exactly(tmp_path):
 def test_adaptive_marking_on_bundled_corpus(tmp_marking):
     def one_run():
         mf = load_marking(tmp_marking)
-        vendor_sets = extract_corpus(_read_docs(DATA_DIR / "vendors"), mf, DEFAULTS)
-        query_sets = extract_corpus(_read_docs(DATA_DIR / "queries"), mf, DEFAULTS)
+        vendor_sets = extract_corpus(_read_corpus(DATA_DIR / "vendors"), mf, DEFAULTS)
+        query_sets = extract_corpus(_read_corpus(DATA_DIR / "queries"), mf, DEFAULTS)
         save_marking(mf)
         return vendor_sets, query_sets
 
@@ -308,8 +302,8 @@ def test_end_to_end_determinism_at_corpus_scale():
 @pytest.fixture(scope="module")
 def bundled_instance_sets():
     mf = load_marking(DATA_DIR / "marking.tsv")
-    vendor_sets = extract_corpus(_read_docs(DATA_DIR / "vendors"), mf, DEFAULTS)
-    query_sets = extract_corpus(_read_docs(DATA_DIR / "queries"), mf, DEFAULTS)
+    vendor_sets = extract_corpus(_read_corpus(DATA_DIR / "vendors"), mf, DEFAULTS)
+    query_sets = extract_corpus(_read_corpus(DATA_DIR / "queries"), mf, DEFAULTS)
     return query_sets, vendor_sets
 
 

@@ -9,7 +9,7 @@ from vendormatch.config import Thresholds
 from vendormatch.extraction import _MarkedIndex, extract_corpus, extract_instances
 from vendormatch.marking import MarkedObject, MarkingFile
 from vendormatch.stopwords import DEFAULT_STOPWORDS
-from vendormatch.textstats import encode, relatedness
+from vendormatch.textstats import candidates, encode, relatedness, tokenize
 
 from test_textstats import oracle_relatedness
 
@@ -110,6 +110,15 @@ def test_within_document_adaptive_chaining():
     assert "turbineu" in out2.instances
 
 
+def test_tied_marked_objects_match_the_earlier_entry():
+    # 'aa' differs from 'ab' and 'ba' by one code point at mirrored positions
+    assert oracle_relatedness("ab", "aa") == oracle_relatedness("ba", "aa")
+    assert oracle_relatedness("ab", "aa") < DEFAULTS.r_threshold
+    for first, second in (("ab", "ba"), ("ba", "ab")):
+        out = extract_instances("aa", marking_of((first, 1), (second, 1)), DEFAULTS)
+        assert out.instances["aa"].matched_marked_phrase == first
+
+
 def test_extract_corpus_orders_and_keys():
     mf = marking_of(("energy", 165))
     docs = {"b": "energy", "a": "energy energy", "c": ""}
@@ -175,6 +184,10 @@ def test_batch_scoring_agrees_with_scalar_relatedness():
         scalar = {p: relatedness(encode(p), vec) for p in pool}
         assert batch_r == pytest.approx(min(scalar.values()), abs=1e-12)
         assert scalar[batch_phrase] == pytest.approx(batch_r, abs=1e-12)
+        # scalar and batch share one kernel; the oracle is the independent check
+        oracle = {p: oracle_relatedness(p, phrase) for p in pool}
+        assert batch_r == pytest.approx(min(oracle.values()), abs=1e-12)
+        assert oracle[batch_phrase] == pytest.approx(batch_r, abs=1e-12)
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():
@@ -191,3 +204,85 @@ def test_exact_hit_guarantee_on_random_marked_phrases():
         mf = marking_of((phrase, 5))
         out = extract_instances(f"report: {phrase} noted", mf, DEFAULTS)
         assert out.instances[phrase].best_r == 0.0
+
+
+def reference_extract(documents, marking, thresholds):
+    """Plain extraction: documents in sorted order, every marked object scanned.
+
+    ``marking`` is an insertion-ordered {phrase: frequency} dict, updated in
+    place. Returns {doc_id: {phrase: (frequency, best_r, matched, via_fallback)}}.
+    """
+    out = {}
+    for doc_id in sorted(documents):
+        found = out[doc_id] = {}
+        for cand in candidates(tokenize(documents[doc_id]), DEFAULT_STOPWORDS):
+            best_r, matched = None, None
+            for marked in marking:
+                r = oracle_relatedness(marked, cand.phrase)
+                if best_r is None or r < best_r:  # first minimum wins
+                    best_r, matched = r, marked
+            if best_r is None:
+                continue
+            if best_r < thresholds.r_threshold:
+                via_fallback = False
+            elif best_r < thresholds.fallback_threshold:
+                via_fallback = True
+            else:
+                continue
+            marking[cand.phrase] = marking.get(cand.phrase, 0) + cand.frequency
+            found[cand.phrase] = (cand.frequency, best_r, matched, via_fallback)
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize(
+    "thresholds",
+    [
+        Thresholds(r_threshold=0.005),  # default fallback 0.009 > r
+        Thresholds(r_threshold=0.01),
+        Thresholds(r_threshold=0.02),
+        Thresholds(r_threshold=0.005, fallback_threshold=0.02),
+    ],
+    ids=["r0.005", "r0.01", "r0.02", "r0.005-fb0.02"],
+)
+def test_extract_corpus_equals_reference_on_synth_corpora(seed, thresholds):
+    docs = make_corpus(random.Random(seed), 8)
+    mf = fresh_marking()
+    marking = {e.phrase: e.frequency for e in mf.entries}
+    got = extract_corpus(docs, mf, thresholds)
+    want = reference_extract(docs, marking, thresholds)
+
+    assert list(got) == list(want)
+    for doc_id, expected in want.items():
+        records = got[doc_id].instances
+        assert list(records) == list(expected)
+        for phrase, (frequency, best_r, matched, via_fallback) in expected.items():
+            rec = records[phrase]
+            assert rec.frequency == frequency
+            assert rec.best_r == pytest.approx(best_r, abs=1e-12)
+            assert rec.matched_marked_phrase == matched
+            assert rec.via_fallback == via_fallback
+    assert [(e.phrase, e.frequency) for e in mf.entries] == list(marking.items())
+
+
+@pytest.mark.parametrize("fallback", [0.009, 0.01])
+def test_fallback_at_or_below_r_threshold_admits_nothing_extra(fallback):
+    docs = make_corpus(random.Random(8080), 10)
+
+    def extract(thresholds):
+        mf = fresh_marking()
+        sets = extract_corpus(docs, mf, thresholds)
+        return sets, [(e.phrase, e.frequency) for e in mf.entries]
+
+    sets, entries = extract(Thresholds(r_threshold=0.01, fallback_threshold=fallback))
+    tiny_sets, tiny_entries = extract(
+        Thresholds(r_threshold=0.01, fallback_threshold=1e-9)
+    )
+    assert {d: s.instances for d, s in sets.items()} == {
+        d: s.instances for d, s in tiny_sets.items()
+    }
+    assert entries == tiny_entries
+    assert sum(len(s) for s in sets.values()) > 0
+    assert not any(
+        rec.via_fallback for s in sets.values() for rec in s.instances.values()
+    )

@@ -1,5 +1,6 @@
 """Marking file load/update/save contracts."""
 
+import os
 from collections import Counter
 
 import pytest
@@ -163,6 +164,34 @@ def test_save_to_unwritable_location_leaves_source_intact(tmp_path):
         save_marking(mf, bogus)
     assert path.read_text(encoding="utf-8") == "sun\t37\n"
     assert mf.dirty  # failed save keeps the dirty flag
+
+
+def test_save_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
+    path = write_marking(tmp_path, "sun\t37\n")
+    mf = load_marking(path)
+    update_marking(mf, "turbine", 3)
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_marking(mf)
+    payload = b"sun\t37\nturbine\t3\n"
+    # the whole payload is flushed and synced on the temp file, then renamed
+    assert [e[0] for e in events] == ["fsync", "replace"]
+    assert events[0][1] == events[1][1]
+    assert events[0][2] == len(payload)
+    assert events[1][2] == os.fspath(path)
+    assert path.read_bytes() == payload
 
 
 def test_save_load_save_is_stable(tmp_path):
