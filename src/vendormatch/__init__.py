@@ -33,7 +33,6 @@ from .taxonomy import (
 from .textstats import (
     CandidateObject,
     ObjectVector,
-    Token,
     candidates,
     encode,
     euclidean,
@@ -61,7 +60,6 @@ __all__ = [
     "Taxonomy",
     "TaxonomyError",
     "Thresholds",
-    "Token",
     "VendorResult",
     "candidates",
     "encode",

@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import Thresholds
 from .marking import MarkingFile, update_marking
-from .stopwords import DEFAULT_STOPWORDS
 from .textstats import ObjectVector, candidates, encode, relatedness_terms, tokenize
 
 
@@ -85,22 +84,15 @@ def extract_instances(
     document_text: str,
     mf: MarkingFile,
     thresholds: Thresholds,
-    *,
-    document_id: str = "doc",
-    stopwords: frozenset[str] | set[str] | None = None,
 ) -> InstanceSet:
     """Extract the instances of one document, updating the marking file."""
-    return extract_corpus(
-        {document_id: document_text}, mf, thresholds, stopwords=stopwords
-    )[document_id]
+    return extract_corpus({"doc": document_text}, mf, thresholds)["doc"]
 
 
 def extract_corpus(
     documents: Mapping[str, str],
     mf: MarkingFile,
     thresholds: Thresholds,
-    *,
-    stopwords: frozenset[str] | set[str] | None = None,
 ) -> dict[str, InstanceSet]:
     """Extract every document in ascending id order, updating the marking file.
 
@@ -111,13 +103,12 @@ def extract_corpus(
     accumulated) before the next candidate is scored. One gazetteer index
     serves the whole call and grows with each new admitted phrase.
     """
-    sw = DEFAULT_STOPWORDS if stopwords is None else stopwords
     bound = max(thresholds.r_threshold, thresholds.fallback_threshold)
     index = _MarkedIndex(mf)
     results = {}
     for doc_id in sorted(documents):
         result = results[doc_id] = InstanceSet(document_id=doc_id)
-        for cand in candidates(tokenize(documents[doc_id]), sw):
+        for cand in candidates(tokenize(documents[doc_id])):
             vec = encode(cand.phrase)
             hit = index.best(vec)
             if hit is None:

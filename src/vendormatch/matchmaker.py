@@ -14,7 +14,6 @@ from typing import Mapping
 
 from .config import Thresholds
 from .extraction import InstanceSet
-from .stopwords import DEFAULT_STOPWORDS
 from .taxonomy import Taxonomy, phrase_score
 
 
@@ -52,7 +51,6 @@ def semantic_match(
     vendor: InstanceSet,
     t: Taxonomy,
     cfg: Thresholds,
-    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
     *,
     _scores: dict[str, dict[str, float]] | None = None,
 ) -> list[MatchPair]:
@@ -75,7 +73,7 @@ def semantic_match(
             score = row.get(vendor_phrase)
             if score is None:
                 score = row[vendor_phrase] = phrase_score(
-                    t, query_phrase, vendor_phrase, stopwords
+                    t, query_phrase, vendor_phrase
                 ).value
             if score > best_score:
                 best_score = score
@@ -130,7 +128,6 @@ def rank_vendors(
     vendors: Mapping[str, InstanceSet],
     t: Taxonomy,
     cfg: Thresholds,
-    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
 ) -> MatchReport:
     """Score every vendor against the pooled queries and rank them.
 
@@ -144,7 +141,7 @@ def rank_vendors(
     results = []
     for vendor_id in sorted(vendors):
         vendor = vendors[vendor_id]
-        pairs = semantic_match(pooled, vendor, t, cfg, stopwords, _scores=scores)
+        pairs = semantic_match(pooled, vendor, t, cfg, _scores=scores)
         best = {p.query_phrase: p for p in pairs}
         per_query = {
             query_id: match_percentage(

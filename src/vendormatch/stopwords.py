@@ -2,7 +2,7 @@
 
 Used for two things: candidate n-grams may not start or end with a
 stopword, and phrase-level similarity drops stopwords before aligning
-tokens. Callers can pass their own set anywhere this one is the default.
+tokens.
 """
 
 DEFAULT_STOPWORDS = frozenset(

@@ -2,8 +2,9 @@
 
 The taxonomy is a DAG loaded from an edge-list file (``<child>\\t<parent>``
 per line); the unique parentless concept is the root. Depth counts from 1
-at the root (minimum over parents below it), which guarantees every
-similarity score is strictly positive. Immutable after construction.
+at the root along the longest path down to a concept, so every ancestor is
+strictly shallower than its descendants and every similarity score lies in
+(0, 1]. Immutable after construction.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Taxonomy:
                 depth[concept] = 1
                 ancestors[concept] = frozenset({concept})
             else:
-                depth[concept] = 1 + min(depth[p] for p in ps)
+                depth[concept] = 1 + max(depth[p] for p in ps)
                 merged: set[str] = {concept}
                 for p in ps:
                     merged |= ancestors[p]
@@ -149,9 +150,9 @@ class Taxonomy:
 def load_taxonomy(path: Path | str) -> Taxonomy:
     """Parse an edge-list file into a validated Taxonomy.
 
-    One edge per line, ``<child>\\t<parent>``; ids are lowercased; blank
-    lines are ignored. Malformed lines raise TaxonomyError with the line
-    number, as does a file that is not UTF-8.
+    One edge per line, ``<child>\\t<parent>``; ids are lowercased. Blank and
+    malformed lines raise TaxonomyError with the line number; a file that is
+    not UTF-8 raises it too.
     """
     path = Path(path)
     edges: list[tuple[str, str]] = []
@@ -163,8 +164,6 @@ def load_taxonomy(path: Path | str) -> Taxonomy:
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
     for lineno, line in enumerate(content.splitlines(), start=1):
-        if not line.strip():
-            continue
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise TaxonomyError(
@@ -177,8 +176,9 @@ def load_taxonomy(path: Path | str) -> Taxonomy:
 def lcs(t: Taxonomy, a: str, b: str) -> str:
     """Least common subsumer: the deepest concept subsuming both inputs.
 
-    Ancestor sets include the concept itself, so lcs(x, x) == x. Equal-depth
-    ties break to the lexicographically smallest id.
+    Ancestor sets include the concept itself and every other ancestor is
+    strictly shallower, so lcs(x, x) == x. Equal-depth ties break to the
+    lexicographically smallest id.
     """
     common = t.ancestors(a) & t.ancestors(b)
     return min(common, key=lambda c: (-t.depth(c), c))
@@ -188,7 +188,7 @@ def wup_score(t: Taxonomy, a: str, b: str) -> SimilarityScore:
     """Concept similarity: 2 * depth(LCS) / (depth(a) + depth(b)).
 
     With the root at depth 1 the value always lies in (0, 1]; it is 1
-    exactly when the two concepts coincide on a tree.
+    exactly when the two concepts coincide.
     """
     subsumer = lcs(t, a, b)
     value = 2.0 * t.depth(subsumer) / (t.depth(a) + t.depth(b))
@@ -204,23 +204,18 @@ def _token_pair_score(t: Taxonomy, x: str, y: str) -> float:
     return 0.0
 
 
-def phrase_score(
-    t: Taxonomy,
-    a: str,
-    b: str,
-    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
-) -> SimilarityScore:
+def phrase_score(t: Taxonomy, a: str, b: str) -> SimilarityScore:
     """Phrase-level similarity via symmetrized greedy token alignment.
 
-    Stopwords are removed first; each remaining token resolves to a concept
+    Words in ``DEFAULT_STOPWORDS`` are removed first; each remaining token resolves to a concept
     by exact id match. A token pair scores its concept similarity when both
     resolve, 1.0 when neither resolves but the strings are equal, and 0
     otherwise. The phrase score averages each side's best-match mean, so
     permutations of the same token set always score 1.0. If either phrase
     is nothing but stopwords, falls back to whole-phrase string equality.
     """
-    tokens_a = [w for w in a.lower().split() if w not in stopwords]
-    tokens_b = [w for w in b.lower().split() if w not in stopwords]
+    tokens_a = [w for w in a.lower().split() if w not in DEFAULT_STOPWORDS]
+    tokens_b = [w for w in b.lower().split() if w not in DEFAULT_STOPWORDS]
     if not tokens_a or not tokens_b:
         return SimilarityScore(value=1.0 if a.lower() == b.lower() else 0.0)
     if len(tokens_a) == 1 and len(tokens_b) == 1:

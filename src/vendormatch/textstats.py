@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .stopwords import DEFAULT_STOPWORDS
+
 log = logging.getLogger(__name__)
 
 # Character codes are divided by this so every element lies in [0, 1];
@@ -28,19 +30,10 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(frozen=True)
-class Token:
-    """A lowercase word with its ordinal position in the document."""
-
-    text: str
-    position: int
-
-
-@dataclass(frozen=True)
 class CandidateObject:
     """An n-gram phrase (1-3 tokens) with its occurrence count."""
 
     phrase: str
-    length_tokens: int
     frequency: int
 
 
@@ -65,8 +58,8 @@ class ObjectVector:
         return len(self.codes)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split raw text into lowercase tokens.
+def tokenize(text: str) -> list[str]:
+    """Split raw text into lowercase tokens, in document order.
 
     Every character that is not a letter or digit separates tokens.
     Characters above code point 127 are replaced by ``?`` before splitting
@@ -75,41 +68,28 @@ def tokenize(text: str) -> list[Token]:
     replaced, n_replaced = _NON_ASCII_RE.subn("?", text)
     if n_replaced:
         log.warning("replaced %d non-ascii character(s) with '?'", n_replaced)
-    return [
-        Token(match.group(), position)
-        for position, match in enumerate(_TOKEN_RE.finditer(replaced.lower()))
-    ]
+    return _TOKEN_RE.findall(replaced.lower())
 
 
-def candidates(
-    tokens: Sequence[Token], stopwords: frozenset[str] | set[str]
-) -> list[CandidateObject]:
+def candidates(words: Sequence[str]) -> list[CandidateObject]:
     """Enumerate unigram/bigram/trigram candidate phrases.
 
-    An n-gram qualifies only if its first and last token are not stopwords
-    (interior stopwords are fine, so "speed of wind" survives). Duplicate
-    phrases are aggregated with summed frequency; output order is first
-    occurrence, scanning start positions left to right and lengths 1..3.
+    An n-gram qualifies only if its first and last token are not in
+    ``DEFAULT_STOPWORDS`` (interior stopwords are fine, so "speed of wind"
+    survives). Duplicate phrases are aggregated with summed frequency;
+    output order is first occurrence, scanning start positions left to
+    right and lengths 1..3.
     """
-    words = [t.text for t in tokens]
-    seen: dict[str, list[int]] = {}  # phrase -> [length_tokens, frequency]
+    seen: dict[str, int] = {}  # phrase -> frequency, in first-occurrence order
     for start in range(len(words)):
-        for n in (1, 2, 3):
-            end = start + n
-            if end > len(words):
-                break
-            if words[start] in stopwords or words[end - 1] in stopwords:
+        if words[start] in DEFAULT_STOPWORDS:
+            continue
+        for end in range(start + 1, min(start + 3, len(words)) + 1):
+            if words[end - 1] in DEFAULT_STOPWORDS:
                 continue
             phrase = " ".join(words[start:end])
-            entry = seen.get(phrase)
-            if entry is None:
-                seen[phrase] = [n, 1]
-            else:
-                entry[1] += 1
-    return [
-        CandidateObject(phrase=p, length_tokens=ln, frequency=f)
-        for p, (ln, f) in seen.items()
-    ]
+            seen[phrase] = seen.get(phrase, 0) + 1
+    return [CandidateObject(phrase=p, frequency=f) for p, f in seen.items()]
 
 
 def encode(phrase: str) -> ObjectVector:

@@ -215,7 +215,7 @@ def reference_extract(documents, marking, thresholds):
     out = {}
     for doc_id in sorted(documents):
         found = out[doc_id] = {}
-        for cand in candidates(tokenize(documents[doc_id]), DEFAULT_STOPWORDS):
+        for cand in candidates(tokenize(documents[doc_id])):
             best_r, matched = None, None
             for marked in marking:
                 r = oracle_relatedness(marked, cand.phrase)

@@ -26,7 +26,7 @@ def tax(*edges):
 
 
 def oracle_lcs_and_depth(edges, a, b):
-    """Independent ancestor enumeration: recursive closure + min-depth."""
+    """Independent ancestor enumeration: recursive closure + longest-path depth."""
     parents = defaultdict(set)
     nodes = set()
     for child, parent in edges:
@@ -38,7 +38,7 @@ def oracle_lcs_and_depth(edges, a, b):
     def depth(x):
         if x not in depth_memo:
             ps = parents.get(x, set())
-            depth_memo[x] = 1 if not ps else 1 + min(depth(p) for p in ps)
+            depth_memo[x] = 1 if not ps else 1 + max(depth(p) for p in ps)
         return depth_memo[x]
 
     def ancestors(x):
@@ -100,7 +100,7 @@ def test_self_loop_is_a_cycle():
         tax(("a", "a"))
 
 
-def test_diamond_depth_uses_min_parent():
+def test_diamond_depth_with_equal_parent_paths():
     t = tax(("d", "b"), ("d", "c"), ("b", "a"), ("c", "a"))
     assert t.depth("d") == 3
 
@@ -124,6 +124,14 @@ def test_load_malformed_line(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("solar energy\n", encoding="utf-8")
     with pytest.raises(TaxonomyError, match="line 1"):
+        load_taxonomy(path)
+
+
+def test_load_blank_line_names_line_number(tmp_path):
+    # the same rule as the marking file: a blank line is malformed
+    path = tmp_path / "t.tsv"
+    path.write_text("a\troot\n\nb\troot\n", encoding="utf-8")
+    with pytest.raises(TaxonomyError, match="line 2"):
         load_taxonomy(path)
 
 
@@ -202,9 +210,8 @@ def test_wup_never_zero_on_dags():
 
 
 def test_wup_bounded_by_one_on_trees():
-    # on a tree every ancestor is at most as deep as its descendants, so the
-    # similarity cannot exceed 1; multi-parent DAGs with the min-parent depth
-    # rule do not share that guarantee
+    # every ancestor is shallower than its descendants, so the similarity
+    # cannot exceed 1 (multi-parent DAGs: see the tests below)
     rng = random.Random(11)
     for _ in range(5):
         edges, ids = random_rooted_tree(rng, max_nodes=30)
@@ -214,8 +221,8 @@ def test_wup_bounded_by_one_on_trees():
                 assert wup_score(t, a, b).value <= 1.0
 
 
-def test_wup_can_exceed_one_on_multi_parent_dags():
-    # documents the convention: shallow siblings sharing a deep ancestor
+def test_wup_shortcut_parents_take_the_longest_path_depth():
+    # siblings with a shortcut edge to the root and a deep shared ancestor
     t = tax(
         ("x1", "r"),
         ("x2", "x1"),
@@ -225,10 +232,25 @@ def test_wup_can_exceed_one_on_multi_parent_dags():
         ("b", "r"),
         ("b", "x3"),
     )
-    assert t.depth("a") == t.depth("b") == 2  # min-parent rule, via the root
+    assert t.depth("a") == t.depth("b") == 5  # via x3, not via the root
     score = wup_score(t, "a", "b")
     assert score.lcs_id == "x3"
-    assert score.value == 2.0 * 4 / (2 + 2)
+    assert score.value == 2.0 * 4 / (5 + 5) == 0.8
+
+
+def test_lcs_identity_and_wup_bounds_on_random_dags():
+    shortcut = tax(("a", "root"), ("b", "a"), ("c", "b"), ("c", "root"))
+    assert shortcut.depth("c") == 4
+    assert lcs(shortcut, "c", "c") == "c"
+    assert wup_score(shortcut, "c", "c").value == 1.0
+    rng = random.Random(31)
+    for _ in range(20):
+        edges, ids = random_rooted_dag(rng, max_nodes=30)
+        t = Taxonomy.from_edges(edges)
+        for a in ids:
+            assert lcs(t, a, a) == a
+            for b in ids:
+                assert 0.0 < wup_score(t, a, b).value <= 1.0
 
 
 def test_wup_symmetric_exactly():
@@ -335,7 +357,5 @@ def test_phrase_score_symmetric_and_bounded(tokens_a, tokens_b):
 
 def test_phrase_score_uses_default_stopword_list(bundled_taxonomy):
     assert "of" in DEFAULT_STOPWORDS
-    score = phrase_score(
-        bundled_taxonomy, "speed of wind", "wind speed", DEFAULT_STOPWORDS
-    )
+    score = phrase_score(bundled_taxonomy, "speed of wind", "wind speed")
     assert score.value == 1.0
