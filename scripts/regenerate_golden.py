@@ -6,6 +6,7 @@ before committing: the snapshot is the reference output the CLI tests
 compare against byte-for-byte.
 """
 
+import argparse
 from pathlib import Path
 
 from vendormatch.cli import emit_report, run
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args()
     report = run(
         RunConfig(
             vendors_dir=ROOT / "data" / "vendors",

@@ -21,8 +21,6 @@ from .matchmaker import (
 )
 from .stopwords import DEFAULT_STOPWORDS
 from .taxonomy import (
-    Concept,
-    SimilarityScore,
     Taxonomy,
     TaxonomyError,
     lcs,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateObject",
-    "Concept",
     "DEFAULT_STOPWORDS",
     "InstanceRecord",
     "InstanceSet",
@@ -56,7 +53,6 @@ __all__ = [
     "MatchReport",
     "ObjectVector",
     "RunConfig",
-    "SimilarityScore",
     "Taxonomy",
     "TaxonomyError",
     "Thresholds",

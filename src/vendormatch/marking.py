@@ -69,20 +69,24 @@ class MarkingFile:
 def load_marking(path: Path | str) -> MarkingFile:
     """Load a marking file, preserving entry order.
 
-    Raises FileNotFoundError for a missing file and MarkingFormatError for
-    a file that is not UTF-8 or a malformed or duplicate line (the message
-    names the line number).
+    Lines end at LF only (CR and CRLF read as LF), so any other separator
+    character stays inside its line. Raises FileNotFoundError for a missing
+    file and MarkingFormatError for a file that is not UTF-8 or a malformed
+    or duplicate line (the message names the line number).
     """
     path = Path(path)
     mf = MarkingFile(source_path=path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             content = fh.read()
         except UnicodeDecodeError as exc:
             raise MarkingFormatError(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    lines = content.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 2:
             raise MarkingFormatError(

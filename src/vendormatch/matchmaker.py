@@ -74,7 +74,7 @@ def semantic_match(
             if score is None:
                 score = row[vendor_phrase] = phrase_score(
                     t, query_phrase, vendor_phrase
-                ).value
+                )
             if score > best_score:
                 best_score = score
                 best_vendor_phrase = vendor_phrase

@@ -1,10 +1,12 @@
 """Rooted IS-A concept graph with depth, LCS, and similarity scoring.
 
 The taxonomy is a DAG loaded from an edge-list file (``<child>\\t<parent>``
-per line); the unique parentless concept is the root. Depth counts from 1
-at the root along the longest path down to a concept, so every ancestor is
-strictly shallower than its descendants and every similarity score lies in
-(0, 1]. Immutable after construction.
+per line); every id an edge names is a concept, and the unique parentless
+concept is the root. Depth counts from 1 at the root along the longest path
+down to a concept, so every ancestor is strictly shallower than its
+descendants and every similarity score lies in (0, 1]. Scores are plain
+floats; :func:`lcs` names the subsumer on demand. Immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -22,54 +23,35 @@ log = logging.getLogger(__name__)
 
 
 class TaxonomyError(ValueError):
-    """Structural problem in a taxonomy: cycles, root count, dangling refs."""
-
-
-@dataclass(frozen=True)
-class Concept:
-    id: str
-    parents: frozenset[str]
-    depth: int
-
-
-@dataclass(frozen=True)
-class SimilarityScore:
-    """A similarity value plus, when a single LCS exists, its concept id."""
-
-    value: float
-    lcs_id: str | None = None
+    """Malformed taxonomy file, a cycle, or a root count other than one."""
 
 
 class Taxonomy:
-    """Validated concept graph; use :meth:`build` or :func:`load_taxonomy`."""
+    """Validated concept graph; use :meth:`from_edges` or :func:`load_taxonomy`."""
 
     def __init__(
         self,
-        concepts: dict[str, Concept],
+        depths: dict[str, int],
         root: str,
         ancestors: dict[str, frozenset[str]],
     ) -> None:
-        self.concepts = concepts
+        self._depths = depths
         self.root = root
         self._ancestors = ancestors
 
     @classmethod
-    def build(cls, parent_map: Mapping[str, Iterable[str]]) -> "Taxonomy":
-        """Validate a child -> parents map and compute depths and ancestors.
+    def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "Taxonomy":
+        """Validate ``(child, parent)`` edges and compute depths and ancestors.
 
-        Raises TaxonomyError for dangling parent references, cycles
-        (naming a member), and a root count other than one.
+        Ids are lowercased. Every id named by an edge, child or parent, is a
+        concept, so no parent reference can dangle. Raises TaxonomyError for
+        cycles (naming a member) and a root count other than one.
         """
-        parents: dict[str, frozenset[str]] = {
-            child.lower(): frozenset(p.lower() for p in ps)
-            for child, ps in parent_map.items()
-        }
-        for child, ps in parents.items():
-            for parent in ps:
-                if parent not in parents:
-                    raise TaxonomyError(
-                        f"dangling parent reference: {child!r} -> {parent!r}"
-                    )
+        parents: dict[str, set[str]] = {}
+        for child, parent in edges:
+            child, parent = child.lower(), parent.lower()
+            parents.setdefault(child, set()).add(parent)
+            parents.setdefault(parent, set())
 
         # Kahn's algorithm over parent links; leftovers form cycles.
         remaining = {c: len(ps) for c, ps in parents.items()}
@@ -110,23 +92,12 @@ class Taxonomy:
                 for p in ps:
                     merged |= ancestors[p]
                 ancestors[concept] = frozenset(merged)
-
-        concepts = {
-            c: Concept(id=c, parents=parents[c], depth=depth[c]) for c in parents
-        }
-        return cls(concepts=concepts, root=root, ancestors=ancestors)
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "Taxonomy":
-        parent_map: dict[str, set[str]] = {}
-        for child, parent in edges:
-            child, parent = child.lower(), parent.lower()
-            parent_map.setdefault(child, set()).add(parent)
-            parent_map.setdefault(parent, set())
-        return cls.build(parent_map)
+        return cls(depths=depth, root=root, ancestors=ancestors)
 
     def depth(self, concept_id: str) -> int:
-        return self._concept(concept_id).depth
+        if concept_id not in self._depths:
+            raise KeyError(f"unknown concept: {concept_id!r}")
+        return self._depths[concept_id]
 
     def ancestors(self, concept_id: str) -> frozenset[str]:
         """All concepts subsuming this one, itself included."""
@@ -134,36 +105,37 @@ class Taxonomy:
             raise KeyError(f"unknown concept: {concept_id!r}")
         return self._ancestors[concept_id]
 
-    def _concept(self, concept_id: str) -> Concept:
-        try:
-            return self.concepts[concept_id]
-        except KeyError:
-            raise KeyError(f"unknown concept: {concept_id!r}") from None
-
     def __contains__(self, concept_id: str) -> bool:
-        return concept_id in self.concepts
+        return concept_id in self._depths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._depths)
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self._depths)
 
 
 def load_taxonomy(path: Path | str) -> Taxonomy:
     """Parse an edge-list file into a validated Taxonomy.
 
-    One edge per line, ``<child>\\t<parent>``; ids are lowercased. Blank and
-    malformed lines raise TaxonomyError with the line number; a file that is
-    not UTF-8 raises it too.
+    One edge per line, ``<child>\\t<parent>``; ids are lowercased. Lines end
+    at LF only (CR and CRLF read as LF), so any other separator character
+    stays inside its line. Blank and malformed lines raise TaxonomyError
+    with the line number; a file that is not UTF-8 raises it too.
     """
     path = Path(path)
     edges: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             content = fh.read()
         except UnicodeDecodeError as exc:
             raise TaxonomyError(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    lines = content.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise TaxonomyError(
@@ -184,48 +156,43 @@ def lcs(t: Taxonomy, a: str, b: str) -> str:
     return min(common, key=lambda c: (-t.depth(c), c))
 
 
-def wup_score(t: Taxonomy, a: str, b: str) -> SimilarityScore:
+def wup_score(t: Taxonomy, a: str, b: str) -> float:
     """Concept similarity: 2 * depth(LCS) / (depth(a) + depth(b)).
 
     With the root at depth 1 the value always lies in (0, 1]; it is 1
-    exactly when the two concepts coincide.
+    exactly when the two concepts coincide. :func:`lcs` names the LCS.
     """
-    subsumer = lcs(t, a, b)
-    value = 2.0 * t.depth(subsumer) / (t.depth(a) + t.depth(b))
-    return SimilarityScore(value=value, lcs_id=subsumer)
+    return 2.0 * t.depth(lcs(t, a, b)) / (t.depth(a) + t.depth(b))
 
 
 def _token_pair_score(t: Taxonomy, x: str, y: str) -> float:
     if x in t and y in t:
-        return wup_score(t, x, y).value
+        return wup_score(t, x, y)
     if x not in t and y not in t and x == y:
         return 1.0
     log.debug("untaxonomized token pair: %r / %r", x, y)
     return 0.0
 
 
-def phrase_score(t: Taxonomy, a: str, b: str) -> SimilarityScore:
+def phrase_score(t: Taxonomy, a: str, b: str) -> float:
     """Phrase-level similarity via symmetrized greedy token alignment.
 
     Words in ``DEFAULT_STOPWORDS`` are removed first; each remaining token resolves to a concept
     by exact id match. A token pair scores its concept similarity when both
     resolve, 1.0 when neither resolves but the strings are equal, and 0
     otherwise. The phrase score averages each side's best-match mean, so
-    permutations of the same token set always score 1.0. If either phrase
-    is nothing but stopwords, falls back to whole-phrase string equality.
+    permutations of the same token set always score 1.0, and two single
+    resolvable tokens score exactly their :func:`wup_score`. If either
+    phrase is nothing but stopwords, falls back to whole-phrase string
+    equality.
     """
     tokens_a = [w for w in a.lower().split() if w not in DEFAULT_STOPWORDS]
     tokens_b = [w for w in b.lower().split() if w not in DEFAULT_STOPWORDS]
     if not tokens_a or not tokens_b:
-        return SimilarityScore(value=1.0 if a.lower() == b.lower() else 0.0)
-    if len(tokens_a) == 1 and len(tokens_b) == 1:
-        x, y = tokens_a[0], tokens_b[0]
-        if x in t and y in t:
-            return wup_score(t, x, y)
+        return 1.0 if a.lower() == b.lower() else 0.0
 
     def directed(src: list[str], dst: list[str]) -> float:
         best = (max(_token_pair_score(t, x, y) for y in dst) for x in src)
         return math.fsum(best) / len(src)
 
-    value = (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
-    return SimilarityScore(value=value)
+    return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0

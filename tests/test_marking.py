@@ -43,6 +43,16 @@ def test_load_empty_file_is_valid(tmp_path):
     assert len(mf) == 0
 
 
+def test_load_crlf_reads_as_lf(tmp_path):
+    path = tmp_path / "marking.tsv"
+    path.write_bytes(b"energy\t165\r\nsun\t37\r\n")
+    mf = load_marking(path)
+    assert [(e.phrase, e.frequency) for e in mf.entries] == [
+        ("energy", 165),
+        ("sun", 37),
+    ]
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_marking(tmp_path / "absent.tsv")
@@ -57,6 +67,9 @@ def test_load_missing_file(tmp_path):
         ("energy\t165\nsun\t-3\n", 2),
         ("energy\t165\n\nsun\t37\n", 2),
         ("energy\t165\n\t7\n", 2),
+        # only LF ends a line: another separator stays inside its record
+        ("energy\t165\nsun\t37\x1cwind\t2\n", 2),
+        ("energy\t165\u2028sun\t37\n", 1),
     ],
 )
 def test_load_malformed_line_names_line_number(tmp_path, content, lineno):
