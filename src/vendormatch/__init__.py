@@ -1,7 +1,7 @@
 """Vendor-query matchmaking via instance extraction and taxonomy similarity."""
 
 from .config import RunConfig, Thresholds
-from .extraction import InstanceRecord, InstanceSet, extract_corpus, extract_instances
+from .extraction import InstanceRecord, InstanceSet, extract_corpus
 from .marking import (
     MarkedObject,
     MarkingFile,
@@ -28,16 +28,7 @@ from .taxonomy import (
     phrase_score,
     wup_score,
 )
-from .textstats import (
-    CandidateObject,
-    ObjectVector,
-    candidates,
-    encode,
-    euclidean,
-    relatedness,
-    tokenize,
-    variance_pair,
-)
+from .textstats import CandidateObject, ObjectVector, candidates, encode, tokenize
 
 __version__ = "0.1.0"
 
@@ -59,9 +50,7 @@ __all__ = [
     "VendorResult",
     "candidates",
     "encode",
-    "euclidean",
     "extract_corpus",
-    "extract_instances",
     "lcs",
     "load_marking",
     "load_taxonomy",
@@ -69,11 +58,9 @@ __all__ = [
     "phrase_score",
     "pool_queries",
     "rank_vendors",
-    "relatedness",
     "save_marking",
     "semantic_match",
     "tokenize",
     "update_marking",
-    "variance_pair",
     "wup_score",
 ]

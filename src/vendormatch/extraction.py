@@ -1,8 +1,10 @@
 """Instance extraction: admit document candidates related to marked objects.
 
-Every candidate phrase of a document is scored against every marked object
-with the composite relatedness metric. A candidate is admitted as an
-instance iff its best (smallest) value falls under the larger of the
+:func:`extract_corpus` is the one entry point; it returns each document's
+instances keyed by document id. Every candidate phrase of a document is
+scored against every marked object with the composite relatedness metric
+(:func:`~vendormatch.textstats.relatedness_terms`). A candidate is admitted
+as an instance iff its best (smallest) value falls under the larger of the
 primary and fallback thresholds, and flagged ``via_fallback`` when it does
 not fall under the primary one; a fallback bound at or below the primary
 threshold therefore admits nothing extra. Each admitted instance
@@ -37,7 +39,6 @@ class InstanceRecord:
 class InstanceSet:
     """Instances extracted from one document, keyed by phrase."""
 
-    document_id: str
     instances: dict[str, InstanceRecord] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -80,15 +81,6 @@ class _MarkedIndex:
         return float(r[best_row]), self._phrases[best_row]
 
 
-def extract_instances(
-    document_text: str,
-    mf: MarkingFile,
-    thresholds: Thresholds,
-) -> InstanceSet:
-    """Extract the instances of one document, updating the marking file."""
-    return extract_corpus({"doc": document_text}, mf, thresholds)["doc"]
-
-
 def extract_corpus(
     documents: Mapping[str, str],
     mf: MarkingFile,
@@ -107,7 +99,7 @@ def extract_corpus(
     index = _MarkedIndex(mf)
     results = {}
     for doc_id in sorted(documents):
-        result = results[doc_id] = InstanceSet(document_id=doc_id)
+        result = results[doc_id] = InstanceSet()
         for cand in candidates(tokenize(documents[doc_id])):
             vec = encode(cand.phrase)
             hit = index.best(vec)

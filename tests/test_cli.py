@@ -217,17 +217,21 @@ def test_main_unknown_flag_exits_one(tmp_marking):
 
 def test_main_malformed_taxonomy(tmp_path, tmp_marking, capsys):
     bad = tmp_path / "taxonomy.tsv"
-    bad.write_text("a\tb\nb\ta\n", encoding="utf-8")
-    code = main(
-        [
-            "--vendors-dir", str(DATA_DIR / "vendors"),
-            "--queries-dir", str(DATA_DIR / "queries"),
-            "--marking", str(tmp_marking),
-            "--taxonomy", str(bad),
-        ]
-    )
-    assert code == EXIT_DATA
-    assert "cycle" in capsys.readouterr().err
+    for content, message in (
+        ("a\tb\nb\ta\n", "cycle"),
+        ("solar panel\tenergy\nwind\tenergy\n", "line 1"),  # dead leaf id
+    ):
+        bad.write_text(content, encoding="utf-8")
+        code = main(
+            [
+                "--vendors-dir", str(DATA_DIR / "vendors"),
+                "--queries-dir", str(DATA_DIR / "queries"),
+                "--marking", str(tmp_marking),
+                "--taxonomy", str(bad),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 def test_main_non_utf8_corpus_file_is_a_data_error(tmp_path, tmp_marking, capsys):

@@ -45,7 +45,6 @@ def write_corpus(directory, docs):
 def as_instance_sets(extracted):
     return {
         doc_id: InstanceSet(
-            document_id=doc_id,
             instances={
                 phrase: InstanceRecord(phrase, frequency, best_r, matched, via_fallback)
                 for phrase, (frequency, best_r, matched, via_fallback) in found.items()

@@ -6,10 +6,10 @@ import pytest
 
 from synth_corpus import fresh_marking, make_corpus
 from vendormatch.config import Thresholds
-from vendormatch.extraction import _MarkedIndex, extract_corpus, extract_instances
+from vendormatch.extraction import _MarkedIndex, extract_corpus
 from vendormatch.marking import MarkedObject, MarkingFile
 from vendormatch.stopwords import DEFAULT_STOPWORDS
-from vendormatch.textstats import candidates, encode, relatedness, tokenize
+from vendormatch.textstats import candidates, encode, tokenize
 
 from test_textstats import oracle_relatedness
 
@@ -20,28 +20,36 @@ def marking_of(*pairs):
     return MarkingFile(entries=[MarkedObject(p, f) for p, f in pairs])
 
 
+def frequency_of(mf, phrase):
+    return next(e.frequency for e in mf if e.phrase == phrase)
+
+
+def extract_one(text, mf, thresholds):
+    return extract_corpus({"doc": text}, mf, thresholds)["doc"]
+
+
 def test_exact_marked_phrase_extracted_with_zero_r():
     mf = marking_of(("energy", 165))
-    out = extract_instances("energy energy, energy; energy!", mf, DEFAULTS)
+    out = extract_one("energy energy, energy; energy!", mf, DEFAULTS)
     rec = out.instances["energy"]
     assert rec.frequency == 4
     assert rec.best_r == 0.0
     assert rec.matched_marked_phrase == "energy"
     assert not rec.via_fallback
-    assert mf.get("energy").frequency == 165 + 4
+    assert frequency_of(mf, "energy") == 165 + 4
 
 
 def test_empty_document_changes_nothing():
     mf = marking_of(("energy", 165))
-    out = extract_instances("", mf, DEFAULTS)
+    out = extract_one("", mf, DEFAULTS)
     assert len(out) == 0
     assert not mf.dirty
-    assert mf.get("energy").frequency == 165
+    assert frequency_of(mf, "energy") == 165
 
 
 def test_empty_marking_extracts_nothing():
     mf = MarkingFile()
-    out = extract_instances("solar wind energy", mf, DEFAULTS)
+    out = extract_one("solar wind energy", mf, DEFAULTS)
     assert len(out) == 0
 
 
@@ -51,7 +59,7 @@ def test_near_variant_decision_agrees_with_oracle():
     assert oracle_relatedness("turbines", "turbiner") < DEFAULTS.r_threshold
 
     mf = marking_of(("sun", 37), ("turbines", 12))
-    out = extract_instances("sunny turbiner", mf, DEFAULTS)
+    out = extract_one("sunny turbiner", mf, DEFAULTS)
     assert "sunny" not in out.instances
     rec = out.instances["turbiner"]
     assert rec.matched_marked_phrase == "turbines"
@@ -64,7 +72,7 @@ def test_fallback_branch_flags_instances():
     r_variant = oracle_relatedness("turbines", "turbiner")
     cfg = Thresholds(r_threshold=r_variant / 2, fallback_threshold=0.009)
     mf = marking_of(("turbines", 12))
-    out = extract_instances("turbines turbiner", mf, cfg)
+    out = extract_one("turbines turbiner", mf, cfg)
     assert not out.instances["turbines"].via_fallback  # exact hit, r == 0
     assert out.instances["turbiner"].via_fallback
 
@@ -73,7 +81,7 @@ def test_instance_record_threshold_invariants():
     rng = random.Random(404)
     mf = fresh_marking()
     for doc in make_corpus(rng, 10).values():
-        out = extract_instances(doc, mf, DEFAULTS)
+        out = extract_one(doc, mf, DEFAULTS)
         for rec in out.instances.values():
             bound = (
                 DEFAULTS.fallback_threshold
@@ -86,9 +94,9 @@ def test_instance_record_threshold_invariants():
 
 def test_duplicate_occurrences_aggregate_frequency():
     mf = marking_of(("turbines", 12))
-    out = extract_instances("turbiner ... turbiner", mf, DEFAULTS)
+    out = extract_one("turbiner ... turbiner", mf, DEFAULTS)
     assert out.instances["turbiner"].frequency == 2
-    assert mf.get("turbiner").frequency == 2
+    assert frequency_of(mf, "turbiner") == 2
 
 
 def test_within_document_adaptive_chaining():
@@ -99,13 +107,13 @@ def test_within_document_adaptive_chaining():
     assert oracle_relatedness("turbineu", "turbinew") < DEFAULTS.r_threshold
 
     mf = marking_of(("turbines", 12))
-    out = extract_instances("turbineu then turbinew", mf, DEFAULTS)
+    out = extract_one("turbineu then turbinew", mf, DEFAULTS)
     assert out.instances["turbineu"].matched_marked_phrase == "turbines"
     assert out.instances["turbinew"].matched_marked_phrase == "turbineu"
 
     # reversed order: 'turbinew' is scored before the stepping stone exists
     mf2 = marking_of(("turbines", 12))
-    out2 = extract_instances("turbinew then turbineu", mf2, DEFAULTS)
+    out2 = extract_one("turbinew then turbineu", mf2, DEFAULTS)
     assert "turbinew" not in out2.instances
     assert "turbineu" in out2.instances
 
@@ -115,7 +123,7 @@ def test_tied_marked_objects_match_the_earlier_entry():
     assert oracle_relatedness("ab", "aa") == oracle_relatedness("ba", "aa")
     assert oracle_relatedness("ab", "aa") < DEFAULTS.r_threshold
     for first, second in (("ab", "ba"), ("ba", "ab")):
-        out = extract_instances("aa", marking_of((first, 1), (second, 1)), DEFAULTS)
+        out = extract_one("aa", marking_of((first, 1), (second, 1)), DEFAULTS)
         assert out.instances["aa"].matched_marked_phrase == first
 
 
@@ -124,7 +132,6 @@ def test_extract_corpus_orders_and_keys():
     docs = {"b": "energy", "a": "energy energy", "c": ""}
     out = extract_corpus(docs, mf, DEFAULTS)
     assert list(out) == ["a", "b", "c"]
-    assert out["a"].document_id == "a"
     assert out["a"].instances["energy"].frequency == 2
     assert len(out["c"]) == 0
 
@@ -171,7 +178,7 @@ def test_marking_covers_every_extracted_instance():
             assert phrase in mf
 
 
-def test_batch_scoring_agrees_with_scalar_relatedness():
+def test_batch_scoring_agrees_with_oracle():
     rng = random.Random(55)
     pool = ["sun", "wind", "solar energy", "turbines", "grid", "storage unit"]
     mf = marking_of(*[(p, 1) for p in pool])
@@ -181,10 +188,6 @@ def test_batch_scoring_agrees_with_scalar_relatedness():
         phrase = rng.choice(words)
         vec = encode(phrase)
         batch_r, batch_phrase = index.best(vec)
-        scalar = {p: relatedness(encode(p), vec) for p in pool}
-        assert batch_r == pytest.approx(min(scalar.values()), abs=1e-12)
-        assert scalar[batch_phrase] == pytest.approx(batch_r, abs=1e-12)
-        # scalar and batch share one kernel; the oracle is the independent check
         oracle = {p: oracle_relatedness(p, phrase) for p in pool}
         assert batch_r == pytest.approx(min(oracle.values()), abs=1e-12)
         assert oracle[batch_phrase] == pytest.approx(batch_r, abs=1e-12)
@@ -202,7 +205,7 @@ def test_exact_hit_guarantee_on_random_marked_phrases():
     for _ in range(25):
         phrase = " ".join(word() for _ in range(rng.randint(1, 3)))
         mf = marking_of((phrase, 5))
-        out = extract_instances(f"report: {phrase} noted", mf, DEFAULTS)
+        out = extract_one(f"report: {phrase} noted", mf, DEFAULTS)
         assert out.instances[phrase].best_r == 0.0
 
 
@@ -236,18 +239,26 @@ def reference_extract(documents, marking, thresholds):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 @pytest.mark.parametrize(
-    "thresholds",
+    ("thresholds", "extra_rows"),
     [
-        Thresholds(r_threshold=0.005),  # default fallback 0.009 > r
-        Thresholds(r_threshold=0.01),
-        Thresholds(r_threshold=0.02),
-        Thresholds(r_threshold=0.005, fallback_threshold=0.02),
+        (Thresholds(r_threshold=0.005), ()),  # default fallback 0.009 > r
+        (Thresholds(r_threshold=0.01), ()),
+        (Thresholds(r_threshold=0.02), ()),
+        (Thresholds(r_threshold=0.005, fallback_threshold=0.02), ()),
+        # weak lower bounds on relatedness: control-character rows (codes
+        # near 0) and a wide fallback band keep rows of other lengths in play
+        (
+            Thresholds(r_threshold=0.005, fallback_threshold=0.5),
+            ("\x01\x02\x03", "\x1f\x1f"),
+        ),
     ],
-    ids=["r0.005", "r0.01", "r0.02", "r0.005-fb0.02"],
+    ids=["r0.005", "r0.01", "r0.02", "r0.005-fb0.02", "r0.005-fb0.5-ctrl"],
 )
-def test_extract_corpus_equals_reference_on_synth_corpora(seed, thresholds):
+def test_extract_corpus_equals_reference_on_synth_corpora(seed, thresholds, extra_rows):
     docs = make_corpus(random.Random(seed), 8)
-    mf = fresh_marking()
+    mf = MarkingFile(
+        entries=[*fresh_marking(), *(MarkedObject(row, 1) for row in extra_rows)]
+    )
     marking = {e.phrase: e.frequency for e in mf.entries}
     got = extract_corpus(docs, mf, thresholds)
     want = reference_extract(docs, marking, thresholds)

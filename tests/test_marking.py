@@ -87,14 +87,14 @@ def test_load_duplicate_phrase_rejected(tmp_path):
 def test_update_appends_new_phrase():
     mf = MarkingFile()
     update_marking(mf, "turbine", 3)
-    assert mf.get("turbine").frequency == 3
+    assert [e.frequency for e in mf.entries if e.phrase == "turbine"] == [3]
     assert mf.dirty
 
 
 def test_update_accumulates_existing_frequency():
     mf = MarkingFile(entries=[MarkedObject("sun", 37)])
     update_marking(mf, "sun", 5)
-    assert mf.get("sun").frequency == 42
+    assert [e.frequency for e in mf.entries if e.phrase == "sun"] == [42]
 
 
 def test_update_rejects_zero_frequency():

@@ -25,9 +25,8 @@ from vendormatch.taxonomy import Taxonomy
 DEFAULTS = Thresholds()
 
 
-def instance_set(doc_id, **freqs):
+def instance_set(**freqs):
     return InstanceSet(
-        document_id=doc_id,
         instances={
             phrase: InstanceRecord(
                 phrase=phrase,
@@ -63,8 +62,8 @@ def little_taxonomy():
 
 def test_identity_pair(little_taxonomy):
     pairs = semantic_match(
-        instance_set("q", solar=1),
-        instance_set("v", solar=2),
+        instance_set(solar=1),
+        instance_set(solar=2),
         little_taxonomy,
         DEFAULTS,
     )
@@ -75,14 +74,14 @@ def test_identity_pair(little_taxonomy):
 
 def test_empty_query_set(little_taxonomy):
     assert semantic_match(
-        instance_set("q"), instance_set("v", solar=1), little_taxonomy, DEFAULTS
+        instance_set(), instance_set(solar=1), little_taxonomy, DEFAULTS
     ) == []
 
 
 def test_permuted_phrase_matches(little_taxonomy):
     pairs = semantic_match(
-        instance_set("q", **{"wind speed": 1}),
-        instance_set("v", **{"speed of wind": 1}),
+        instance_set(**{"wind speed": 1}),
+        instance_set(**{"speed of wind": 1}),
         little_taxonomy,
         DEFAULTS,
     )
@@ -92,8 +91,8 @@ def test_permuted_phrase_matches(little_taxonomy):
 
 def test_one_pair_per_query_instance(little_taxonomy):
     pairs = semantic_match(
-        instance_set("q", solar=3),
-        instance_set("v", solar=1, sun=1),
+        instance_set(solar=3),
+        instance_set(solar=1, sun=1),
         little_taxonomy,
         DEFAULTS,
     )
@@ -104,8 +103,8 @@ def test_one_pair_per_query_instance(little_taxonomy):
 def test_score_tie_breaks_to_smallest_vendor_phrase(little_taxonomy):
     # two vendor phrases that both score 1.0 against the query instance
     pairs = semantic_match(
-        instance_set("q", **{"wind speed": 1}),
-        instance_set("v", **{"speed of wind": 1, "speed wind": 1}),
+        instance_set(**{"wind speed": 1}),
+        instance_set(**{"speed of wind": 1, "speed wind": 1}),
         little_taxonomy,
         DEFAULTS,
     )
@@ -114,8 +113,8 @@ def test_score_tie_breaks_to_smallest_vendor_phrase(little_taxonomy):
 
 def test_below_threshold_pairs_dropped(little_taxonomy):
     pairs = semantic_match(
-        instance_set("q", sun=1),
-        instance_set("v", wind=1),
+        instance_set(sun=1),
+        instance_set(wind=1),
         little_taxonomy,
         DEFAULTS,
     )
@@ -126,20 +125,20 @@ def test_below_threshold_pairs_dropped(little_taxonomy):
 
 
 def test_percentage_no_pairs():
-    assert match_percentage(instance_set("q", solar=3), []) == 0.0
+    assert match_percentage(instance_set(solar=3), []) == 0.0
 
 
 def test_percentage_full_coverage(little_taxonomy):
-    query = instance_set("q", solar=3, wind=2)
+    query = instance_set(solar=3, wind=2)
     pairs = semantic_match(
-        query, instance_set("v", solar=1, wind=1), little_taxonomy, DEFAULTS
+        query, instance_set(solar=1, wind=1), little_taxonomy, DEFAULTS
     )
     assert match_percentage(query, pairs) == 100.0
 
 
 def test_percentage_weighted_partial_coverage():
     # a: freq 3 matched at score 0.9; b: freq 1 unmatched -> 100*2.7/4
-    query = instance_set("q", a=3, b=1)
+    query = instance_set(a=3, b=1)
     pairs = [
         MatchPair(
             query_phrase="a",
@@ -153,7 +152,7 @@ def test_percentage_weighted_partial_coverage():
 
 
 def test_percentage_empty_query_set():
-    assert match_percentage(instance_set("q"), []) == 0.0
+    assert match_percentage(instance_set(), []) == 0.0
 
 
 # ----------------------------------------------------------- pool_queries
@@ -162,8 +161,8 @@ def test_percentage_empty_query_set():
 def test_pool_sums_frequencies_across_queries():
     pooled = pool_queries(
         {
-            "q2": instance_set("q2", solar=2, wind=1),
-            "q1": instance_set("q1", solar=3),
+            "q2": instance_set(solar=2, wind=1),
+            "q1": instance_set(solar=3),
         }
     )
     assert pooled.instances["solar"].frequency == 5
@@ -176,8 +175,8 @@ def test_pool_sums_frequencies_across_queries():
 
 def test_single_vendor_with_matches_wins(little_taxonomy):
     report = rank_vendors(
-        {"q1": instance_set("q1", solar=1)},
-        {"v1": instance_set("v1", solar=1)},
+        {"q1": instance_set(solar=1)},
+        {"v1": instance_set(solar=1)},
         little_taxonomy,
         DEFAULTS,
     )
@@ -187,10 +186,10 @@ def test_single_vendor_with_matches_wins(little_taxonomy):
 
 
 def test_percentage_tie_breaks_to_smaller_vendor_id(little_taxonomy):
-    queries = {"q1": instance_set("q1", solar=1)}
+    queries = {"q1": instance_set(solar=1)}
     vendors = {
-        "vb": instance_set("vb", solar=1),
-        "va": instance_set("va", solar=1),
+        "vb": instance_set(solar=1),
+        "va": instance_set(solar=1),
     }
     report = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
     assert [r.vendor_id for r in report.results] == ["va", "vb"]
@@ -199,8 +198,8 @@ def test_percentage_tie_breaks_to_smaller_vendor_id(little_taxonomy):
 
 def test_no_matches_means_no_winner(little_taxonomy):
     report = rank_vendors(
-        {"q1": instance_set("q1", sun=1)},
-        {"v1": instance_set("v1", wind=1)},
+        {"q1": instance_set(sun=1)},
+        {"v1": instance_set(wind=1)},
         little_taxonomy,
         DEFAULTS,
     )
@@ -211,13 +210,13 @@ def test_no_matches_means_no_winner(little_taxonomy):
 def test_three_vendor_ranking_matches_hand_table(little_taxonomy):
     # pooled queries: solar x3, wind x1, sun x2  (total mass 6)
     queries = {
-        "q1": instance_set("q1", solar=3),
-        "q2": instance_set("q2", wind=1, sun=2),
+        "q1": instance_set(solar=3),
+        "q2": instance_set(wind=1, sun=2),
     }
     vendors = {
-        "v1": instance_set("v1", solar=1, wind=1),  # sun->solar at 10/11
-        "v2": instance_set("v2", wind=1),  # only wind matches
-        "v3": instance_set("v3", sun=1),  # sun exact; solar->sun at 10/11
+        "v1": instance_set(solar=1, wind=1),  # sun->solar at 10/11
+        "v2": instance_set(wind=1),  # only wind matches
+        "v3": instance_set(sun=1),  # sun exact; solar->sun at 10/11
     }
     report = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
     # hand table: wup(sun, solar) = 2*5/(5+6) = 10/11 >= 0.9
@@ -234,17 +233,16 @@ def test_three_vendor_ranking_matches_hand_table(little_taxonomy):
 
 def test_frequency_scale_invariance(little_taxonomy):
     queries = {
-        "q1": instance_set("q1", solar=3, wind=1),
-        "q2": instance_set("q2", sun=2),
+        "q1": instance_set(solar=3, wind=1),
+        "q2": instance_set(sun=2),
     }
     vendors = {
-        "v1": instance_set("v1", solar=1),
-        "v2": instance_set("v2", wind=1, sun=1),
+        "v1": instance_set(solar=1),
+        "v2": instance_set(wind=1, sun=1),
     }
     base = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
     scaled_queries = {
         qid: InstanceSet(
-            document_id=qs.document_id,
             instances={
                 p: replace(rec, frequency=rec.frequency * 7)
                 for p, rec in qs.instances.items()
@@ -260,10 +258,10 @@ def test_frequency_scale_invariance(little_taxonomy):
 
 
 def test_raising_wup_threshold_never_raises_percentages(little_taxonomy):
-    queries = {"q1": instance_set("q1", solar=2, sun=1, wind=1)}
+    queries = {"q1": instance_set(solar=2, sun=1, wind=1)}
     vendors = {
-        "v1": instance_set("v1", solar=1, wind=1),
-        "v2": instance_set("v2", sun=1),
+        "v1": instance_set(solar=1, wind=1),
+        "v2": instance_set(sun=1),
     }
     loose = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
     strict = rank_vendors(
@@ -276,10 +274,10 @@ def test_raising_wup_threshold_never_raises_percentages(little_taxonomy):
 
 
 def test_report_is_deterministic(little_taxonomy):
-    queries = {"q1": instance_set("q1", solar=2, wind=1)}
+    queries = {"q1": instance_set(solar=2, wind=1)}
     vendors = {
-        "v1": instance_set("v1", solar=1),
-        "v2": instance_set("v2", wind=3),
+        "v1": instance_set(solar=1),
+        "v2": instance_set(wind=3),
     }
     a = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
     b = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
@@ -338,13 +336,13 @@ def test_rank_vendors_equals_reference_with_tied_vendor_phrases(little_taxonomy)
     # both vendor phrases score 1.0 against "wind speed"; "solar" and
     # "wind speed" each appear in more than one query
     queries = {
-        "q1": instance_set("q1", **{"wind speed": 2, "solar": 1}),
-        "q2": instance_set("q2", **{"wind speed": 1, "sun": 3}),
-        "q3": instance_set("q3", solar=4, wind=1),
+        "q1": instance_set(**{"wind speed": 2, "solar": 1}),
+        "q2": instance_set(**{"wind speed": 1, "sun": 3}),
+        "q3": instance_set(solar=4, wind=1),
     }
     vendors = {
-        "v1": instance_set("v1", **{"speed wind": 5, "speed of wind": 1, "sun": 1}),
-        "v2": instance_set("v2", **{"speed of wind": 2, "solar": 2}),
+        "v1": instance_set(**{"speed wind": 5, "speed of wind": 1, "sun": 1}),
+        "v2": instance_set(**{"speed of wind": 2, "solar": 2}),
     }
     report = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
     assert report == reference_rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
@@ -369,8 +367,8 @@ _INSTANCE_SETS = st.dictionaries(_PHRASES, st.integers(1, 5), max_size=6)
 def test_rank_vendors_equals_reference_on_random_sets(
     little_taxonomy, query_sets, vendor_sets, wup
 ):
-    queries = {f"q{i}": instance_set(f"q{i}", **f) for i, f in enumerate(query_sets)}
-    vendors = {f"v{i}": instance_set(f"v{i}", **f) for i, f in enumerate(vendor_sets)}
+    queries = {f"q{i}": instance_set(**f) for i, f in enumerate(query_sets)}
+    vendors = {f"v{i}": instance_set(**f) for i, f in enumerate(vendor_sets)}
     cfg = Thresholds(wup_threshold=wup)
     assert rank_vendors(queries, vendors, little_taxonomy, cfg) == (
         reference_rank_vendors(queries, vendors, little_taxonomy, cfg)

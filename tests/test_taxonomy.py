@@ -123,9 +123,29 @@ def test_edge_parent_becomes_a_concept():
 
 def test_load_malformed_line(tmp_path):
     path = tmp_path / "t.tsv"
-    path.write_text("solar energy\n", encoding="utf-8")
-    with pytest.raises(TaxonomyError, match="line 1"):
-        load_taxonomy(path)
+    for content, lineno in (
+        ("solar energy\n", 1),
+        # a leaf whose id is not one token can never be scored; the message
+        # names the line of its first edge
+        ("solar panel\tenergy\nwind\tenergy\n", 1),
+        ("wind\tenergy\nwind-turbine\twind\n", 2),
+        ("ré\troot\n", 1),
+    ):
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(TaxonomyError, match=f"line {lineno}:"):
+            load_taxonomy(path)
+
+
+def test_load_accepts_multi_word_inner_concept(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text(
+        "solar\trenewable energy\nwind\trenewable energy\n"
+        "renewable energy\tenergy\n",
+        encoding="utf-8",
+    )
+    t = load_taxonomy(path)
+    assert lcs(t, "solar", "wind") == "renewable energy"
+    assert wup_score(t, "solar", "wind") == 2 / 3
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,8 @@ from vendormatch.textstats import (
     ObjectVector,
     candidates,
     encode,
-    euclidean,
-    relatedness,
+    relatedness_terms,
     tokenize,
-    variance_pair,
 )
 
 PHRASE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 "
@@ -62,6 +61,16 @@ def oracle_relatedness(a: str, b: str) -> float:
     sig_b = math.sqrt(direct_var([ord(ch) / 127.0 for ch in b]))
     diff = [y - x for x, y in zip(ca, cb)]
     return dist + abs(sig_a - sig_b) + direct_var(diff)
+
+
+def terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:
+    """Distance, stddev gap and variance of ``b`` against ``a`` as the only row."""
+    row = np.zeros((1, max(len(a), len(b))))
+    row[0, : len(a)] = a.codes
+    dist, gap, variance = relatedness_terms(
+        row, np.array([float(len(a))]), np.array([a.stddev]), b
+    )
+    return float(dist[0]), float(gap[0]), float(variance[0])
 
 
 # --------------------------------------------------------------- tokenize
@@ -159,7 +168,6 @@ def test_candidates_deterministic(words):
 def test_encode_single_char():
     v = encode("A")
     assert v.codes == (65 / 127,)
-    assert v.mean == 65 / 127
     assert v.stddev == 0.0
 
 
@@ -171,7 +179,6 @@ def test_encode_sun_matches_direct_summation():
     v = encode("sun")
     codes = [115 / 127, 117 / 127, 110 / 127]
     assert v.codes == tuple(codes)
-    assert v.mean == pytest.approx(direct_mean(codes), abs=1e-12)
     assert v.stddev == pytest.approx(math.sqrt(direct_var(codes)), abs=1e-12)
 
 
@@ -189,19 +196,10 @@ def test_encode_empty_phrase_rejected():
 def test_encode_codes_in_unit_interval(phrase):
     v = encode(phrase)
     assert all(0.0 <= c <= 1.0 for c in v.codes)
-    assert min(v.codes) <= v.mean <= max(v.codes)
     assert (v.stddev == 0.0) == (len(set(v.codes)) == 1)
 
 
 # ------------------------------------------------------------- statistics
-
-
-def test_mean_of_raw_integer_codes():
-    assert ObjectVector.from_codes([1, 2, 3]).mean == 2.0
-
-
-def test_mean_singleton():
-    assert ObjectVector.from_codes([0.37]).mean == 0.37
 
 
 def test_stddev_all_equal_is_zero():
@@ -221,37 +219,36 @@ def test_object_vector_requires_elements():
 @given(code_lists)
 def test_statistics_match_direct_summation(codes):
     v = ObjectVector.from_codes(codes)
-    assert v.mean == pytest.approx(direct_mean(codes), abs=1e-12)
     assert v.stddev == pytest.approx(math.sqrt(direct_var(codes)), abs=1e-12)
 
 
-# -------------------------------------------------------------- euclidean
+# ---------------------------------------------------------- distance term
 
 
-def test_euclidean_identity():
+def test_distance_term_identity():
     v = encode("storage")
-    assert euclidean(v, v) == 0.0
+    assert terms(v, v)[0] == 0.0
 
 
-def test_euclidean_three_four_five():
+def test_distance_term_three_four_five():
     p = ObjectVector.from_codes([0.0, 0.0])
     q = ObjectVector.from_codes([0.6, 0.8])
-    assert euclidean(p, q) == pytest.approx(1.0 / math.sqrt(2), abs=1e-12)
+    assert terms(p, q)[0] == pytest.approx(1.0 / math.sqrt(2), abs=1e-12)
 
 
-def test_euclidean_pads_shorter_vector():
+def test_distance_term_pads_shorter_vector():
     # hand expansion: 'sunny' extends 'sun' by two characters vs zeros
     a, b = encode("sun"), encode("sunny")
     expected = math.sqrt((110 / 127) ** 2 + (121 / 127) ** 2) / math.sqrt(5)
-    assert euclidean(a, b) == pytest.approx(expected, abs=1e-12)
+    assert terms(a, b)[0] == pytest.approx(expected, abs=1e-12)
 
 
 @given(code_lists, code_lists)
-def test_euclidean_symmetric_nonnegative(xs, ys):
+def test_distance_term_symmetric_nonnegative(xs, ys):
     p = ObjectVector.from_codes(xs)
     q = ObjectVector.from_codes(ys)
-    assert euclidean(p, q) == euclidean(q, p)
-    assert euclidean(p, q) >= 0.0
+    assert terms(p, q)[0] == terms(q, p)[0]
+    assert terms(p, q)[0] >= 0.0
 
 
 @given(
@@ -267,32 +264,32 @@ def test_euclidean_symmetric_nonnegative(xs, ys):
         )
     )
 )
-def test_euclidean_triangle_inequality_equal_lengths(triple):
+def test_distance_term_triangle_inequality_equal_lengths(triple):
     u, v, w = (ObjectVector.from_codes(c) for c in triple)
-    assert euclidean(u, w) <= euclidean(u, v) + euclidean(v, w) + 1e-9
+    assert terms(u, w)[0] <= terms(u, v)[0] + terms(v, w)[0] + 1e-9
 
 
-# ----------------------------------------------------------- variance_pair
+# ----------------------------------------------------------- variance term
 
 
-def test_variance_pair_identity_is_exactly_zero():
+def test_variance_term_identity_is_exactly_zero():
     v = encode("renewable")
-    assert variance_pair(v, v) == 0.0
+    assert terms(v, v)[2] == 0.0
 
 
 @given(code_lists, code_lists)
-def test_variance_pair_sign_invariant(xs, ys):
+def test_variance_term_sign_invariant(xs, ys):
     a = ObjectVector.from_codes(xs)
     b = ObjectVector.from_codes(ys)
-    assert variance_pair(a, b) == pytest.approx(variance_pair(b, a), abs=1e-12)
-    assert variance_pair(a, b) >= 0.0
+    assert terms(a, b)[2] == pytest.approx(terms(b, a)[2], abs=1e-12)
+    assert terms(a, b)[2] >= 0.0
 
 
-def test_variance_pair_matches_direct_evaluation():
+def test_variance_term_matches_direct_evaluation():
     a, b = encode("sun"), encode("sunny")
     ca = list(a.codes) + [0.0, 0.0]
     diff = [y - x for x, y in zip(ca, b.codes)]
-    assert variance_pair(a, b) == pytest.approx(direct_var(diff), abs=1e-12)
+    assert terms(a, b)[2] == pytest.approx(direct_var(diff), abs=1e-12)
 
 
 # ------------------------------------------------------------- relatedness
@@ -301,7 +298,7 @@ def test_variance_pair_matches_direct_evaluation():
 def test_relatedness_identity_exactly_zero():
     for phrase in ("sun", "energy sources", "a"):
         v = encode(phrase)
-        assert relatedness(v, v) == 0.0
+        assert sum(terms(v, v)) == 0.0
 
 
 def test_relatedness_matches_oracle_on_reference_pairs():
@@ -309,7 +306,7 @@ def test_relatedness_matches_oracle_on_reference_pairs():
     # character churn ('lock'); the oracle fixes both values, the
     # implementation must agree either way
     for a, b in (("sun", "sunny"), ("sun", "lock")):
-        assert relatedness(encode(a), encode(b)) == pytest.approx(
+        assert sum(terms(encode(a), encode(b))) == pytest.approx(
             oracle_relatedness(a, b), abs=1e-12
         )
 
@@ -318,8 +315,8 @@ def test_relatedness_orders_equal_length_near_variant_first():
     r_near = oracle_relatedness("sun", "son")
     r_far = oracle_relatedness("sun", "lock")
     assert r_near < r_far  # fix the oracle ordering first
-    lhs = relatedness(encode("sun"), encode("son"))
-    rhs = relatedness(encode("sun"), encode("lock"))
+    lhs = sum(terms(encode("sun"), encode("son")))
+    rhs = sum(terms(encode("sun"), encode("lock")))
     assert lhs == pytest.approx(r_near, abs=1e-12)
     assert rhs == pytest.approx(r_far, abs=1e-12)
     assert lhs < rhs
@@ -328,7 +325,7 @@ def test_relatedness_orders_equal_length_near_variant_first():
 @settings(max_examples=250)
 @given(phrases, phrases)
 def test_relatedness_nonnegative_and_matches_oracle(a, b):
-    value = relatedness(encode(a), encode(b))
+    value = sum(terms(encode(a), encode(b)))
     assert value >= 0.0
     assert value == pytest.approx(oracle_relatedness(a, b), abs=1e-12)
 
@@ -338,4 +335,4 @@ def test_relatedness_nonnegative_on_thousand_random_pairs():
     for _ in range(1000):
         a = "".join(rng.choices(PHRASE_ALPHABET.strip() + " ", k=rng.randint(1, 20)))
         b = "".join(rng.choices(PHRASE_ALPHABET.strip() + " ", k=rng.randint(1, 20)))
-        assert relatedness(encode(a or "x"), encode(b or "x")) >= 0.0
+        assert sum(terms(encode(a or "x"), encode(b or "x"))) >= 0.0
