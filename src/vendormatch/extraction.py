@@ -1,19 +1,27 @@
 """Instance extraction: admit document candidates related to marked objects.
 
 :func:`extract_corpus` is the one entry point; it returns each document's
-instances keyed by document id. Every candidate phrase of a document is
-scored against every marked object with the composite relatedness metric
-(:func:`~vendormatch.textstats.relatedness_terms`). A candidate is admitted
-as an instance iff its best (smallest) value falls under the larger of the
-primary and fallback thresholds, and flagged ``via_fallback`` when it does
-not fall under the primary one; a fallback bound at or below the primary
-threshold therefore admits nothing extra. Each admitted instance
-immediately updates the marking file, so vocabulary discovered early in a
-corpus pass is available to later documents.
+instances keyed by document id. A candidate phrase is admitted as an
+instance iff its smallest composite relatedness
+(:func:`~vendormatch.textstats.relatedness_terms`) to any marked object
+falls under ``bound = max(r_threshold, fallback_threshold)``, and flagged
+``via_fallback`` when that value is not under ``r_threshold``; a fallback
+at or below the primary threshold therefore admits nothing extra.
+
+A candidate is scored only against the marked objects that two cheap lower
+bounds on relatedness leave in play: the stddev gap, and the distance the
+longer side's unmatched tail alone contributes (see :class:`_MarkedIndex`).
+A marked object skipped this way relates at ``bound`` or above, so it could
+neither admit the candidate nor be the best match of one that is admitted:
+pruning changes no output. Each admitted instance immediately updates the
+marking file, so vocabulary discovered early in a corpus pass is available
+to later documents.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -45,40 +53,134 @@ class InstanceSet:
         return len(self.instances)
 
 
-class _MarkedIndex:
-    """Marked-object encodings as a zero-padded matrix for batch scoring.
+#: Relative slack on the length bound, which sums squared codes in another
+#: order than the kernel does; the rounding error there is ~1e-15.
+_LENGTH_SLACK = 1.0 - 1e-9
+#: Widening of each bucket's stddev window, far above the rounding of the gap.
+_SIGMA_SLACK = 1e-12
 
-    Rows follow the marking file's entry order; the matrix is rebuilt
-    lazily after rows are appended.
+
+def _length_bound(tail: float, pair_length: int) -> float:
+    """Lower bound on the distance term of a pair whose longer side has
+    squared codes summing to ``tail`` past the end of the shorter side."""
+    return math.sqrt(tail / pair_length) * _LENGTH_SLACK
+
+
+class _Bucket:
+    """The marked rows of one length, sorted by stddev."""
+
+    __slots__ = ("sigmas", "rows", "min_tail")
+
+    def __init__(self, length: int) -> None:
+        self.sigmas: list[float] = []
+        self.rows: list[int] = []  # row ids, in the order of ``sigmas``
+        # min_tail[n]: the smallest sum of squared codes at positions n and
+        # beyond over these rows, which a candidate of length n pads with zeros
+        self.min_tail = [math.inf] * length
+
+
+class _MarkedIndex:
+    """Marked-object encodings, scored only where they can beat a bound.
+
+    Rows follow the marking file's entry order in one zero-padded matrix as
+    wide as the longest row; it doubles its capacity when rows run out and
+    widens when a longer row arrives. Rows are also bucketed by length,
+    each bucket sorted by stddev. Relatedness is ``dist + gap + variance``
+    with every term non-negative, so two lower bounds hold for every row:
+
+    - the gap bound: relatedness is at least the stddev gap, exactly in
+      floating point, so only rows whose stddev lies within ``bound`` of the
+      candidate's (widened by 1e-12) can score under ``bound``;
+    - the length bound: the distance term is at least ``sqrt(T / L)``, where
+      L is the longer length of the pair and T the sum of squared codes of
+      the longer side past the shorter one's end, which the other side pads
+      with zeros. A whole bucket is skipped when this bound, less a 1e-9
+      relative slack for summation order, reaches ``bound``.
+
+    :meth:`best` scores the remaining rows with
+    :func:`~vendormatch.textstats.relatedness_terms`, gathered in marking
+    order from the full-width matrix, so each value is bit-identical to a
+    scan of every row and ties still go to the earliest row. A skipped row
+    scores at least ``bound``: it can neither admit a candidate nor be the
+    best match of one that is admitted, so pruning changes no output.
     """
 
     def __init__(self, mf: MarkingFile) -> None:
-        self._phrases = [entry.phrase for entry in mf.entries]
-        self._vecs = [encode(phrase) for phrase in self._phrases]
-        self._matrix: np.ndarray | None = None
+        self._phrases: list[str] = []
+        self._codes = np.zeros((8, 0))
+        self._lengths = np.zeros(8)
+        self._sigmas = np.zeros(8)
+        self._buckets: dict[int, _Bucket] = {}
+        self._by_length: list[int] = []  # bucket lengths, ascending
+        for entry in mf.entries:
+            self.append(entry.phrase, encode(entry.phrase))
 
     def append(self, phrase: str, vec: ObjectVector) -> None:
+        row, length = len(self._phrases), len(vec)
+        capacity, width = self._codes.shape
+        if row == capacity or length > width:
+            rows = 2 * capacity if row == capacity else capacity
+            grown = np.zeros((rows, max(width, length)))
+            grown[:capacity, :width] = self._codes
+            self._codes = grown
+        if row == capacity:
+            self._lengths = np.concatenate([self._lengths, np.zeros(capacity)])
+            self._sigmas = np.concatenate([self._sigmas, np.zeros(capacity)])
+        self._codes[row, :length] = vec.codes
+        self._lengths[row] = length
+        self._sigmas[row] = vec.stddev
         self._phrases.append(phrase)
-        self._vecs.append(vec)
-        self._matrix = None
 
-    def best(self, vec: ObjectVector) -> tuple[float, str] | None:
-        """Smallest relatedness against any marked object, or None if empty."""
-        if not self._vecs:
+        bucket = self._buckets.get(length)
+        if bucket is None:
+            bucket = self._buckets[length] = _Bucket(length)
+            insort(self._by_length, length)
+        at = bisect_right(bucket.sigmas, vec.stddev)
+        bucket.sigmas.insert(at, vec.stddev)
+        bucket.rows.insert(at, row)
+        tail = 0.0
+        for n in range(length - 1, 0, -1):
+            tail += vec.codes[n] ** 2
+            bucket.min_tail[n] = min(bucket.min_tail[n], tail)
+
+    def best(self, vec: ObjectVector, bound: float) -> tuple[float, str] | None:
+        """Smallest relatedness to any row with the earliest such row's phrase.
+
+        Returns None when no row scores under ``bound`` (an empty index
+        included); ``math.inf`` scores every row.
+        """
+        n = len(vec)
+        kept = [n]  # lengths of the buckets the length bound leaves in play
+        tail = 0.0
+        for length in range(n - 1, 0, -1):  # shorter rows: the candidate's tail
+            tail += vec.codes[length] ** 2
+            if _length_bound(tail, n) >= bound:
+                break  # the tail only grows as rows get shorter
+            kept.append(length)
+        for length in self._by_length[bisect_right(self._by_length, n) :]:
+            if _length_bound(self._buckets[length].min_tail[n], length) < bound:
+                kept.append(length)
+
+        lo = vec.stddev - bound - _SIGMA_SLACK
+        hi = vec.stddev + bound + _SIGMA_SLACK
+        rows: list[int] = []
+        for length in kept:
+            bucket = self._buckets.get(length)
+            if bucket is not None:
+                sigmas = bucket.sigmas
+                rows += bucket.rows[bisect_left(sigmas, lo) : bisect_right(sigmas, hi)]
+        if not rows:
             return None
-        if self._matrix is None:
-            width = max(len(v) for v in self._vecs)
-            self._matrix = np.zeros((len(self._vecs), width))
-            for row, v in enumerate(self._vecs):
-                self._matrix[row, : len(v)] = v.codes
-            self._lengths = np.array([len(v) for v in self._vecs], dtype=float)
-            self._sigmas = np.array([v.stddev for v in self._vecs])
+        rows.sort()  # marking order, so the first index wins ties
+        idx = np.array(rows)
         dist, gap, variance = relatedness_terms(
-            self._matrix, self._lengths, self._sigmas, vec
+            self._codes[idx], self._lengths[idx], self._sigmas[idx], vec
         )
         r = dist + gap + variance
-        best_row = int(np.argmin(r))  # first index wins ties: marking order
-        return float(r[best_row]), self._phrases[best_row]
+        best = int(np.argmin(r))
+        if r[best] >= bound:
+            return None
+        return float(r[best]), self._phrases[rows[best]]
 
 
 def extract_corpus(
@@ -102,12 +204,10 @@ def extract_corpus(
         result = results[doc_id] = InstanceSet()
         for cand in candidates(tokenize(documents[doc_id])):
             vec = encode(cand.phrase)
-            hit = index.best(vec)
+            hit = index.best(vec, bound)
             if hit is None:
                 continue
             best_r, matched = hit
-            if best_r >= bound:
-                continue
             if cand.phrase not in mf:
                 index.append(cand.phrase, vec)
             update_marking(mf, cand.phrase, cand.frequency)

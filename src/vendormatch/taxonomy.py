@@ -25,7 +25,12 @@ log = logging.getLogger(__name__)
 
 
 class TaxonomyError(ValueError):
-    """Malformed taxonomy file, a cycle, or a root count other than one."""
+    """Malformed taxonomy file, dead leaf, cycle, or root count other than one."""
+
+    def __init__(self, message: str, edge: int | None = None) -> None:
+        super().__init__(message)
+        #: Position of the offending edge when one edge is at fault, else None.
+        self.edge = edge
 
 
 class Taxonomy:
@@ -47,13 +52,25 @@ class Taxonomy:
 
         Ids are lowercased. Every id named by an edge, child or parent, is a
         concept, so no parent reference can dangle. Raises TaxonomyError for
-        cycles (naming a member) and a root count other than one.
+        a leaf (a concept that is no edge's parent) whose id is not one token
+        (``[a-z0-9]+``), since no phrase can resolve to it and it subsumes
+        nothing; the error's ``edge`` is the position of the leaf's first
+        edge. Inner concepts may have any id. Also raises it for cycles
+        (naming a member) and a root count other than one.
         """
+        edges = [(child.lower(), parent.lower()) for child, parent in edges]
         parents: dict[str, set[str]] = {}
         for child, parent in edges:
-            child, parent = child.lower(), parent.lower()
             parents.setdefault(child, set()).add(parent)
             parents.setdefault(parent, set())
+        inner = {parent for _, parent in edges}
+        for position, (child, _) in enumerate(edges):
+            if child not in inner and not _TOKEN_RE.fullmatch(child):
+                raise TaxonomyError(
+                    f"leaf concept {child!r} is not a single token ([a-z0-9]+), "
+                    "so no phrase can resolve to it",
+                    edge=position,
+                )
 
         # Kahn's algorithm over parent links; leftovers form cycles.
         remaining = {c: len(ps) for c, ps in parents.items()}
@@ -120,13 +137,11 @@ class Taxonomy:
 def load_taxonomy(path: Path | str) -> Taxonomy:
     """Parse an edge-list file into a validated Taxonomy.
 
-    One edge per line, ``<child>\\t<parent>``; ids are lowercased, and
-    records are read by :func:`~vendormatch.marking.read_records`. Blank and
-    malformed lines raise TaxonomyError with the line number; a file that
-    is not UTF-8 raises it too. So does a leaf (a concept that is no edge's
-    parent) whose id is not one token (``[a-z0-9]+``): no phrase can
-    resolve to it and it subsumes nothing. The message names the line of
-    its first edge. Inner concepts may have any id.
+    One edge per line, ``<child>\\t<parent>``, validated by
+    :meth:`Taxonomy.from_edges`; records are read by
+    :func:`~vendormatch.marking.read_records`. Blank and malformed lines
+    raise TaxonomyError with the line number; a file that is not UTF-8
+    raises it too, and an error at one edge (a dead leaf) names its line.
     """
     path = Path(path)
     edges: list[tuple[str, str]] = []
@@ -136,15 +151,13 @@ def load_taxonomy(path: Path | str) -> Taxonomy:
             raise TaxonomyError(
                 f"{path}: line {lineno}: expected '<child>\\t<parent>', got {line!r}"
             )
-        edges.append((parts[0].lower(), parts[1].lower()))
-    parents = {parent for _, parent in edges}
-    for lineno, (child, _) in enumerate(edges, start=1):
-        if child not in parents and not _TOKEN_RE.fullmatch(child):
-            raise TaxonomyError(
-                f"{path}: line {lineno}: leaf concept {child!r} is not a single "
-                "token ([a-z0-9]+), so no phrase can resolve to it"
-            )
-    return Taxonomy.from_edges(edges)
+        edges.append((parts[0], parts[1]))
+    try:
+        return Taxonomy.from_edges(edges)
+    except TaxonomyError as exc:
+        if exc.edge is None:
+            raise
+        raise TaxonomyError(f"{path}: line {exc.edge + 1}: {exc}", exc.edge) from None
 
 
 def lcs(t: Taxonomy, a: str, b: str) -> str:

@@ -1,15 +1,19 @@
 """Instance extraction against the marking file, including adaptive updates."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from synth_corpus import fresh_marking, make_corpus
+from synth_corpus import POOL, SEED_TERMS, fresh_marking, make_corpus
 from vendormatch.config import Thresholds
 from vendormatch.extraction import _MarkedIndex, extract_corpus
 from vendormatch.marking import MarkedObject, MarkingFile
 from vendormatch.stopwords import DEFAULT_STOPWORDS
-from vendormatch.textstats import candidates, encode, tokenize
+from vendormatch.textstats import candidates, encode, relatedness_terms, tokenize
 
 from test_textstats import oracle_relatedness
 
@@ -122,9 +126,22 @@ def test_tied_marked_objects_match_the_earlier_entry():
     # 'aa' differs from 'ab' and 'ba' by one code point at mirrored positions
     assert oracle_relatedness("ab", "aa") == oracle_relatedness("ba", "aa")
     assert oracle_relatedness("ab", "aa") < DEFAULTS.r_threshold
-    for first, second in (("ab", "ba"), ("ba", "ab")):
-        out = extract_one("aa", marking_of((first, 1), (second, 1)), DEFAULTS)
-        assert out.instances["aa"].matched_marked_phrase == first
+    # exact kernel ties also between rows of one length but different
+    # stddevs (a stddev-sorted bucket lists them the other way round) and
+    # between rows of different lengths (in different buckets)
+    for phrase, tied in (
+        ("aa", ("ab", "ba")),
+        ("ab", ("ac", "aa")),
+        ("\x02\x01", ("\x02", "\x01\x01")),
+    ):
+        r = scan(list(tied), encode(phrase))
+        assert r[0] == r[1] < DEFAULTS.r_threshold
+        for first, second in (tied, tied[::-1]):
+            index = _MarkedIndex(marking_of((first, 1), (second, 1)))
+            assert index.best(encode(phrase), DEFAULTS.r_threshold)[1] == first
+            if phrase.isalpha():
+                out = extract_one(phrase, marking_of((first, 1), (second, 1)), DEFAULTS)
+                assert out.instances[phrase].matched_marked_phrase == first
 
 
 def test_extract_corpus_orders_and_keys():
@@ -187,10 +204,82 @@ def test_batch_scoring_agrees_with_oracle():
     for _ in range(200):
         phrase = rng.choice(words)
         vec = encode(phrase)
-        batch_r, batch_phrase = index.best(vec)
+        batch_r, batch_phrase = index.best(vec, math.inf)
         oracle = {p: oracle_relatedness(p, phrase) for p in pool}
         assert batch_r == pytest.approx(min(oracle.values()), abs=1e-12)
         assert oracle[batch_phrase] == pytest.approx(batch_r, abs=1e-12)
+
+
+def scan(phrases, vec):
+    """Relatedness of ``vec`` to every row, all in one full-width matrix."""
+    vecs = [encode(p) for p in phrases]
+    rows = np.zeros((len(vecs), max(len(v) for v in vecs)))
+    for row, v in enumerate(vecs):
+        rows[row, : len(v)] = v.codes
+    lengths = np.array([len(v) for v in vecs], dtype=float)
+    sigmas = np.array([v.stddev for v in vecs])
+    dist, gap, variance = relatedness_terms(rows, lengths, sigmas, vec)
+    return dist + gap + variance
+
+
+def scan_best(phrases, vec, bound):
+    """Plain lookup: every row scored, first minimum wins, None at ``bound``."""
+    r = scan(phrases, vec)
+    best_row = int(np.argmin(r))
+    if r[best_row] >= bound:
+        return None
+    return float(r[best_row]), phrases[best_row]
+
+
+# control characters have codes near 0, so rows of other lengths and far
+# stddevs keep low relatedness and the cheap bounds get little to prune
+index_chars = st.sampled_from("\x01\x02\x1f aelnrstz09")
+index_phrases = st.text(alphabet=index_chars, min_size=1, max_size=40)
+
+
+@st.composite
+def lookups(draw, rows):
+    """A phrase near one of ``rows`` or anywhere, and a bound to look it up at."""
+    phrase = draw(st.one_of(index_phrases, st.sampled_from(rows)))
+    edit = draw(st.sampled_from(["none", "nudge", "append", "drop"]))
+    at = draw(st.integers(min_value=0, max_value=len(phrase) - 1))
+    if edit == "nudge":
+        nudged = chr(max(1, ord(phrase[at]) + draw(st.sampled_from([-1, 1]))))
+        phrase = phrase[:at] + nudged + phrase[at + 1 :]
+    elif edit == "append":
+        phrase += draw(index_chars)
+    elif edit == "drop" and len(phrase) > 1:
+        phrase = phrase[:at] + phrase[at + 1 :]
+    vec = encode(phrase)
+    nearest = float(scan(rows, vec).min())
+    bound = draw(
+        st.one_of(
+            st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
+            st.just(math.inf),
+            # just above or below the answer, where a loose bound would prune it
+            st.floats(min_value=0.9, max_value=1.1).map(lambda f: nearest * f),
+        ).filter(lambda b: b > 0)
+    )
+    return vec, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    marking=st.lists(index_phrases, min_size=1, max_size=12, unique=True),
+    data=st.data(),
+)
+def test_pruned_lookup_equals_full_scan(marking, data):
+    index = _MarkedIndex(marking_of(*[(p, 1) for p in marking]))
+    rows = list(marking)
+    for step in range(data.draw(st.integers(min_value=1, max_value=8))):
+        if step == 2:  # a row longer than every row so far widens the matrix
+            rows.append(max(rows, key=len) + data.draw(index_phrases))
+            index.append(rows[-1], encode(rows[-1]))
+        vec, bound = data.draw(lookups(rows))
+        assert index.best(vec, bound) == scan_best(rows, vec, bound)
+        if data.draw(st.booleans()):
+            rows.append(data.draw(index_phrases))
+            index.append(rows[-1], encode(rows[-1]))
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():
@@ -237,6 +326,24 @@ def reference_extract(documents, marking, thresholds):
     return out
 
 
+def assert_equals_reference(docs, mf, thresholds):
+    marking = {e.phrase: e.frequency for e in mf.entries}
+    got = extract_corpus(docs, mf, thresholds)
+    want = reference_extract(docs, marking, thresholds)
+
+    assert list(got) == list(want)
+    for doc_id, expected in want.items():
+        records = got[doc_id].instances
+        assert list(records) == list(expected)
+        for phrase, (frequency, best_r, matched, via_fallback) in expected.items():
+            rec = records[phrase]
+            assert rec.frequency == frequency
+            assert rec.best_r == pytest.approx(best_r, abs=1e-12)
+            assert rec.matched_marked_phrase == matched
+            assert rec.via_fallback == via_fallback
+    assert [(e.phrase, e.frequency) for e in mf.entries] == list(marking.items())
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 @pytest.mark.parametrize(
     ("thresholds", "extra_rows"),
@@ -259,21 +366,7 @@ def test_extract_corpus_equals_reference_on_synth_corpora(seed, thresholds, extr
     mf = MarkingFile(
         entries=[*fresh_marking(), *(MarkedObject(row, 1) for row in extra_rows)]
     )
-    marking = {e.phrase: e.frequency for e in mf.entries}
-    got = extract_corpus(docs, mf, thresholds)
-    want = reference_extract(docs, marking, thresholds)
-
-    assert list(got) == list(want)
-    for doc_id, expected in want.items():
-        records = got[doc_id].instances
-        assert list(records) == list(expected)
-        for phrase, (frequency, best_r, matched, via_fallback) in expected.items():
-            rec = records[phrase]
-            assert rec.frequency == frequency
-            assert rec.best_r == pytest.approx(best_r, abs=1e-12)
-            assert rec.matched_marked_phrase == matched
-            assert rec.via_fallback == via_fallback
-    assert [(e.phrase, e.frequency) for e in mf.entries] == list(marking.items())
+    assert_equals_reference(docs, mf, thresholds)
 
 
 @pytest.mark.parametrize("fallback", [0.009, 0.01])
@@ -297,3 +390,34 @@ def test_fallback_at_or_below_r_threshold_admits_nothing_extra(fallback):
     assert not any(
         rec.via_fallback for s in sets.values() for rec in s.instances.values()
     )
+
+
+# seed terms one letter short or long are nearest to a row of another length
+# whenever the gazetteer holds no closer row of their own length
+random_docs = st.lists(
+    st.sampled_from(
+        [*POOL, *(t[:-1] for t in SEED_TERMS), *(t + "s" for t in SEED_TERMS)]
+    ),
+    max_size=12,
+).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=st.lists(random_docs, min_size=1, max_size=3),
+    rows=st.lists(
+        st.sampled_from([*SEED_TERMS, "\x01\x02\x03", "\x1f\x1f", "\x01"]),
+        min_size=1,
+        unique=True,
+    ),
+    r_threshold=st.floats(min_value=1e-3, max_value=0.05),
+    fallback=st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_extract_corpus_equals_reference_on_random_corpora(
+    docs, rows, r_threshold, fallback
+):
+    # a fallback above r_threshold gives bounds up to 0.5, where rows of
+    # other lengths survive pruning
+    mf = marking_of(*[(row, 1) for row in rows])
+    thresholds = Thresholds(r_threshold=r_threshold, fallback_threshold=fallback)
+    assert_equals_reference({f"d{i}": d for i, d in enumerate(docs)}, mf, thresholds)

@@ -136,6 +136,22 @@ def test_load_malformed_line(tmp_path):
             load_taxonomy(path)
 
 
+@pytest.mark.parametrize(
+    ("edges", "edge"),
+    [
+        ([("solar panel", "energy"), ("panel", "energy")], 0),
+        ([("wind", "energy"), ("Wind-Turbine", "wind"), ("wind-turbine", "x")], 1),
+        ([("ré", "root")], 0),
+    ],
+)
+def test_from_edges_rejects_dead_leaf(edges, edge):
+    # the constructor holds the rule, so a taxonomy built in code cannot
+    # carry a leaf that no phrase resolves to; ``edge`` is its first edge
+    with pytest.raises(TaxonomyError, match="leaf concept") as info:
+        Taxonomy.from_edges(edges)
+    assert info.value.edge == edge
+
+
 def test_load_accepts_multi_word_inner_concept(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text(
