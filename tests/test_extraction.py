@@ -263,7 +263,7 @@ def lookups(draw, rows):
     return vec, bound
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     marking=st.lists(index_phrases, min_size=1, max_size=12, unique=True),
     data=st.data(),
@@ -280,6 +280,40 @@ def test_pruned_lookup_equals_full_scan(marking, data):
         if data.draw(st.booleans()):
             rows.append(data.draw(index_phrases))
             index.append(rows[-1], encode(rows[-1]))
+
+
+def test_pruned_lookup_equals_full_scan_on_seeded_markings():
+    # the same comparison as above in a plain loop: thousands of lookups in
+    # well under a second, where off-by-one bounds show up many times over
+    rng = random.Random(2024)
+    alphabet = "\x01\x02\x1f aelnrstz09"
+
+    def phrase():
+        return "".join(rng.choices(alphabet, k=rng.randint(1, rng.choice([3, 8, 40]))))
+
+    for _ in range(500):
+        rows = list(dict.fromkeys(phrase() for _ in range(rng.randint(1, 12))))
+        index = _MarkedIndex(marking_of(*[(p, 1) for p in rows]))
+        for _ in range(6):
+            probe = rng.choice(rows) if rng.random() < 0.7 else phrase()
+            at = rng.randrange(len(probe))
+            edit = rng.random()
+            if edit < 0.25:
+                nudged = chr(max(1, ord(probe[at]) + rng.choice([-1, 1])))
+                probe = probe[:at] + nudged + probe[at + 1 :]
+            elif edit < 0.5:
+                probe += rng.choice(alphabet)
+            elif edit < 0.75 and len(probe) > 1:
+                probe = probe[:at] + probe[at + 1 :]
+            vec = encode(probe)
+            if rng.random() < 0.5:
+                bound = float(scan(rows, vec).min()) * rng.uniform(1.0, 1.1)
+            else:
+                bound = 10.0 ** rng.uniform(-4.0, 0.0)
+            assert index.best(vec, bound) == scan_best(rows, vec, bound)
+            if rng.random() < 0.5:
+                rows.append(phrase())
+                index.append(rows[-1], encode(rows[-1]))
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():
