@@ -35,8 +35,7 @@ def main() -> None:
 
         seed = load_marking(ROOT / "data" / "marking.tsv")
         grown = load_marking(marking)
-    seed_phrases = {e.phrase for e in seed.entries}
-    added = [(e.phrase, e.frequency) for e in grown.entries if e.phrase not in seed_phrases]
+    added = [(p, f) for p, f in grown.items() if p not in seed]
     print(f"marking grew from {len(seed)} to {len(grown)} entries")
     if added:
         print("adaptive additions:", ", ".join(f"{p} ({f})" for p, f in added))

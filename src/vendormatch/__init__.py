@@ -3,8 +3,6 @@
 from .config import RunConfig, Thresholds
 from .extraction import InstanceRecord, InstanceSet, extract_corpus
 from .marking import (
-    MarkedObject,
-    MarkingFile,
     MarkingFormatError,
     load_marking,
     save_marking,
@@ -28,17 +26,14 @@ from .taxonomy import (
     phrase_score,
     wup_score,
 )
-from .textstats import CandidateObject, ObjectVector, candidates, encode, tokenize
+from .textstats import ObjectVector, candidates, encode, tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateObject",
     "DEFAULT_STOPWORDS",
     "InstanceRecord",
     "InstanceSet",
-    "MarkedObject",
-    "MarkingFile",
     "MarkingFormatError",
     "MatchPair",
     "MatchReport",

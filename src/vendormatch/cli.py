@@ -51,7 +51,8 @@ def run(cfg: RunConfig) -> MatchReport:
 
     Vendor documents are extracted before query documents, so vendor-domain
     vocabulary discovered adaptively is available to query extraction. The
-    grown marking file is persisted only when ``update_marking`` is set.
+    grown marking is written back only when ``update_marking`` is set and
+    extraction admitted at least one instance.
     """
     for path, kind in (
         (cfg.vendors_dir, "vendors directory"),
@@ -66,17 +67,17 @@ def run(cfg: RunConfig) -> MatchReport:
         if not path.is_file():
             raise ConfigError(f"{kind} does not exist: {path}")
 
-    mf = load_marking(cfg.marking_path)
+    marking = load_marking(cfg.marking_path)
     taxonomy = load_taxonomy(cfg.taxonomy_path)
     vendor_docs = _read_corpus(cfg.vendors_dir)
     query_docs = _read_corpus(cfg.queries_dir)
 
-    vendor_sets = extract_corpus(vendor_docs, mf, cfg.thresholds)
-    query_sets = extract_corpus(query_docs, mf, cfg.thresholds)
+    vendor_sets = extract_corpus(vendor_docs, marking, cfg.thresholds)
+    query_sets = extract_corpus(query_docs, marking, cfg.thresholds)
     report = rank_vendors(query_sets, vendor_sets, taxonomy, cfg.thresholds)
 
-    if cfg.update_marking and mf.dirty:
-        save_marking(mf)
+    if cfg.update_marking and any([*vendor_sets.values(), *query_sets.values()]):
+        save_marking(marking, cfg.marking_path)
     return report
 
 

@@ -14,7 +14,7 @@ longer side's unmatched tail alone contributes (see :class:`_MarkedIndex`).
 A marked object skipped this way relates at ``bound`` or above, so it could
 neither admit the candidate nor be the best match of one that is admitted:
 pruning changes no output. Each admitted instance immediately updates the
-marking file, so vocabulary discovered early in a corpus pass is available
+marking, so vocabulary discovered early in a corpus pass is available
 to later documents.
 """
 
@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import Thresholds
-from .marking import MarkingFile, update_marking
+from .marking import update_marking
 from .textstats import ObjectVector, candidates, encode, relatedness_terms, tokenize
 
 
@@ -82,7 +82,7 @@ class _Bucket:
 class _MarkedIndex:
     """Marked-object encodings, scored only where they can beat a bound.
 
-    Rows follow the marking file's entry order in one zero-padded matrix as
+    Rows follow the marking's key order in one zero-padded matrix as
     wide as the longest row; it doubles its capacity when rows run out and
     widens when a longer row arrives. Rows are also bucketed by length,
     each bucket sorted by stddev. Relatedness is ``dist + gap + variance``
@@ -105,15 +105,15 @@ class _MarkedIndex:
     best match of one that is admitted, so pruning changes no output.
     """
 
-    def __init__(self, mf: MarkingFile) -> None:
+    def __init__(self, marking: dict[str, int]) -> None:
         self._phrases: list[str] = []
         self._codes = np.zeros((8, 0))
         self._lengths = np.zeros(8)
         self._sigmas = np.zeros(8)
         self._buckets: dict[int, _Bucket] = {}
         self._by_length: list[int] = []  # bucket lengths, ascending
-        for entry in mf.entries:
-            self.append(entry.phrase, encode(entry.phrase))
+        for phrase in marking:
+            self.append(phrase, encode(phrase))
 
     def append(self, phrase: str, vec: ObjectVector) -> None:
         row, length = len(self._phrases), len(vec)
@@ -185,35 +185,35 @@ class _MarkedIndex:
 
 def extract_corpus(
     documents: Mapping[str, str],
-    mf: MarkingFile,
+    marking: dict[str, int],
     thresholds: Thresholds,
 ) -> dict[str, InstanceSet]:
-    """Extract every document in ascending id order, updating the marking file.
+    """Extract every document in ascending id order, updating the marking.
 
     Marking updates are order-dependent, so the iteration order is fixed
     to keep corpus runs reproducible. Within a document, candidates are
     processed in first-occurrence order; each admitted instance is written
-    into the marking file (new phrase appended, known phrase's frequency
+    into the marking (new phrase appended, known phrase's frequency
     accumulated) before the next candidate is scored. One gazetteer index
     serves the whole call and grows with each new admitted phrase.
     """
     bound = max(thresholds.r_threshold, thresholds.fallback_threshold)
-    index = _MarkedIndex(mf)
+    index = _MarkedIndex(marking)
     results = {}
     for doc_id in sorted(documents):
         result = results[doc_id] = InstanceSet()
-        for cand in candidates(tokenize(documents[doc_id])):
-            vec = encode(cand.phrase)
+        for phrase, frequency in candidates(tokenize(documents[doc_id])).items():
+            vec = encode(phrase)
             hit = index.best(vec, bound)
             if hit is None:
                 continue
             best_r, matched = hit
-            if cand.phrase not in mf:
-                index.append(cand.phrase, vec)
-            update_marking(mf, cand.phrase, cand.frequency)
-            result.instances[cand.phrase] = InstanceRecord(
-                phrase=cand.phrase,
-                frequency=cand.frequency,
+            if phrase not in marking:
+                index.append(phrase, vec)
+            update_marking(marking, phrase, frequency)
+            result.instances[phrase] = InstanceRecord(
+                phrase=phrase,
+                frequency=frequency,
                 best_r=best_r,
                 matched_marked_phrase=matched,
                 via_fallback=best_r >= thresholds.r_threshold,

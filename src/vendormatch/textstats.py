@@ -32,14 +32,6 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(frozen=True)
-class CandidateObject:
-    """An n-gram phrase (1-3 tokens) with its occurrence count."""
-
-    phrase: str
-    frequency: int
-
-
-@dataclass(frozen=True)
 class ObjectVector:
     """A phrase as scaled character codes with its population stddev."""
 
@@ -48,7 +40,7 @@ class ObjectVector:
 
     @classmethod
     def from_codes(cls, codes: Iterable[float]) -> "ObjectVector":
-        values = tuple(float(c) for c in codes)
+        values = tuple(map(float, codes))
         if not values:
             raise ValueError("object vector needs at least one element")
         mu = math.fsum(values) / len(values)
@@ -72,16 +64,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(replaced.lower())
 
 
-def candidates(words: Sequence[str]) -> list[CandidateObject]:
-    """Enumerate unigram/bigram/trigram candidate phrases.
+def candidates(words: Sequence[str]) -> dict[str, int]:
+    """Count the unigram/bigram/trigram candidate phrases of a document.
 
     An n-gram qualifies only if its first and last token are not in
     ``DEFAULT_STOPWORDS`` (interior stopwords are fine, so "speed of wind"
-    survives). Duplicate phrases are aggregated with summed frequency;
-    output order is first occurrence, scanning start positions left to
-    right and lengths 1..3.
+    survives). Returns ``{phrase: frequency}`` with keys in first-occurrence
+    order, scanning start positions left to right and lengths 1..3.
     """
-    seen: dict[str, int] = {}  # phrase -> frequency, in first-occurrence order
+    seen: dict[str, int] = {}
     for start in range(len(words)):
         if words[start] in DEFAULT_STOPWORDS:
             continue
@@ -90,14 +81,14 @@ def candidates(words: Sequence[str]) -> list[CandidateObject]:
                 continue
             phrase = " ".join(words[start:end])
             seen[phrase] = seen.get(phrase, 0) + 1
-    return [CandidateObject(phrase=p, frequency=f) for p, f in seen.items()]
+    return seen
 
 
 def encode(phrase: str) -> ObjectVector:
     """Map each character of the phrase (spaces included) to code point / 127."""
     if not phrase:
         raise ValueError("cannot encode an empty phrase")
-    return ObjectVector.from_codes(ord(ch) / CODE_SCALE for ch in phrase)
+    return ObjectVector.from_codes([ord(ch) / CODE_SCALE for ch in phrase])
 
 
 def relatedness_terms(

@@ -1,12 +1,7 @@
-from pathlib import Path
-
 import pytest
 
+from repo_paths import DATA_DIR
 from vendormatch.taxonomy import Taxonomy, load_taxonomy
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-DATA_DIR = REPO_ROOT / "data"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,6 @@ non-trivial), and junk that should never be admitted.
 
 import random
 
-from vendormatch.marking import MarkedObject, MarkingFile
-
 SEED_TERMS = {
     "energy": 40,
     "wind": 25,
@@ -43,10 +41,8 @@ JUNK = ["zebra", "quartz", "mountain", "paper", "jjj", "xylophone", "river"]
 POOL = list(SEED_TERMS) + NEAR_VARIANTS + JUNK
 
 
-def fresh_marking() -> MarkingFile:
-    return MarkingFile(
-        entries=[MarkedObject(p, f) for p, f in SEED_TERMS.items()]
-    )
+def fresh_marking() -> dict[str, int]:
+    return dict(SEED_TERMS)
 
 
 def make_corpus(rng: random.Random, n_docs: int, words_per_doc: int = 30):

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import DATA_DIR
+from repo_paths import DATA_DIR
 from synth_corpus import fresh_marking, make_corpus
 from test_taxonomy import oracle_lcs_and_depth, random_rooted_dag, random_rooted_tree
 from test_textstats import direct_var, terms
@@ -212,12 +212,12 @@ def test_seed_table_terms_extracted_exactly(tmp_path):
     marking_path.write_text(
         "".join(f"{p}\t{f}\n" for p, f in table.items()), encoding="utf-8"
     )
-    mf = load_marking(marking_path)
+    marking = load_marking(marking_path)
     doc = (
         "Clean energy sources such as the sun and the wind count among the "
         "renewable resources we track; energy demand keeps growing."
     )
-    out = extract_corpus({"doc": doc}, mf, DEFAULTS)["doc"]
+    out = extract_corpus({"doc": doc}, marking, DEFAULTS)["doc"]
     for term in table:
         record = out.instances[term]
         assert record.best_r == 0.0
@@ -233,10 +233,12 @@ def test_seed_table_terms_extracted_exactly(tmp_path):
 
 def test_adaptive_marking_on_bundled_corpus(tmp_marking):
     def one_run():
-        mf = load_marking(tmp_marking)
-        vendor_sets = extract_corpus(_read_corpus(DATA_DIR / "vendors"), mf, DEFAULTS)
-        query_sets = extract_corpus(_read_corpus(DATA_DIR / "queries"), mf, DEFAULTS)
-        save_marking(mf)
+        marking = load_marking(tmp_marking)
+        vendor_sets, query_sets = (
+            extract_corpus(_read_corpus(DATA_DIR / kind), marking, DEFAULTS)
+            for kind in ("vendors", "queries")
+        )
+        save_marking(marking, tmp_marking)
         return vendor_sets, query_sets
 
     vendor_sets, query_sets = one_run()
@@ -246,17 +248,15 @@ def test_adaptive_marking_on_bundled_corpus(tmp_marking):
             for phrase in instance_set.instances:
                 assert phrase in saved
 
-    first_freqs = {e.phrase: e.frequency for e in saved.entries}
     one_run()
     second = load_marking(tmp_marking)
-    second_freqs = {e.phrase: e.frequency for e in second.entries}
-    assert set(first_freqs) <= set(second_freqs)
-    for phrase, freq in first_freqs.items():
-        assert second_freqs[phrase] >= freq
+    assert set(saved) <= set(second)
+    for phrase, freq in saved.items():
+        assert second[phrase] >= freq
 
-    save_marking(second)
+    save_marking(second, tmp_marking)
     first_bytes = tmp_marking.read_bytes()
-    save_marking(load_marking(tmp_marking))
+    save_marking(load_marking(tmp_marking), tmp_marking)
     assert tmp_marking.read_bytes() == first_bytes
     _passed(
         "adaptive marking: coverage, monotone frequencies across runs, "
@@ -300,9 +300,9 @@ def test_end_to_end_determinism_at_corpus_scale():
 
 @pytest.fixture(scope="module")
 def bundled_instance_sets():
-    mf = load_marking(DATA_DIR / "marking.tsv")
-    vendor_sets = extract_corpus(_read_corpus(DATA_DIR / "vendors"), mf, DEFAULTS)
-    query_sets = extract_corpus(_read_corpus(DATA_DIR / "queries"), mf, DEFAULTS)
+    marking = load_marking(DATA_DIR / "marking.tsv")
+    vendor_sets = extract_corpus(_read_corpus(DATA_DIR / "vendors"), marking, DEFAULTS)
+    query_sets = extract_corpus(_read_corpus(DATA_DIR / "queries"), marking, DEFAULTS)
     return query_sets, vendor_sets
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from repo_paths import DATA_DIR, GOLDEN_DIR
 from vendormatch.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -83,9 +83,9 @@ def test_second_run_admits_superset_of_instances(tmp_marking):
     }
 
     def run_extraction():
-        mf = load_marking(tmp_marking)
-        sets = extract_corpus(docs, mf, bundled_config().thresholds)
-        save_marking(mf)
+        marking = load_marking(tmp_marking)
+        sets = extract_corpus(docs, marking, bundled_config().thresholds)
+        save_marking(marking, tmp_marking)
         return {d: set(s.instances) for d, s in sets.items()}
 
     first = run_extraction()

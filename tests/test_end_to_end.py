@@ -1,10 +1,14 @@
 """The whole pipeline on random taxonomies against the plain reference paths."""
 
+import os
 import random
+import tempfile
+from pathlib import Path
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from synth_corpus import POOL, SEED_TERMS, make_corpus
+from synth_corpus import JUNK, POOL, SEED_TERMS, make_corpus
 from test_extraction import reference_extract
 from test_matchmaker import reference_rank_vendors
 from vendormatch.cli import run
@@ -54,32 +58,70 @@ def as_instance_sets(extracted):
     }
 
 
-@pytest.mark.parametrize("seed", [3, 4, 5])
-def test_run_equals_reference_pipeline_on_random_taxonomies(tmp_path, seed):
-    rng = random.Random(seed)
-    edges = random_pool_taxonomy(rng)
-    vendor_docs = make_corpus(rng, 6)
-    query_docs = make_corpus(rng, 5, words_per_doc=12)
-    for docs in (vendor_docs, query_docs):  # pair the shortcut node every time
-        docs["d000"] = "wind " + docs["d000"]
-    thresholds = Thresholds(wup_threshold=0.5)
+def marking_text(marking):
+    return "".join(f"{p}\t{f}\n" for p, f in marking.items())
 
-    write_corpus(tmp_path / "vendors", vendor_docs)
-    write_corpus(tmp_path / "queries", query_docs)
-    marking_text = "".join(f"{p}\t{f}\n" for p, f in SEED_TERMS.items())
-    (tmp_path / "marking.tsv").write_text(marking_text, encoding="utf-8")
-    (tmp_path / "taxonomy.tsv").write_text(
+
+def pipeline_config(directory, vendor_docs, query_docs, edges, **kwargs):
+    """Write both corpora, the seed marking and a taxonomy; configure a run."""
+    write_corpus(directory / "vendors", vendor_docs)
+    write_corpus(directory / "queries", query_docs)
+    (directory / "marking.tsv").write_text(marking_text(SEED_TERMS), encoding="utf-8")
+    (directory / "taxonomy.tsv").write_text(
         "".join(f"{child}\t{parent}\n" for child, parent in edges), encoding="utf-8"
     )
-    cfg = RunConfig(
-        vendors_dir=tmp_path / "vendors",
-        queries_dir=tmp_path / "queries",
-        marking_path=tmp_path / "marking.tsv",
-        taxonomy_path=tmp_path / "taxonomy.tsv",
-        thresholds=thresholds,
-        update_marking=False,
+    return RunConfig(
+        vendors_dir=directory / "vendors",
+        queries_dir=directory / "queries",
+        marking_path=directory / "marking.tsv",
+        taxonomy_path=directory / "taxonomy.tsv",
+        **kwargs,
     )
-    report = run(cfg)
+
+
+def seeded_corpora(seed):
+    """The vendor and query documents a seed's generator draws after its taxonomy."""
+    rng = random.Random(seed)
+    random_pool_taxonomy(rng)
+    vendor_docs = list(make_corpus(rng, 6).values())
+    query_docs = list(make_corpus(rng, 5, words_per_doc=12).values())
+    return vendor_docs, query_docs
+
+
+documents = st.lists(st.sampled_from(POOL), max_size=30).map(" ".join)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vendor_docs=st.lists(documents, min_size=1, max_size=6),
+    query_docs=st.lists(documents, min_size=1, max_size=5),
+    wup_threshold=st.floats(min_value=0.05, max_value=1.0),
+)
+@example(3, *seeded_corpora(3), 0.5)
+@example(4, *seeded_corpora(4), 0.5)
+@example(5, *seeded_corpora(5), 0.5)
+def test_run_equals_reference_pipeline_on_random_taxonomies(
+    seed, vendor_docs, query_docs, wup_threshold
+):
+    edges = random_pool_taxonomy(random.Random(seed))
+    # pair the shortcut node every time
+    vendor_docs, query_docs = (
+        {f"d{i:03d}": text for i, text in enumerate(["wind " + docs[0], *docs[1:]])}
+        for docs in (vendor_docs, query_docs)
+    )
+    thresholds = Thresholds(wup_threshold=wup_threshold)
+    with tempfile.TemporaryDirectory() as workdir:
+        cfg = pipeline_config(
+            Path(workdir),
+            vendor_docs,
+            query_docs,
+            edges,
+            thresholds=thresholds,
+            update_marking=False,
+        )
+        report = run(cfg)
+        assert cfg.marking_path.read_text(encoding="utf-8") == marking_text(SEED_TERMS)
 
     marking = dict(SEED_TERMS)  # shared by both corpora, vendors first
     vendors = as_instance_sets(reference_extract(vendor_docs, marking, thresholds))
@@ -87,7 +129,6 @@ def test_run_equals_reference_pipeline_on_random_taxonomies(tmp_path, seed):
     t = Taxonomy.from_edges(edges)
     assert report == reference_rank_vendors(queries, vendors, t, thresholds)
 
-    assert (tmp_path / "marking.tsv").read_text(encoding="utf-8") == marking_text
     assert any(
         (p.query_phrase, p.vendor_phrase) == ("wind", "wind")
         for r in report.results
@@ -97,3 +138,37 @@ def test_run_equals_reference_pipeline_on_random_taxonomies(tmp_path, seed):
         assert 0.0 <= result.match_percentage <= 100.0
         assert all(0.0 <= pct <= 100.0 for pct in result.per_query.values())
         assert all(0.0 < pair.score <= 1.0 for pair in result.pairs)
+
+
+def test_run_saves_the_reference_marking_when_it_admits(tmp_path):
+    rng = random.Random(21)
+    edges = random_pool_taxonomy(rng)
+    vendor_docs = make_corpus(rng, 6)
+    query_docs = make_corpus(rng, 5, words_per_doc=12)
+    cfg = pipeline_config(tmp_path, vendor_docs, query_docs, edges)
+    run(cfg)
+
+    marking = dict(SEED_TERMS)
+    admitted = [
+        phrase
+        for docs in (vendor_docs, query_docs)
+        for found in reference_extract(docs, marking, cfg.thresholds).values()
+        for phrase in found
+    ]
+    assert admitted
+    assert cfg.marking_path.read_bytes() == marking_text(marking).encode("utf-8")
+
+
+def test_run_that_admits_nothing_leaves_the_marking_file_alone(tmp_path):
+    junk = {"d000": " ".join(JUNK)}
+    cfg = pipeline_config(tmp_path, junk, junk, random_pool_taxonomy(random.Random(1)))
+    os.utime(cfg.marking_path, ns=(10**9, 10**9))  # any rewrite moves the mtime
+    before = cfg.marking_path.read_bytes(), cfg.marking_path.stat()
+
+    report = run(cfg)
+
+    after = cfg.marking_path.read_bytes(), cfg.marking_path.stat()
+    assert report.winner is None
+    assert after[0] == before[0]
+    assert after[1].st_mtime_ns == before[1].st_mtime_ns
+    assert after[1].st_ino == before[1].st_ino

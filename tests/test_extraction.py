@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from synth_corpus import POOL, SEED_TERMS, fresh_marking, make_corpus
 from vendormatch.config import Thresholds
 from vendormatch.extraction import _MarkedIndex, extract_corpus
-from vendormatch.marking import MarkedObject, MarkingFile
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.textstats import candidates, encode, relatedness_terms, tokenize
 
@@ -20,40 +19,31 @@ from test_textstats import oracle_relatedness
 DEFAULTS = Thresholds()
 
 
-def marking_of(*pairs):
-    return MarkingFile(entries=[MarkedObject(p, f) for p, f in pairs])
-
-
-def frequency_of(mf, phrase):
-    return next(e.frequency for e in mf if e.phrase == phrase)
-
-
-def extract_one(text, mf, thresholds):
-    return extract_corpus({"doc": text}, mf, thresholds)["doc"]
+def extract_one(text, marking, thresholds):
+    return extract_corpus({"doc": text}, marking, thresholds)["doc"]
 
 
 def test_exact_marked_phrase_extracted_with_zero_r():
-    mf = marking_of(("energy", 165))
-    out = extract_one("energy energy, energy; energy!", mf, DEFAULTS)
+    marking = {"energy": 165}
+    out = extract_one("energy energy, energy; energy!", marking, DEFAULTS)
     rec = out.instances["energy"]
     assert rec.frequency == 4
     assert rec.best_r == 0.0
     assert rec.matched_marked_phrase == "energy"
     assert not rec.via_fallback
-    assert frequency_of(mf, "energy") == 165 + 4
+    assert marking["energy"] == 165 + 4
 
 
 def test_empty_document_changes_nothing():
-    mf = marking_of(("energy", 165))
-    out = extract_one("", mf, DEFAULTS)
+    marking = {"energy": 165}
+    out = extract_one("", marking, DEFAULTS)
     assert len(out) == 0
-    assert not mf.dirty
-    assert frequency_of(mf, "energy") == 165
+    assert marking == {"energy": 165}
 
 
 def test_empty_marking_extracts_nothing():
-    mf = MarkingFile()
-    out = extract_one("solar wind energy", mf, DEFAULTS)
+    marking = {}
+    out = extract_one("solar wind energy", marking, DEFAULTS)
     assert len(out) == 0
 
 
@@ -62,30 +52,30 @@ def test_near_variant_decision_agrees_with_oracle():
     assert oracle_relatedness("sun", "sunny") > DEFAULTS.r_threshold
     assert oracle_relatedness("turbines", "turbiner") < DEFAULTS.r_threshold
 
-    mf = marking_of(("sun", 37), ("turbines", 12))
-    out = extract_one("sunny turbiner", mf, DEFAULTS)
+    marking = {"sun": 37, "turbines": 12}
+    out = extract_one("sunny turbiner", marking, DEFAULTS)
     assert "sunny" not in out.instances
     rec = out.instances["turbiner"]
     assert rec.matched_marked_phrase == "turbines"
     assert not rec.via_fallback
-    assert "turbiner" in mf  # adaptive update appended the new instance
+    assert "turbiner" in marking  # adaptive update appended the new instance
 
 
 def test_fallback_branch_flags_instances():
     # primary bound tightened below the variant's relatedness, fallback above it
     r_variant = oracle_relatedness("turbines", "turbiner")
     cfg = Thresholds(r_threshold=r_variant / 2, fallback_threshold=0.009)
-    mf = marking_of(("turbines", 12))
-    out = extract_one("turbines turbiner", mf, cfg)
+    marking = {"turbines": 12}
+    out = extract_one("turbines turbiner", marking, cfg)
     assert not out.instances["turbines"].via_fallback  # exact hit, r == 0
     assert out.instances["turbiner"].via_fallback
 
 
 def test_instance_record_threshold_invariants():
     rng = random.Random(404)
-    mf = fresh_marking()
+    marking = fresh_marking()
     for doc in make_corpus(rng, 10).values():
-        out = extract_one(doc, mf, DEFAULTS)
+        out = extract_one(doc, marking, DEFAULTS)
         for rec in out.instances.values():
             bound = (
                 DEFAULTS.fallback_threshold
@@ -97,10 +87,10 @@ def test_instance_record_threshold_invariants():
 
 
 def test_duplicate_occurrences_aggregate_frequency():
-    mf = marking_of(("turbines", 12))
-    out = extract_one("turbiner ... turbiner", mf, DEFAULTS)
+    marking = {"turbines": 12}
+    out = extract_one("turbiner ... turbiner", marking, DEFAULTS)
     assert out.instances["turbiner"].frequency == 2
-    assert frequency_of(mf, "turbiner") == 2
+    assert marking["turbiner"] == 2
 
 
 def test_within_document_adaptive_chaining():
@@ -110,14 +100,14 @@ def test_within_document_adaptive_chaining():
     assert oracle_relatedness("turbines", "turbinew") > DEFAULTS.r_threshold
     assert oracle_relatedness("turbineu", "turbinew") < DEFAULTS.r_threshold
 
-    mf = marking_of(("turbines", 12))
-    out = extract_one("turbineu then turbinew", mf, DEFAULTS)
+    marking = {"turbines": 12}
+    out = extract_one("turbineu then turbinew", marking, DEFAULTS)
     assert out.instances["turbineu"].matched_marked_phrase == "turbines"
     assert out.instances["turbinew"].matched_marked_phrase == "turbineu"
 
     # reversed order: 'turbinew' is scored before the stepping stone exists
-    mf2 = marking_of(("turbines", 12))
-    out2 = extract_one("turbinew then turbineu", mf2, DEFAULTS)
+    marking2 = {"turbines": 12}
+    out2 = extract_one("turbinew then turbineu", marking2, DEFAULTS)
     assert "turbinew" not in out2.instances
     assert "turbineu" in out2.instances
 
@@ -137,24 +127,24 @@ def test_tied_marked_objects_match_the_earlier_entry():
         r = scan(list(tied), encode(phrase))
         assert r[0] == r[1] < DEFAULTS.r_threshold
         for first, second in (tied, tied[::-1]):
-            index = _MarkedIndex(marking_of((first, 1), (second, 1)))
+            index = _MarkedIndex({first: 1, second: 1})
             assert index.best(encode(phrase), DEFAULTS.r_threshold)[1] == first
             if phrase.isalpha():
-                out = extract_one(phrase, marking_of((first, 1), (second, 1)), DEFAULTS)
+                out = extract_one(phrase, {first: 1, second: 1}, DEFAULTS)
                 assert out.instances[phrase].matched_marked_phrase == first
 
 
 def test_extract_corpus_orders_and_keys():
-    mf = marking_of(("energy", 165))
+    marking = {"energy": 165}
     docs = {"b": "energy", "a": "energy energy", "c": ""}
-    out = extract_corpus(docs, mf, DEFAULTS)
+    out = extract_corpus(docs, marking, DEFAULTS)
     assert list(out) == ["a", "b", "c"]
     assert out["a"].instances["energy"].frequency == 2
     assert len(out["c"]) == 0
 
 
 def test_extract_corpus_empty():
-    assert extract_corpus({}, MarkingFile(), DEFAULTS) == {}
+    assert extract_corpus({}, {}, DEFAULTS) == {}
 
 
 def test_extraction_is_deterministic():
@@ -162,11 +152,11 @@ def test_extraction_is_deterministic():
     docs = make_corpus(rng, 6)
 
     def run():
-        mf = fresh_marking()
-        sets = extract_corpus(docs, mf, DEFAULTS)
+        marking = fresh_marking()
+        sets = extract_corpus(docs, marking, DEFAULTS)
         return (
             {d: list(s.instances.items()) for d, s in sets.items()},
-            [(e.phrase, e.frequency) for e in mf.entries],
+            list(marking.items()),
         )
 
     assert run() == run()
@@ -188,18 +178,17 @@ def test_threshold_monotonicity_nested_instance_sets():
 
 def test_marking_covers_every_extracted_instance():
     rng = random.Random(314)
-    mf = fresh_marking()
-    sets = extract_corpus(make_corpus(rng, 8), mf, DEFAULTS)
+    marking = fresh_marking()
+    sets = extract_corpus(make_corpus(rng, 8), marking, DEFAULTS)
     for instance_set in sets.values():
         for phrase in instance_set.instances:
-            assert phrase in mf
+            assert phrase in marking
 
 
 def test_batch_scoring_agrees_with_oracle():
     rng = random.Random(55)
     pool = ["sun", "wind", "solar energy", "turbines", "grid", "storage unit"]
-    mf = marking_of(*[(p, 1) for p in pool])
-    index = _MarkedIndex(mf)
+    index = _MarkedIndex(dict.fromkeys(pool, 1))
     words = pool + ["sunny", "turbiner", "zzz", "a", "speed of wind", "xylophone"]
     for _ in range(200):
         phrase = rng.choice(words)
@@ -269,7 +258,7 @@ def lookups(draw, rows):
     data=st.data(),
 )
 def test_pruned_lookup_equals_full_scan(marking, data):
-    index = _MarkedIndex(marking_of(*[(p, 1) for p in marking]))
+    index = _MarkedIndex(dict.fromkeys(marking, 1))
     rows = list(marking)
     for step in range(data.draw(st.integers(min_value=1, max_value=8))):
         if step == 2:  # a row longer than every row so far widens the matrix
@@ -293,7 +282,7 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
 
     for _ in range(500):
         rows = list(dict.fromkeys(phrase() for _ in range(rng.randint(1, 12))))
-        index = _MarkedIndex(marking_of(*[(p, 1) for p in rows]))
+        index = _MarkedIndex(dict.fromkeys(rows, 1))
         for _ in range(6):
             probe = rng.choice(rows) if rng.random() < 0.7 else phrase()
             at = rng.randrange(len(probe))
@@ -327,8 +316,8 @@ def test_exact_hit_guarantee_on_random_marked_phrases():
 
     for _ in range(25):
         phrase = " ".join(word() for _ in range(rng.randint(1, 3)))
-        mf = marking_of((phrase, 5))
-        out = extract_one(f"report: {phrase} noted", mf, DEFAULTS)
+        marking = {phrase: 5}
+        out = extract_one(f"report: {phrase} noted", marking, DEFAULTS)
         assert out.instances[phrase].best_r == 0.0
 
 
@@ -341,10 +330,10 @@ def reference_extract(documents, marking, thresholds):
     out = {}
     for doc_id in sorted(documents):
         found = out[doc_id] = {}
-        for cand in candidates(tokenize(documents[doc_id])):
+        for phrase, frequency in candidates(tokenize(documents[doc_id])).items():
             best_r, matched = None, None
             for marked in marking:
-                r = oracle_relatedness(marked, cand.phrase)
+                r = oracle_relatedness(marked, phrase)
                 if best_r is None or r < best_r:  # first minimum wins
                     best_r, matched = r, marked
             if best_r is None:
@@ -355,15 +344,15 @@ def reference_extract(documents, marking, thresholds):
                 via_fallback = True
             else:
                 continue
-            marking[cand.phrase] = marking.get(cand.phrase, 0) + cand.frequency
-            found[cand.phrase] = (cand.frequency, best_r, matched, via_fallback)
+            marking[phrase] = marking.get(phrase, 0) + frequency
+            found[phrase] = (frequency, best_r, matched, via_fallback)
     return out
 
 
-def assert_equals_reference(docs, mf, thresholds):
-    marking = {e.phrase: e.frequency for e in mf.entries}
-    got = extract_corpus(docs, mf, thresholds)
-    want = reference_extract(docs, marking, thresholds)
+def assert_equals_reference(docs, marking, thresholds):
+    expected_marking = dict(marking)
+    got = extract_corpus(docs, marking, thresholds)
+    want = reference_extract(docs, expected_marking, thresholds)
 
     assert list(got) == list(want)
     for doc_id, expected in want.items():
@@ -375,7 +364,7 @@ def assert_equals_reference(docs, mf, thresholds):
             assert rec.best_r == pytest.approx(best_r, abs=1e-12)
             assert rec.matched_marked_phrase == matched
             assert rec.via_fallback == via_fallback
-    assert [(e.phrase, e.frequency) for e in mf.entries] == list(marking.items())
+    assert list(marking.items()) == list(expected_marking.items())
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -397,10 +386,8 @@ def assert_equals_reference(docs, mf, thresholds):
 )
 def test_extract_corpus_equals_reference_on_synth_corpora(seed, thresholds, extra_rows):
     docs = make_corpus(random.Random(seed), 8)
-    mf = MarkingFile(
-        entries=[*fresh_marking(), *(MarkedObject(row, 1) for row in extra_rows)]
-    )
-    assert_equals_reference(docs, mf, thresholds)
+    marking = {**fresh_marking(), **dict.fromkeys(extra_rows, 1)}
+    assert_equals_reference(docs, marking, thresholds)
 
 
 @pytest.mark.parametrize("fallback", [0.009, 0.01])
@@ -408,9 +395,9 @@ def test_fallback_at_or_below_r_threshold_admits_nothing_extra(fallback):
     docs = make_corpus(random.Random(8080), 10)
 
     def extract(thresholds):
-        mf = fresh_marking()
-        sets = extract_corpus(docs, mf, thresholds)
-        return sets, [(e.phrase, e.frequency) for e in mf.entries]
+        marking = fresh_marking()
+        sets = extract_corpus(docs, marking, thresholds)
+        return sets, list(marking.items())
 
     sets, entries = extract(Thresholds(r_threshold=0.01, fallback_threshold=fallback))
     tiny_sets, tiny_entries = extract(
@@ -452,6 +439,6 @@ def test_extract_corpus_equals_reference_on_random_corpora(
 ):
     # a fallback above r_threshold gives bounds up to 0.5, where rows of
     # other lengths survive pruning
-    mf = marking_of(*[(row, 1) for row in rows])
     thresholds = Thresholds(r_threshold=r_threshold, fallback_threshold=fallback)
-    assert_equals_reference({f"d{i}": d for i, d in enumerate(docs)}, mf, thresholds)
+    docs = {f"d{i}": d for i, d in enumerate(docs)}
+    assert_equals_reference(docs, dict.fromkeys(rows, 1), thresholds)

@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vendormatch.marking import (
-    MarkedObject,
-    MarkingFile,
     MarkingFormatError,
     load_marking,
     save_marking,
@@ -25,32 +23,24 @@ def write_marking(tmp_path, text, name="marking.tsv"):
 
 def test_load_table_sample(tmp_path):
     path = write_marking(tmp_path, "energy\t165\nsun\t37\n")
-    mf = load_marking(path)
-    assert [(e.phrase, e.frequency) for e in mf.entries] == [
-        ("energy", 165),
-        ("sun", 37),
-    ]
-    assert not mf.dirty
+    marking = load_marking(path)
+    assert list(marking.items()) == [("energy", 165), ("sun", 37)]
 
 
 def test_load_lowercases_phrases(tmp_path):
-    mf = load_marking(write_marking(tmp_path, "Energy Sources\t24\n"))
-    assert mf.entries[0].phrase == "energy sources"
+    marking = load_marking(write_marking(tmp_path, "Energy Sources\t24\n"))
+    assert marking == {"energy sources": 24}
 
 
 def test_load_empty_file_is_valid(tmp_path):
-    mf = load_marking(write_marking(tmp_path, ""))
-    assert len(mf) == 0
+    assert load_marking(write_marking(tmp_path, "")) == {}
 
 
 def test_load_crlf_reads_as_lf(tmp_path):
     path = tmp_path / "marking.tsv"
     path.write_bytes(b"energy\t165\r\nsun\t37\r\n")
-    mf = load_marking(path)
-    assert [(e.phrase, e.frequency) for e in mf.entries] == [
-        ("energy", 165),
-        ("sun", 37),
-    ]
+    marking = load_marking(path)
+    assert list(marking.items()) == [("energy", 165), ("sun", 37)]
 
 
 def test_load_missing_file(tmp_path):
@@ -79,28 +69,29 @@ def test_load_malformed_line_names_line_number(tmp_path, content, lineno):
 
 
 def test_load_duplicate_phrase_rejected(tmp_path):
-    path = write_marking(tmp_path, "sun\t37\nSun\t12\n")
-    with pytest.raises(MarkingFormatError, match="duplicate"):
+    # phrases are compared after lowercasing
+    path = write_marking(tmp_path, "sun\t37\nwind\t5\nSun\t12\n")
+    with pytest.raises(MarkingFormatError, match="line 3: duplicate phrase 'sun'"):
         load_marking(path)
 
 
 def test_update_appends_new_phrase():
-    mf = MarkingFile()
-    update_marking(mf, "turbine", 3)
-    assert [e.frequency for e in mf.entries if e.phrase == "turbine"] == [3]
-    assert mf.dirty
+    marking = {"sun": 37}
+    update_marking(marking, "Turbine", 3)
+    assert list(marking.items()) == [("sun", 37), ("turbine", 3)]
 
 
 def test_update_accumulates_existing_frequency():
-    mf = MarkingFile(entries=[MarkedObject("sun", 37)])
-    update_marking(mf, "sun", 5)
-    assert [e.frequency for e in mf.entries if e.phrase == "sun"] == [42]
+    marking = {"sun": 37}
+    update_marking(marking, "sun", 5)
+    assert marking == {"sun": 42}
 
 
 def test_update_rejects_zero_frequency():
-    mf = MarkingFile()
+    marking = {}
     with pytest.raises(ValueError):
-        update_marking(mf, "sun", 0)
+        update_marking(marking, "sun", 0)
+    assert marking == {}
 
 
 @given(
@@ -113,17 +104,15 @@ def test_update_rejects_zero_frequency():
     )
 )
 def test_update_replay_matches_counting_oracle(updates):
-    mf = MarkingFile(entries=[MarkedObject("sun", 37)])
+    marking = {"sun": 37}
     expected = Counter({"sun": 37})
     seen_order = ["sun"]
     for phrase, freq in updates:
         if phrase not in expected:
             seen_order.append(phrase)
         expected[phrase] += freq
-        update_marking(mf, phrase, freq)
-    assert [(e.phrase, e.frequency) for e in mf.entries] == [
-        (p, expected[p]) for p in seen_order
-    ]
+        update_marking(marking, phrase, freq)
+    assert list(marking.items()) == [(p, expected[p]) for p in seen_order]
 
 
 @given(
@@ -136,11 +125,11 @@ def test_update_replay_matches_counting_oracle(updates):
     )
 )
 def test_update_growth_is_monotone(updates):
-    mf = MarkingFile(entries=[MarkedObject("sun", 37), MarkedObject("wind", 33)])
+    marking = {"sun": 37, "wind": 33}
     for phrase, freq in updates:
-        before = {e.phrase: e.frequency for e in mf.entries}
-        update_marking(mf, phrase, freq)
-        after = {e.phrase: e.frequency for e in mf.entries}
+        before = dict(marking)
+        update_marking(marking, phrase, freq)
+        after = marking
         assert set(before) <= set(after)
         assert all(after[p] >= f for p, f in before.items())
 
@@ -148,41 +137,35 @@ def test_update_growth_is_monotone(updates):
 def test_save_round_trip_is_byte_identical(tmp_path):
     original = "energy sources\t24\nenergy\t165\nsun\t37\n"
     path = write_marking(tmp_path, original)
-    mf = load_marking(path)
-    save_marking(mf)
+    assert save_marking(load_marking(path), path) == path
     assert path.read_bytes() == original.encode()
 
 
 def test_save_after_update_reloads_with_update(tmp_path):
     path = write_marking(tmp_path, "sun\t37\n")
-    mf = load_marking(path)
-    update_marking(mf, "turbine", 3)
-    update_marking(mf, "sun", 5)
-    save_marking(mf)
-    assert not mf.dirty
-    reloaded = load_marking(path)
-    assert [(e.phrase, e.frequency) for e in reloaded.entries] == [
-        ("sun", 42),
-        ("turbine", 3),
-    ]
+    marking = load_marking(path)
+    update_marking(marking, "turbine", 3)
+    update_marking(marking, "sun", 5)
+    save_marking(marking, path)
+    assert list(load_marking(path).items()) == [("sun", 42), ("turbine", 3)]
 
 
 def test_save_to_unwritable_location_leaves_source_intact(tmp_path):
     path = write_marking(tmp_path, "sun\t37\n")
-    mf = load_marking(path)
-    update_marking(mf, "turbine", 3)
+    marking = load_marking(path)
+    update_marking(marking, "turbine", 3)
     # parent of the target is a regular file, so the temp file cannot exist
     bogus = path / "nested.tsv"
     with pytest.raises(OSError):
-        save_marking(mf, bogus)
+        save_marking(marking, bogus)
     assert path.read_text(encoding="utf-8") == "sun\t37\n"
-    assert mf.dirty  # failed save keeps the dirty flag
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
 
 def test_save_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
     path = write_marking(tmp_path, "sun\t37\n")
-    mf = load_marking(path)
-    update_marking(mf, "turbine", 3)
+    marking = load_marking(path)
+    update_marking(marking, "turbine", 3)
     events = []
     real_fsync, real_replace = os.fsync, os.replace
 
@@ -197,7 +180,7 @@ def test_save_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
-    save_marking(mf)
+    save_marking(marking, path)
     payload = b"sun\t37\nturbine\t3\n"
     # the whole payload is flushed and synced on the temp file, then renamed
     assert [e[0] for e in events] == ["fsync", "replace"]
@@ -209,13 +192,7 @@ def test_save_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
 
 def test_save_load_save_is_stable(tmp_path):
     path = write_marking(tmp_path, "Wind\t33\nsun\t37\n")
-    mf = load_marking(path)
-    save_marking(mf)
+    save_marking(load_marking(path), path)
     first = path.read_bytes()
-    save_marking(load_marking(path))
+    save_marking(load_marking(path), path)
     assert path.read_bytes() == first
-
-
-def test_constructor_rejects_duplicates():
-    with pytest.raises(ValueError):
-        MarkingFile(entries=[MarkedObject("sun", 1), MarkedObject("SUN", 2)])

@@ -324,9 +324,9 @@ def reference_rank_vendors(queries, vendors, t, cfg):
 def test_rank_vendors_equals_reference_on_synth_corpora(bundled_taxonomy, seed, wup):
     rng = random.Random(seed)
     cfg = Thresholds(wup_threshold=wup)
-    mf = fresh_marking()
-    vendors = extract_corpus(make_corpus(rng, 6), mf, cfg)
-    queries = extract_corpus(make_corpus(rng, 5, words_per_doc=12), mf, cfg)
+    marking = fresh_marking()
+    vendors = extract_corpus(make_corpus(rng, 6), marking, cfg)
+    queries = extract_corpus(make_corpus(rng, 5, words_per_doc=12), marking, cfg)
     expected = reference_rank_vendors(queries, vendors, bundled_taxonomy, cfg)
     assert expected.winner is not None
     assert rank_vendors(queries, vendors, bundled_taxonomy, cfg) == expected

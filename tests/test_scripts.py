@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import GOLDEN_DIR, REPO_ROOT
+from repo_paths import GOLDEN_DIR, REPO_ROOT
 
 
 @pytest.mark.parametrize(

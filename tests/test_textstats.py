@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vendormatch.textstats import (
-    CandidateObject,
     ObjectVector,
     candidates,
     encode,
@@ -117,13 +116,8 @@ def test_tokenize_deterministic_and_seven_bit(text):
 # -------------------------------------------------------------- candidates
 
 
-def _cand_map(text):
-    return {c.phrase: c for c in candidates(tokenize(text))}
-
-
 def test_candidates_enumerates_all_ngrams_with_counts():
-    out = _cand_map("wind energy wind")
-    assert {p: c.frequency for p, c in out.items()} == {
+    assert candidates(tokenize("wind energy wind")) == {
         "wind": 2,
         "energy": 1,
         "wind energy": 1,
@@ -133,11 +127,11 @@ def test_candidates_enumerates_all_ngrams_with_counts():
 
 
 def test_candidates_empty():
-    assert candidates([]) == []
+    assert candidates([]) == {}
 
 
 def test_candidates_stopword_edges():
-    out = _cand_map("speed of wind")
+    out = candidates(tokenize("speed of wind"))
     assert "speed" in out and "wind" in out
     assert "speed of wind" in out  # interior stopword is allowed
     assert "of" not in out
@@ -146,7 +140,7 @@ def test_candidates_stopword_edges():
 
 
 def test_candidates_first_occurrence_order():
-    ordered = [c.phrase for c in candidates(tokenize("sun wind sun"))]
+    ordered = list(candidates(tokenize("sun wind sun")))
     assert ordered == ["sun", "sun wind", "sun wind sun", "wind", "wind sun"]
 
 
@@ -154,12 +148,12 @@ def test_candidates_first_occurrence_order():
 def test_candidates_deterministic(words):
     text = " ".join(words)
     first = candidates(tokenize(text))
-    assert first == candidates(tokenize(text))
-    for cand in first:
-        parts = cand.phrase.split(" ")
+    assert list(first.items()) == list(candidates(tokenize(text)).items())
+    for phrase, frequency in first.items():
+        parts = phrase.split(" ")
         assert 1 <= len(parts) <= 3
         assert parts[0] != "the" and parts[-1] != "the"
-        assert cand.frequency >= 1
+        assert frequency >= 1
 
 
 # ------------------------------------------------------------------ encode
@@ -197,6 +191,17 @@ def test_encode_codes_in_unit_interval(phrase):
     v = encode(phrase)
     assert all(0.0 <= c <= 1.0 for c in v.codes)
     assert (v.stddev == 0.0) == (len(set(v.codes)) == 1)
+
+
+@given(st.text(alphabet=st.characters(max_codepoint=127), min_size=1, max_size=40))
+def test_encode_stddev_is_the_two_pass_fsum_formula(phrase):
+    # equal bits, not approx: the gazetteer index compares stddevs exactly
+    codes = [ord(ch) / 127 for ch in phrase]
+    mu = math.fsum(codes) / len(codes)
+    var = math.fsum((c - mu) ** 2 for c in codes) / len(codes)
+    v = encode(phrase)
+    assert v.codes == tuple(codes)
+    assert v.stddev == math.sqrt(var)
 
 
 # ------------------------------------------------------------- statistics
