@@ -1,4 +1,4 @@
-"""The whole pipeline on random taxonomies against the plain reference paths."""
+"""The whole pipeline against the plain reference paths, and when run() saves."""
 
 import os
 import random
