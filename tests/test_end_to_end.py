@@ -5,7 +5,8 @@ import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synth_corpus import JUNK, POOL, SEED_TERMS, make_corpus
@@ -79,31 +80,8 @@ def pipeline_config(directory, vendor_docs, query_docs, edges, **kwargs):
     )
 
 
-def seeded_corpora(seed):
-    """The vendor and query documents a seed's generator draws after its taxonomy."""
-    rng = random.Random(seed)
-    random_pool_taxonomy(rng)
-    vendor_docs = list(make_corpus(rng, 6).values())
-    query_docs = list(make_corpus(rng, 5, words_per_doc=12).values())
-    return vendor_docs, query_docs
-
-
-documents = st.lists(st.sampled_from(POOL), max_size=30).map(" ".join)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    vendor_docs=st.lists(documents, min_size=1, max_size=6),
-    query_docs=st.lists(documents, min_size=1, max_size=5),
-    wup_threshold=st.floats(min_value=0.05, max_value=1.0),
-)
-@example(3, *seeded_corpora(3), 0.5)
-@example(4, *seeded_corpora(4), 0.5)
-@example(5, *seeded_corpora(5), 0.5)
-def test_run_equals_reference_pipeline_on_random_taxonomies(
-    seed, vendor_docs, query_docs, wup_threshold
-):
+def assert_run_equals_reference(directory, seed, vendor_docs, query_docs, wup_threshold):
+    """run() on seed's taxonomy and the given documents equals the reference path."""
     edges = random_pool_taxonomy(random.Random(seed))
     # pair the shortcut node every time
     vendor_docs, query_docs = (
@@ -111,17 +89,16 @@ def test_run_equals_reference_pipeline_on_random_taxonomies(
         for docs in (vendor_docs, query_docs)
     )
     thresholds = Thresholds(wup_threshold=wup_threshold)
-    with tempfile.TemporaryDirectory() as workdir:
-        cfg = pipeline_config(
-            Path(workdir),
-            vendor_docs,
-            query_docs,
-            edges,
-            thresholds=thresholds,
-            update_marking=False,
-        )
-        report = run(cfg)
-        assert cfg.marking_path.read_text(encoding="utf-8") == marking_text(SEED_TERMS)
+    cfg = pipeline_config(
+        directory,
+        vendor_docs,
+        query_docs,
+        edges,
+        thresholds=thresholds,
+        update_marking=False,
+    )
+    report = run(cfg)
+    assert cfg.marking_path.read_text(encoding="utf-8") == marking_text(SEED_TERMS)
 
     marking = dict(SEED_TERMS)  # shared by both corpora, vendors first
     vendors = as_instance_sets(reference_extract(vendor_docs, marking, thresholds))
@@ -138,6 +115,35 @@ def test_run_equals_reference_pipeline_on_random_taxonomies(
         assert 0.0 <= result.match_percentage <= 100.0
         assert all(0.0 <= pct <= 100.0 for pct in result.per_query.values())
         assert all(0.0 < pair.score <= 1.0 for pair in result.pairs)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_run_equals_reference_pipeline_on_random_taxonomies(tmp_path, seed):
+    # the corpora the seed's generator draws after its taxonomy
+    rng = random.Random(seed)
+    random_pool_taxonomy(rng)
+    vendor_docs = list(make_corpus(rng, 6).values())
+    query_docs = list(make_corpus(rng, 5, words_per_doc=12).values())
+    assert_run_equals_reference(tmp_path, seed, vendor_docs, query_docs, 0.5)
+
+
+documents = st.lists(st.sampled_from(POOL), max_size=30).map(" ".join)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vendor_docs=st.lists(documents, min_size=1, max_size=6),
+    query_docs=st.lists(documents, min_size=1, max_size=5),
+    wup_threshold=st.floats(min_value=0.05, max_value=1.0),
+)
+def test_run_equals_reference_pipeline_on_drawn_corpora(
+    seed, vendor_docs, query_docs, wup_threshold
+):
+    with tempfile.TemporaryDirectory() as workdir:
+        assert_run_equals_reference(
+            Path(workdir), seed, vendor_docs, query_docs, wup_threshold
+        )
 
 
 def test_run_saves_the_reference_marking_when_it_admits(tmp_path):
