@@ -180,10 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MarkingFormatError, TaxonomyError, CorpusError) as exc:
-        print(f"vendormatch: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (MarkingFormatError, TaxonomyError, CorpusError, OSError) as exc:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -25,8 +25,6 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .config import Thresholds
 from .marking import update_marking
 from .textstats import ObjectVector, candidates, encode, relatedness_terms, tokenize
@@ -82,11 +80,10 @@ class _Bucket:
 class _MarkedIndex:
     """Marked-object encodings, scored only where they can beat a bound.
 
-    Rows follow the marking's key order in one zero-padded matrix as
-    wide as the longest row; it doubles its capacity when rows run out and
-    widens when a longer row arrives. Rows are also bucketed by length,
-    each bucket sorted by stddev. Relatedness is ``dist + gap + variance``
-    with every term non-negative, so two lower bounds hold for every row:
+    Rows are the encodings in the marking's key order, also bucketed by
+    length, each bucket sorted by stddev. Relatedness is
+    ``dist + gap + variance`` with every term non-negative, so two lower
+    bounds hold for every row:
 
     - the gap bound: relatedness is at least the stddev gap, exactly in
       floating point, so only rows whose stddev lies within ``bound`` of the
@@ -97,38 +94,25 @@ class _MarkedIndex:
       with zeros. A whole bucket is skipped when this bound, less a 1e-9
       relative slack for summation order, reaches ``bound``.
 
-    :meth:`best` scores the remaining rows with
-    :func:`~vendormatch.textstats.relatedness_terms`, gathered in marking
-    order from the full-width matrix, so each value is bit-identical to a
-    scan of every row and ties still go to the earliest row. A skipped row
-    scores at least ``bound``: it can neither admit a candidate nor be the
-    best match of one that is admitted, so pruning changes no output.
+    :meth:`best` scores each remaining row with
+    :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
+    every row would give, and keeps the smallest ``(relatedness, row)``, so
+    ties still go to the earliest row. A skipped row scores at least
+    ``bound``: it can neither admit a candidate nor be the best match of one
+    that is admitted, so pruning changes no output.
     """
 
     def __init__(self, marking: dict[str, int]) -> None:
         self._phrases: list[str] = []
-        self._codes = np.zeros((8, 0))
-        self._lengths = np.zeros(8)
-        self._sigmas = np.zeros(8)
+        self._rows: list[ObjectVector] = []
         self._buckets: dict[int, _Bucket] = {}
         self._by_length: list[int] = []  # bucket lengths, ascending
         for phrase in marking:
             self.append(phrase, encode(phrase))
 
     def append(self, phrase: str, vec: ObjectVector) -> None:
-        row, length = len(self._phrases), len(vec)
-        capacity, width = self._codes.shape
-        if row == capacity or length > width:
-            rows = 2 * capacity if row == capacity else capacity
-            grown = np.zeros((rows, max(width, length)))
-            grown[:capacity, :width] = self._codes
-            self._codes = grown
-        if row == capacity:
-            self._lengths = np.concatenate([self._lengths, np.zeros(capacity)])
-            self._sigmas = np.concatenate([self._sigmas, np.zeros(capacity)])
-        self._codes[row, :length] = vec.codes
-        self._lengths[row] = length
-        self._sigmas[row] = vec.stddev
+        row, length = len(self._rows), len(vec)
+        self._rows.append(vec)
         self._phrases.append(phrase)
 
         bucket = self._buckets.get(length)
@@ -163,24 +147,19 @@ class _MarkedIndex:
 
         lo = vec.stddev - bound - _SIGMA_SLACK
         hi = vec.stddev + bound + _SIGMA_SLACK
-        rows: list[int] = []
+        best = (bound, -1)  # beaten only by a row scoring under ``bound``
         for length in kept:
             bucket = self._buckets.get(length)
-            if bucket is not None:
-                sigmas = bucket.sigmas
-                rows += bucket.rows[bisect_left(sigmas, lo) : bisect_right(sigmas, hi)]
-        if not rows:
-            return None
-        rows.sort()  # marking order, so the first index wins ties
-        idx = np.array(rows)
-        dist, gap, variance = relatedness_terms(
-            self._codes[idx], self._lengths[idx], self._sigmas[idx], vec
-        )
-        r = dist + gap + variance
-        best = int(np.argmin(r))
-        if r[best] >= bound:
-            return None
-        return float(r[best]), self._phrases[rows[best]]
+            if bucket is None:
+                continue
+            sigmas = bucket.sigmas
+            for row in bucket.rows[bisect_left(sigmas, lo) : bisect_right(sigmas, hi)]:
+                dist, gap, variance = relatedness_terms(self._rows[row], vec)
+                scored = (dist + gap + variance, row)
+                if scored < best:
+                    best = scored
+        r, row = best
+        return None if row < 0 else (r, self._phrases[row])
 
 
 def extract_corpus(

@@ -5,8 +5,8 @@ metric that drives instance extraction: a length-normalized Euclidean
 distance over scaled character codes, plus a standard-deviation gap, plus
 the variance of the difference vector. Smaller relatedness means more
 related; identical phrases score exactly zero. The metric has one
-implementation, :func:`relatedness_terms`, which scores one vector against
-a zero-padded matrix of rows; the relatedness is the sum of its three terms.
+implementation, :func:`relatedness_terms`, which scores one pair of vectors
+in plain Python; the relatedness is the sum of its three terms.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -91,33 +90,25 @@ def encode(phrase: str) -> ObjectVector:
     return ObjectVector.from_codes([ord(ch) / CODE_SCALE for ch in phrase])
 
 
-def relatedness_terms(
-    rows: np.ndarray, lengths: np.ndarray, sigmas: np.ndarray, vec: ObjectVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three relatedness terms of one vector against each of k rows.
+def relatedness_terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:
+    """The three relatedness terms of a pair of vectors.
 
-    ``rows`` is a (k, width) matrix of code vectors right-padded with zeros,
-    ``lengths`` their unpadded lengths and ``sigmas`` their standard
-    deviations. Each pair is compared at its common length L, the shorter
-    side padded with zeros; a ``vec`` longer than ``width`` differs from
-    every row by its tail against zeros, folded in as scalar corrections.
-    Returns, per row, the Euclidean distance divided by sqrt(L), the gap
+    The pair is compared at its common length L, the shorter side padded
+    with zeros. Returns the Euclidean distance divided by sqrt(L), the gap
     between the two standard deviations, and the population variance of
-    the difference vector (as ``s2/L - (s1/L)**2``, clamped at zero).
+    the difference vector ``b - a`` (as ``s2/L - (s1/L)**2``, clamped at
+    zero). ``s1`` and ``s2`` are accumulated left to right in a plain loop,
+    so every supported interpreter returns the same bits: ``sum()`` over
+    floats rounds differently since Python 3.12, and ``math.sumprod`` is
+    missing before it.
     """
-    width = rows.shape[1]
-    cand = np.zeros(width)
-    head = vec.codes[:width]
-    cand[: len(head)] = head
-    tail = np.array(vec.codes[width:])
-    tail_sum = float(tail.sum())
-    tail_sumsq = float((tail * tail).sum())
-
-    diff = cand[None, :] - rows
-    s1 = diff.sum(axis=1) + tail_sum
-    s2 = (diff * diff).sum(axis=1) + tail_sumsq
-    pair_len = np.maximum(lengths, float(len(vec)))
-    dist = np.sqrt(s2) / np.sqrt(pair_len)
-    gap = np.abs(sigmas - vec.stddev)
-    variance = np.maximum(s2 / pair_len - (s1 / pair_len) ** 2, 0.0)
+    s1 = s2 = 0.0
+    for x, y in zip_longest(a.codes, b.codes, fillvalue=0.0):
+        d = y - x
+        s1 += d
+        s2 += d * d
+    n = max(len(a.codes), len(b.codes))
+    dist = math.sqrt(s2) / math.sqrt(n)
+    gap = abs(a.stddev - b.stddev)
+    variance = max(s2 / n - (s1 / n) ** 2, 0.0)
     return dist, gap, variance

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: orchestration, serialization, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repo_paths import DATA_DIR, GOLDEN_DIR
+from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 from vendormatch.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -60,6 +63,26 @@ def test_repeated_runs_are_byte_identical_without_updates():
 def test_golden_report_snapshot():
     report = run(bundled_config(update_marking=False))
     assert emit_report(report, "json") == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+def test_golden_report_without_numpy(tmp_marking):
+    # the library needs nothing beyond the standard library: with numpy
+    # made unimportable the CLI still prints the golden report
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from vendormatch.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    args = cli_args(tmp_marking, "--no-update-marking", "--output", "json")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert proc.stdout == GOLDEN_REPORT.read_bytes()
 
 
 def test_run_without_updates_leaves_marking_untouched(tmp_marking):

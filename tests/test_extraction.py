@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,24 +199,21 @@ def test_batch_scoring_agrees_with_oracle():
 
 
 def scan(phrases, vec):
-    """Relatedness of ``vec`` to every row, all in one full-width matrix."""
-    vecs = [encode(p) for p in phrases]
-    rows = np.zeros((len(vecs), max(len(v) for v in vecs)))
-    for row, v in enumerate(vecs):
-        rows[row, : len(v)] = v.codes
-    lengths = np.array([len(v) for v in vecs], dtype=float)
-    sigmas = np.array([v.stddev for v in vecs])
-    dist, gap, variance = relatedness_terms(rows, lengths, sigmas, vec)
-    return dist + gap + variance
+    """Relatedness of ``vec`` to every row, one pair at a time."""
+    r = []
+    for phrase in phrases:
+        dist, gap, variance = relatedness_terms(encode(phrase), vec)
+        r.append(dist + gap + variance)
+    return r
 
 
 def scan_best(phrases, vec, bound):
     """Plain lookup: every row scored, first minimum wins, None at ``bound``."""
     r = scan(phrases, vec)
-    best_row = int(np.argmin(r))
+    best_row = r.index(min(r))
     if r[best_row] >= bound:
         return None
-    return float(r[best_row]), phrases[best_row]
+    return r[best_row], phrases[best_row]
 
 
 # control characters have codes near 0, so rows of other lengths and far
@@ -240,7 +236,7 @@ def lookups(draw, rows):
     elif edit == "drop" and len(phrase) > 1:
         phrase = phrase[:at] + phrase[at + 1 :]
     vec = encode(phrase)
-    nearest = float(scan(rows, vec).min())
+    nearest = min(scan(rows, vec))
     bound = draw(
         st.one_of(
             st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
@@ -261,7 +257,7 @@ def test_pruned_lookup_equals_full_scan(marking, data):
     index = _MarkedIndex(dict.fromkeys(marking, 1))
     rows = list(marking)
     for step in range(data.draw(st.integers(min_value=1, max_value=8))):
-        if step == 2:  # a row longer than every row so far widens the matrix
+        if step == 2:  # a row longer than every row so far
             rows.append(max(rows, key=len) + data.draw(index_phrases))
             index.append(rows[-1], encode(rows[-1]))
         vec, bound = data.draw(lookups(rows))
@@ -296,7 +292,7 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
                 probe = probe[:at] + probe[at + 1 :]
             vec = encode(probe)
             if rng.random() < 0.5:
-                bound = float(scan(rows, vec).min()) * rng.uniform(1.0, 1.1)
+                bound = min(scan(rows, vec)) * rng.uniform(1.0, 1.1)
             else:
                 bound = 10.0 ** rng.uniform(-4.0, 0.0)
             assert index.best(vec, bound) == scan_best(rows, vec, bound)

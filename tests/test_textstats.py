@@ -5,7 +5,6 @@ import math
 import random
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,13 +62,8 @@ def oracle_relatedness(a: str, b: str) -> float:
 
 
 def terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:
-    """Distance, stddev gap and variance of ``b`` against ``a`` as the only row."""
-    row = np.zeros((1, max(len(a), len(b))))
-    row[0, : len(a)] = a.codes
-    dist, gap, variance = relatedness_terms(
-        row, np.array([float(len(a))]), np.array([a.stddev]), b
-    )
-    return float(dist[0]), float(gap[0]), float(variance[0])
+    """Distance, stddev gap and variance of ``b`` against ``a``."""
+    return relatedness_terms(a, b)
 
 
 # --------------------------------------------------------------- tokenize
