@@ -99,12 +99,15 @@ def match_percentage(query: InstanceSet, pairs: list[MatchPair]) -> float:
     total query frequency mass; 100 exactly only when every query instance
     matched at score 1.0, and 0 for an empty query set. Frequencies are
     read from ``query``, so pairs matched for a pool that contains it can
-    be passed, restricted to its phrases.
+    be passed, restricted to its phrases. Scores add left to right, since
+    builtin ``sum()`` of floats rounds differently from Python 3.12 on.
     """
     total = sum(rec.frequency for rec in query.instances.values())
     if total == 0:
         return 0.0
-    matched = sum(query.instances[p.query_phrase].frequency * p.score for p in pairs)
+    matched = 0.0
+    for p in pairs:
+        matched += query.instances[p.query_phrase].frequency * p.score
     return 100.0 * matched / total
 
 

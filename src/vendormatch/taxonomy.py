@@ -11,9 +11,9 @@ construction.
 
 from __future__ import annotations
 
+import graphlib
 import logging
 import math
-from collections import deque
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -55,8 +55,10 @@ class Taxonomy:
         a leaf (a concept that is no edge's parent) whose id is not one token
         (``[a-z0-9]+``), since no phrase can resolve to it and it subsumes
         nothing; the error's ``edge`` is the position of the leaf's first
-        edge. Inner concepts may have any id. Also raises it for cycles
-        (naming a member) and a root count other than one.
+        edge. Inner concepts may have any id. Also raises it for a cycle,
+        naming a concept on it, and for a root count other than one.
+        Iteration order is ``graphlib.TopologicalSorter``'s: parents first,
+        each concept's children in id order.
         """
         edges = [(child.lower(), parent.lower()) for child, parent in edges]
         parents: dict[str, set[str]] = {}
@@ -72,24 +74,13 @@ class Taxonomy:
                     edge=position,
                 )
 
-        # Kahn's algorithm over parent links; leftovers form cycles.
-        remaining = {c: len(ps) for c, ps in parents.items()}
-        children: dict[str, list[str]] = {c: [] for c in parents}
-        for child, ps in parents.items():
-            for parent in ps:
-                children[parent].append(child)
-        queue = deque(sorted(c for c, n in remaining.items() if n == 0))
-        order: list[str] = []
-        while queue:
-            concept = queue.popleft()
-            order.append(concept)
-            for child in sorted(children[concept]):
-                remaining[child] -= 1
-                if remaining[child] == 0:
-                    queue.append(child)
-        if len(order) < len(parents):
-            member = min(c for c, n in remaining.items() if n > 0)
-            raise TaxonomyError(f"cycle detected involving concept {member!r}")
+        # Sorted, so neither edge order nor string hashing changes the result.
+        graph = {c: sorted(parents[c]) for c in sorted(parents)}
+        try:
+            order = list(graphlib.TopologicalSorter(graph).static_order())
+        except graphlib.CycleError as exc:
+            member = min(exc.args[1])
+            raise TaxonomyError(f"cycle detected involving concept {member!r}") from exc
 
         roots = sorted(c for c, ps in parents.items() if not ps)
         if not roots:

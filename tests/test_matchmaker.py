@@ -151,6 +151,20 @@ def test_percentage_weighted_partial_coverage():
     assert match_percentage(query, pairs) == pytest.approx(67.5, abs=1e-9)
 
 
+def test_percentage_adds_left_to_right_on_every_interpreter():
+    # ten 0.1 scores added in order give 0.9999999999999999; builtin sum()
+    # on Python 3.12+ compensates and would give exactly 1.0
+    phrases = [f"p{i}" for i in range(10)]
+    query = instance_set(**dict.fromkeys(phrases, 1))
+    pairs = [
+        MatchPair(
+            query_phrase=p, vendor_phrase=p, score=0.1, query_freq=1, vendor_freq=1
+        )
+        for p in phrases
+    ]
+    assert match_percentage(query, pairs) == 9.999999999999998
+
+
 def test_percentage_empty_query_set():
     assert match_percentage(instance_set(), []) == 0.0
 

@@ -1,12 +1,16 @@
 """Concept graph validation, LCS, and similarity scoring."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repo_paths import REPO_ROOT
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import (
     Taxonomy,
@@ -98,6 +102,47 @@ def test_load_detects_two_cycle(tmp_path):
 def test_self_loop_is_a_cycle():
     with pytest.raises(TaxonomyError, match="cycle.*'a'"):
         tax(("a", "a"))
+
+
+def test_cycle_error_names_a_concept_on_the_cycle():
+    # 'a' hangs below the b <-> c cycle and sorts first, but is not on it
+    with pytest.raises(TaxonomyError, match="^cycle detected involving concept '[bc]'"):
+        tax(("b", "c"), ("c", "b"), ("a", "b"), ("x", "r"))
+
+
+def test_iteration_order_ignores_edge_order():
+    rng = random.Random(5)
+    for _ in range(50):
+        edges, _ = random_rooted_dag(rng)
+        shuffled = rng.sample(edges, len(edges))
+        assert list(tax(*shuffled)) == list(tax(*edges))
+    # parents first, each concept's children in id order
+    assert list(tax(("d", "c"), ("d", "b"), ("c", "a"), ("b", "a"))) == list("abcd")
+
+
+def test_iteration_order_and_cycle_message_ignore_string_hashing():
+    script = (
+        "from vendormatch.taxonomy import Taxonomy, TaxonomyError\n"
+        "edges = [('d', 'b'), ('d', 'c'), ('e', 'c'), ('b', 'a'), ('c', 'a')]\n"
+        "print(list(Taxonomy.from_edges(edges)))\n"
+        "try:\n"
+        "    Taxonomy.from_edges([('p', 'q'), ('q', 'p'), ('s', 't'), ('t', 's'),"
+        " ('u', 'q'), ('u', 't')])\n"
+        "except TaxonomyError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        for seed in ("0", "1", "2", "3")
+    }
+    assert len(outputs) == 1, outputs
 
 
 def test_diamond_depth_with_equal_parent_paths():
