@@ -32,9 +32,8 @@ from .textstats import ObjectVector, candidates, encode, relatedness_terms, toke
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """One extracted instance with its provenance."""
+    """One extracted instance with its provenance; its phrase is its key."""
 
-    phrase: str
     frequency: int
     best_r: float
     matched_marked_phrase: str
@@ -191,7 +190,6 @@ def extract_corpus(
                 index.append(phrase, vec)
             update_marking(marking, phrase, frequency)
             result.instances[phrase] = InstanceRecord(
-                phrase=phrase,
                 frequency=frequency,
                 best_r=best_r,
                 matched_marked_phrase=matched,

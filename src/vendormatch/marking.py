@@ -23,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 _FREQ_RE = re.compile(r"[0-9]+\Z")
+_SEPARATOR_RE = re.compile("[\t\n\r]")
 
 
 class MarkingFormatError(ValueError):
@@ -91,13 +92,17 @@ def update_marking(
     """Record an extracted instance: append if new, otherwise accumulate.
 
     Frequencies sum across documents and runs, so updates never shrink the
-    marking and never decrease a count.
+    marking and never decrease a count. Raises ValueError, changing nothing,
+    for a frequency below 1 or a phrase a saved file cannot hold: an empty
+    one or one with a tab, LF or CR.
     """
     if observed_frequency < 1:
         raise ValueError(
             f"observed_frequency must be >= 1, got {observed_frequency}"
         )
     phrase = instance_phrase.lower()
+    if not phrase or _SEPARATOR_RE.search(phrase):
+        raise ValueError(f"phrase is empty or has a tab, LF or CR: {phrase!r}")
     marking[phrase] = marking.get(phrase, 0) + observed_frequency
 
 

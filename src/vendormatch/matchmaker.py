@@ -51,18 +51,16 @@ def semantic_match(
     vendor: InstanceSet,
     t: Taxonomy,
     cfg: Thresholds,
-    *,
-    _scores: dict[str, dict[str, float]] | None = None,
+    scores: dict[str, dict[str, float]],
 ) -> list[MatchPair]:
     """Best vendor match per query instance, kept if it clears the threshold.
 
     At most one pair per query instance, so a vendor phrase never gets
     double-counted into the percentage; score ties break to the
-    lexicographically smallest vendor phrase. ``_scores`` is the
-    query phrase -> vendor phrase -> score table that :func:`rank_vendors`
-    shares across vendors, so each distinct pair is scored once per run.
+    lexicographically smallest vendor phrase. ``scores`` is a query phrase
+    -> vendor phrase -> score table, filled in place; :func:`rank_vendors`
+    shares one across vendors, so each distinct pair is scored once per run.
     """
-    scores = {} if _scores is None else _scores
     pairs: list[MatchPair] = []
     vendor_phrases = sorted(vendor.instances)
     for query_phrase in sorted(query.instances):
@@ -144,7 +142,7 @@ def rank_vendors(
     results = []
     for vendor_id in sorted(vendors):
         vendor = vendors[vendor_id]
-        pairs = semantic_match(pooled, vendor, t, cfg, _scores=scores)
+        pairs = semantic_match(pooled, vendor, t, cfg, scores)
         best = {p.query_phrase: p for p in pairs}
         per_query = {
             query_id: match_percentage(

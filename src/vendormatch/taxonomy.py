@@ -5,8 +5,8 @@ per line); every id an edge names is a concept, and the unique parentless
 concept is the root. Depth counts from 1 at the root along the longest path
 down to a concept, so every ancestor is strictly shallower than its
 descendants and every similarity score lies in (0, 1]. Scores are plain
-floats; :func:`lcs` names the subsumer on demand. Immutable after
-construction.
+floats; :func:`lcs` names the subsumer on demand. Graph and depths are
+fixed at construction; each ancestor set is walked on first use and kept.
 """
 
 from __future__ import annotations
@@ -34,21 +34,19 @@ class TaxonomyError(ValueError):
 
 
 class Taxonomy:
-    """Validated concept graph; use :meth:`from_edges` or :func:`load_taxonomy`."""
+    """Depths and parent lists of a validated DAG; see :meth:`from_edges`."""
 
     def __init__(
-        self,
-        depths: dict[str, int],
-        root: str,
-        ancestors: dict[str, frozenset[str]],
+        self, depths: dict[str, int], root: str, parents: dict[str, list[str]]
     ) -> None:
         self._depths = depths
         self.root = root
-        self._ancestors = ancestors
+        self._parents = parents
+        self._ancestors: dict[str, frozenset[str]] = {}
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "Taxonomy":
-        """Validate ``(child, parent)`` edges and compute depths and ancestors.
+        """Validate ``(child, parent)`` edges and compute depths.
 
         Ids are lowercased. Every id named by an edge, child or parent, is a
         concept, so no parent reference can dangle. Raises TaxonomyError for
@@ -90,19 +88,9 @@ class Taxonomy:
         root = roots[0]
 
         depth: dict[str, int] = {}
-        ancestors: dict[str, frozenset[str]] = {}
-        for concept in order:  # parents always precede children
-            ps = parents[concept]
-            if not ps:
-                depth[concept] = 1
-                ancestors[concept] = frozenset({concept})
-            else:
-                depth[concept] = 1 + max(depth[p] for p in ps)
-                merged: set[str] = {concept}
-                for p in ps:
-                    merged |= ancestors[p]
-                ancestors[concept] = frozenset(merged)
-        return cls(depths=depth, root=root, ancestors=ancestors)
+        for c in order:  # parents always precede children
+            depth[c] = 1 + max((depth[p] for p in graph[c]), default=0)
+        return cls(depths=depth, root=root, parents=graph)
 
     def depth(self, concept_id: str) -> int:
         if concept_id not in self._depths:
@@ -110,9 +98,19 @@ class Taxonomy:
         return self._depths[concept_id]
 
     def ancestors(self, concept_id: str) -> frozenset[str]:
-        """All concepts subsuming this one, itself included."""
+        """All concepts subsuming this one, itself included.
+
+        Walked on the first call and kept for this concept alone: keeping
+        the sets of those on the way rebuilds the quadratic closure.
+        """
         if concept_id not in self._ancestors:
-            raise KeyError(f"unknown concept: {concept_id!r}")
+            self.depth(concept_id)  # KeyError for an unknown concept
+            seen, stack = {concept_id}, [concept_id]
+            while stack:  # no recursion: a chain can outrun the recursion limit
+                fresh = set(self._parents[stack.pop()]) - seen
+                seen |= fresh
+                stack += fresh
+            self._ancestors[concept_id] = frozenset(seen)
         return self._ancestors[concept_id]
 
     def __contains__(self, concept_id: str) -> bool:

@@ -51,7 +51,7 @@ def as_instance_sets(extracted):
     return {
         doc_id: InstanceSet(
             instances={
-                phrase: InstanceRecord(phrase, frequency, best_r, matched, via_fallback)
+                phrase: InstanceRecord(frequency, best_r, matched, via_fallback)
                 for phrase, (frequency, best_r, matched, via_fallback) in found.items()
             },
         )

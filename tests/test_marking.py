@@ -100,6 +100,15 @@ def test_update_rejects_zero_frequency():
     assert marking == {}
 
 
+@pytest.mark.parametrize("phrase", ["", "solar\tpanel", "wind\nturbine", "hydro\r"])
+def test_update_rejects_phrase_the_file_cannot_hold(phrase):
+    # Saved, each would make a line that load_marking rejects.
+    marking = {"sun": 37}
+    with pytest.raises(ValueError, match="phrase is empty or has a tab"):
+        update_marking(marking, phrase, 2)
+    assert list(marking.items()) == [("sun", 37)]
+
+
 @given(
     st.lists(
         st.tuples(

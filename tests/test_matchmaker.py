@@ -29,7 +29,6 @@ def instance_set(**freqs):
     return InstanceSet(
         instances={
             phrase: InstanceRecord(
-                phrase=phrase,
                 frequency=freq,
                 best_r=0.0,
                 matched_marked_phrase=phrase,
@@ -66,6 +65,7 @@ def test_identity_pair(little_taxonomy):
         instance_set(solar=2),
         little_taxonomy,
         DEFAULTS,
+        {},
     )
     assert len(pairs) == 1
     assert pairs[0].score == 1.0
@@ -74,7 +74,7 @@ def test_identity_pair(little_taxonomy):
 
 def test_empty_query_set(little_taxonomy):
     assert semantic_match(
-        instance_set(), instance_set(solar=1), little_taxonomy, DEFAULTS
+        instance_set(), instance_set(solar=1), little_taxonomy, DEFAULTS, {}
     ) == []
 
 
@@ -84,6 +84,7 @@ def test_permuted_phrase_matches(little_taxonomy):
         instance_set(**{"speed of wind": 1}),
         little_taxonomy,
         DEFAULTS,
+        {},
     )
     assert len(pairs) == 1
     assert pairs[0].score == 1.0
@@ -95,6 +96,7 @@ def test_one_pair_per_query_instance(little_taxonomy):
         instance_set(solar=1, sun=1),
         little_taxonomy,
         DEFAULTS,
+        {},
     )
     assert len(pairs) == 1
     assert pairs[0].vendor_phrase == "solar"  # exact beats the 10/11 sibling
@@ -107,6 +109,7 @@ def test_score_tie_breaks_to_smallest_vendor_phrase(little_taxonomy):
         instance_set(**{"speed of wind": 1, "speed wind": 1}),
         little_taxonomy,
         DEFAULTS,
+        {},
     )
     assert pairs[0].vendor_phrase == "speed of wind"
 
@@ -117,6 +120,7 @@ def test_below_threshold_pairs_dropped(little_taxonomy):
         instance_set(wind=1),
         little_taxonomy,
         DEFAULTS,
+        {},
     )
     assert pairs == []
 
@@ -131,7 +135,7 @@ def test_percentage_no_pairs():
 def test_percentage_full_coverage(little_taxonomy):
     query = instance_set(solar=3, wind=2)
     pairs = semantic_match(
-        query, instance_set(solar=1, wind=1), little_taxonomy, DEFAULTS
+        query, instance_set(solar=1, wind=1), little_taxonomy, DEFAULTS, {}
     )
     assert match_percentage(query, pairs) == 100.0
 
@@ -311,10 +315,11 @@ def reference_rank_vendors(queries, vendors, t, cfg):
     results = []
     for vendor_id in sorted(vendors):
         vendor = vendors[vendor_id]
-        pairs = semantic_match(pooled, vendor, t, cfg)
+        pairs = semantic_match(pooled, vendor, t, cfg, {})
         per_query = {
             query_id: match_percentage(
-                queries[query_id], semantic_match(queries[query_id], vendor, t, cfg)
+                queries[query_id],
+                semantic_match(queries[query_id], vendor, t, cfg, {}),
             )
             for query_id in sorted(queries)
         }

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -272,15 +273,35 @@ def test_lcs_unknown_concept():
         lcs(t, "a", "ghost")
 
 
-def test_lcs_agrees_with_oracle_on_random_dags():
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lcs_agrees_with_oracle_on_random_dags(reverse):
+    # Ancestor sets are kept once walked, so no answer may depend on which
+    # pairs a fresh taxonomy was asked first.
     rng = random.Random(1105)
     for _ in range(10):
         edges, ids = random_rooted_dag(rng, max_nodes=25)
         t = Taxonomy.from_edges(edges)
-        for i, a in enumerate(ids):
-            for b in ids[i:]:
-                expected, *_ = oracle_lcs_and_depth(edges, a, b)
-                assert lcs(t, a, b) == expected
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i:]]
+        if reverse:
+            pairs = [(b, a) for a, b in reversed(pairs)]
+        for a, b in pairs:
+            expected, *_ = oracle_lcs_and_depth(edges, a, b)
+            assert lcs(t, a, b) == expected
+
+
+def test_deep_chain_builds_in_linear_memory():
+    # c0 <- c1 <- ... <- c2999. A full ancestor closure would hold ~4.5M
+    # entries (over 200 MiB); graph, depths and the two asked sets hold ~10k.
+    edges = [(f"c{i}", f"c{i - 1}") for i in range(1, 3000)]
+    tracemalloc.start()
+    try:
+        t = Taxonomy.from_edges(edges)
+        assert lcs(t, "c2999", "c1500") == "c1500"
+        assert wup_score(t, "c2999", "c1500") == 2 * 1501 / (3000 + 1501)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ------------------------------------------------------------------- wup
