@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import RunConfig, Thresholds
+from .config import OUTPUT_FORMATS, RunConfig, Thresholds
 from .extraction import extract_corpus
 from .marking import MarkingFormatError, load_marking, save_marking
 from .matchmaker import MatchReport, rank_vendors
@@ -83,6 +83,8 @@ def run(cfg: RunConfig) -> MatchReport:
 
 def emit_report(report: MatchReport, output_format: str = "text") -> str:
     """Serialize a report; json is key-sorted and byte-stable."""
+    if output_format not in OUTPUT_FORMATS:
+        raise ValueError(f"unknown output format: {output_format!r}")
     if output_format == "json":
         doc = {
             "winner": report.winner,
@@ -146,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--wup-threshold", type=float, default=Thresholds.wup_threshold
     )
-    parser.add_argument("--output", choices=("text", "json"), default="text")
+    parser.add_argument("--output", choices=OUTPUT_FORMATS, default="text")
     parser.add_argument(
         "--no-update-marking",
         action="store_true",

@@ -10,6 +10,7 @@ from pathlib import Path
 DEFAULT_R_THRESHOLD = 0.01
 DEFAULT_FALLBACK_THRESHOLD = 0.009
 DEFAULT_WUP_THRESHOLD = 0.9
+OUTPUT_FORMATS = ("text", "json")
 
 
 @dataclass(frozen=True)
@@ -57,5 +58,5 @@ class RunConfig:
         self.queries_dir = Path(self.queries_dir)
         self.marking_path = Path(self.marking_path)
         self.taxonomy_path = Path(self.taxonomy_path)
-        if self.output_format not in ("text", "json"):
+        if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format: {self.output_format!r}")

@@ -109,18 +109,20 @@ def update_marking(
 def save_marking(marking: dict[str, int], path: Path | str) -> Path:
     """Persist the marking atomically (write and fsync temp, then rename).
 
-    On failure the original file is left intact. Returns the target path.
+    Writes through a symlink and keeps an existing file's permission bits.
+    On failure the original file is left intact. Returns the path written.
     """
-    target = Path(path)
-    payload = "".join(f"{p}\t{f}\n" for p, f in marking.items())
+    target = Path(path).resolve()
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=target.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            fh.write("".join(f"{p}\t{f}\n" for p, f in marking.items()))
             fh.flush()
             os.fsync(fh.fileno())
+        if target.exists():
+            os.chmod(tmp_name, target.stat().st_mode & 0o7777)
         os.replace(tmp_name, target)
     except BaseException:
         try:

@@ -2,14 +2,15 @@
 
 Each query instance is matched to its best-scoring vendor instance; pairs
 at or above the similarity threshold count toward a frequency- and
-score-weighted match percentage. Queries are pooled (frequencies summed
-per phrase) for the ranking, with a per-query breakdown kept for the
-report. All tie-breaks are lexicographic so reports are reproducible.
+score-weighted match percentage. Ranking reads ``{phrase: frequency}``
+maps; the queries are pooled into one, with a per-query breakdown kept for
+the report. All tie-breaks are lexicographic so reports are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping
 
 from .config import Thresholds
@@ -47,23 +48,23 @@ class MatchReport:
 
 
 def semantic_match(
-    query: InstanceSet,
-    vendor: InstanceSet,
+    query: Mapping[str, int],
+    vendor: Mapping[str, int],
     t: Taxonomy,
     cfg: Thresholds,
     scores: dict[str, dict[str, float]],
 ) -> list[MatchPair]:
-    """Best vendor match per query instance, kept if it clears the threshold.
+    """Best vendor match per query phrase, kept if it clears the threshold.
 
-    At most one pair per query instance, so a vendor phrase never gets
-    double-counted into the percentage; score ties break to the
-    lexicographically smallest vendor phrase. ``scores`` is a query phrase
-    -> vendor phrase -> score table, filled in place; :func:`rank_vendors`
-    shares one across vendors, so each distinct pair is scored once per run.
+    ``query`` and ``vendor`` map phrase -> frequency. At most one pair per
+    query phrase, so a vendor phrase is never double-counted into the
+    percentage; ties break to the lexicographically smallest vendor phrase.
+    The ``scores`` table (query phrase -> vendor phrase -> score) is filled
+    in place and shared across vendors, so each pair is scored once per run.
     """
     pairs: list[MatchPair] = []
-    vendor_phrases = sorted(vendor.instances)
-    for query_phrase in sorted(query.instances):
+    vendor_phrases = sorted(vendor)
+    for query_phrase in sorted(query):
         row = scores.setdefault(query_phrase, {})
         best_score = -1.0
         best_vendor_phrase = None
@@ -83,45 +84,38 @@ def semantic_match(
                 query_phrase=query_phrase,
                 vendor_phrase=best_vendor_phrase,
                 score=best_score,
-                query_freq=query.instances[query_phrase].frequency,
-                vendor_freq=vendor.instances[best_vendor_phrase].frequency,
+                query_freq=query[query_phrase],
+                vendor_freq=vendor[best_vendor_phrase],
             )
         )
     return pairs
 
 
-def match_percentage(query: InstanceSet, pairs: list[MatchPair]) -> float:
-    """Frequency-weighted, score-weighted coverage of the query set, 0-100.
+def match_percentage(query: Mapping[str, int], pairs: list[MatchPair]) -> float:
+    """Frequency-weighted, score-weighted coverage of the query map, 0-100.
 
-    100 * sum(frequency * score over matched instances) divided by the
-    total query frequency mass; 100 exactly only when every query instance
-    matched at score 1.0, and 0 for an empty query set. Frequencies are
-    read from ``query``, so pairs matched for a pool that contains it can
-    be passed, restricted to its phrases. Scores add left to right, since
+    100 * sum(frequency * score over matched phrases) divided by the total
+    query frequency mass; 100 exactly only when every query phrase matched
+    at score 1.0, and 0 for an empty query. Frequencies are read from the
+    ``query`` map, so pairs matched for a pool that contains it can be
+    passed, restricted to its phrases. Scores add left to right, since
     builtin ``sum()`` of floats rounds differently from Python 3.12 on.
     """
-    total = sum(rec.frequency for rec in query.instances.values())
+    total = sum(query.values())
     if total == 0:
         return 0.0
     matched = 0.0
     for p in pairs:
-        matched += query.instances[p.query_phrase].frequency * p.score
+        matched += query[p.query_phrase] * p.score
     return 100.0 * matched / total
 
 
-def pool_queries(queries: Mapping[str, InstanceSet]) -> InstanceSet:
-    """Union of all query instance sets with per-phrase frequencies summed."""
-    pooled = InstanceSet()
-    for query_id in sorted(queries):
-        for phrase, record in queries[query_id].instances.items():
-            existing = pooled.instances.get(phrase)
-            if existing is None:
-                pooled.instances[phrase] = record
-            else:
-                pooled.instances[phrase] = replace(
-                    existing, frequency=existing.frequency + record.frequency
-                )
-    return pooled
+def pool_queries(queries: Mapping[str, Mapping[str, int]]) -> dict[str, int]:
+    """One ``{phrase: frequency}`` map, frequencies summed over the queries."""
+    pooled: Counter[str] = Counter()
+    for query in queries.values():
+        pooled.update(query)
+    return dict(pooled)
 
 
 def rank_vendors(
@@ -132,23 +126,23 @@ def rank_vendors(
 ) -> MatchReport:
     """Score every vendor against the pooled queries and rank them.
 
-    A query phrase's best vendor phrase does not depend on which query it
-    came from, so each per-query percentage reuses the pooled pairs,
-    restricted to that query's phrases (in sorted order).
+    Each set is read once, into a phrase-sorted frequency map. A query
+    phrase's best vendor phrase does not depend on its query, so each
+    per-query percentage reuses the pooled pairs, restricted to its phrases.
     """
-    pooled = pool_queries(queries)
-    query_phrases = {qid: sorted(queries[qid].instances) for qid in sorted(queries)}
+    def frequencies(s: InstanceSet) -> dict[str, int]:
+        return {p: rec.frequency for p, rec in sorted(s.instances.items())}
+
+    query_freqs = {qid: frequencies(queries[qid]) for qid in sorted(queries)}
+    pooled = pool_queries(query_freqs)
     scores: dict[str, dict[str, float]] = {}
     results = []
     for vendor_id in sorted(vendors):
-        vendor = vendors[vendor_id]
-        pairs = semantic_match(pooled, vendor, t, cfg, scores)
+        pairs = semantic_match(pooled, frequencies(vendors[vendor_id]), t, cfg, scores)
         best = {p.query_phrase: p for p in pairs}
         per_query = {
-            query_id: match_percentage(
-                queries[query_id], [best[p] for p in phrases if p in best]
-            )
-            for query_id, phrases in query_phrases.items()
+            query_id: match_percentage(freqs, [best[p] for p in freqs if p in best])
+            for query_id, freqs in query_freqs.items()
         }
         results.append(
             VendorResult(

@@ -123,6 +123,8 @@ def test_second_run_admits_superset_of_instances(tmp_marking):
 def test_emit_empty_report_json():
     doc = json.loads(emit_report(MatchReport(results=(), winner=None), "json"))
     assert doc == {"results": [], "winner": None}
+    with pytest.raises(ValueError, match="unknown output format: 'JSON'"):
+        emit_report(MatchReport(results=(), winner=None), "JSON")
 
 
 def test_emit_single_vendor_report():

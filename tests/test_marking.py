@@ -1,6 +1,7 @@
 """Marking file load/update/save contracts."""
 
 import os
+import stat
 from collections import Counter
 
 import pytest
@@ -163,6 +164,26 @@ def test_save_after_update_reloads_with_update(tmp_path):
     update_marking(marking, "sun", 5)
     save_marking(marking, path)
     assert list(load_marking(path).items()) == [("sun", 42), ("turbine", 3)]
+
+
+def test_save_keeps_the_file_mode(tmp_path):
+    path = write_marking(tmp_path, "sun\t37\n")
+    path.chmod(0o640)
+    marking = load_marking(path)
+    update_marking(marking, "turbine", 3)
+    save_marking(marking, path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_save_through_symlink_writes_the_file_it_names(tmp_path):
+    target = write_marking(tmp_path, "sun\t37\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    marking = load_marking(link)
+    update_marking(marking, "turbine", 3)
+    save_marking(marking, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == b"sun\t37\nturbine\t3\n"
 
 
 def test_save_to_unwritable_location_leaves_source_intact(tmp_path):

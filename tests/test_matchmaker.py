@@ -61,8 +61,8 @@ def little_taxonomy():
 
 def test_identity_pair(little_taxonomy):
     pairs = semantic_match(
-        instance_set(solar=1),
-        instance_set(solar=2),
+        {"solar": 1},
+        {"solar": 2},
         little_taxonomy,
         DEFAULTS,
         {},
@@ -73,15 +73,13 @@ def test_identity_pair(little_taxonomy):
 
 
 def test_empty_query_set(little_taxonomy):
-    assert semantic_match(
-        instance_set(), instance_set(solar=1), little_taxonomy, DEFAULTS, {}
-    ) == []
+    assert semantic_match({}, {"solar": 1}, little_taxonomy, DEFAULTS, {}) == []
 
 
 def test_permuted_phrase_matches(little_taxonomy):
     pairs = semantic_match(
-        instance_set(**{"wind speed": 1}),
-        instance_set(**{"speed of wind": 1}),
+        {"wind speed": 1},
+        {"speed of wind": 1},
         little_taxonomy,
         DEFAULTS,
         {},
@@ -92,8 +90,8 @@ def test_permuted_phrase_matches(little_taxonomy):
 
 def test_one_pair_per_query_instance(little_taxonomy):
     pairs = semantic_match(
-        instance_set(solar=3),
-        instance_set(solar=1, sun=1),
+        {"solar": 3},
+        {"solar": 1, "sun": 1},
         little_taxonomy,
         DEFAULTS,
         {},
@@ -105,8 +103,8 @@ def test_one_pair_per_query_instance(little_taxonomy):
 def test_score_tie_breaks_to_smallest_vendor_phrase(little_taxonomy):
     # two vendor phrases that both score 1.0 against the query instance
     pairs = semantic_match(
-        instance_set(**{"wind speed": 1}),
-        instance_set(**{"speed of wind": 1, "speed wind": 1}),
+        {"wind speed": 1},
+        {"speed of wind": 1, "speed wind": 1},
         little_taxonomy,
         DEFAULTS,
         {},
@@ -116,8 +114,8 @@ def test_score_tie_breaks_to_smallest_vendor_phrase(little_taxonomy):
 
 def test_below_threshold_pairs_dropped(little_taxonomy):
     pairs = semantic_match(
-        instance_set(sun=1),
-        instance_set(wind=1),
+        {"sun": 1},
+        {"wind": 1},
         little_taxonomy,
         DEFAULTS,
         {},
@@ -129,20 +127,20 @@ def test_below_threshold_pairs_dropped(little_taxonomy):
 
 
 def test_percentage_no_pairs():
-    assert match_percentage(instance_set(solar=3), []) == 0.0
+    assert match_percentage({"solar": 3}, []) == 0.0
 
 
 def test_percentage_full_coverage(little_taxonomy):
-    query = instance_set(solar=3, wind=2)
+    query = {"solar": 3, "wind": 2}
     pairs = semantic_match(
-        query, instance_set(solar=1, wind=1), little_taxonomy, DEFAULTS, {}
+        query, {"solar": 1, "wind": 1}, little_taxonomy, DEFAULTS, {}
     )
     assert match_percentage(query, pairs) == 100.0
 
 
 def test_percentage_weighted_partial_coverage():
     # a: freq 3 matched at score 0.9; b: freq 1 unmatched -> 100*2.7/4
-    query = instance_set(a=3, b=1)
+    query = {"a": 3, "b": 1}
     pairs = [
         MatchPair(
             query_phrase="a",
@@ -159,7 +157,7 @@ def test_percentage_adds_left_to_right_on_every_interpreter():
     # ten 0.1 scores added in order give 0.9999999999999999; builtin sum()
     # on Python 3.12+ compensates and would give exactly 1.0
     phrases = [f"p{i}" for i in range(10)]
-    query = instance_set(**dict.fromkeys(phrases, 1))
+    query = dict.fromkeys(phrases, 1)
     pairs = [
         MatchPair(
             query_phrase=p, vendor_phrase=p, score=0.1, query_freq=1, vendor_freq=1
@@ -170,22 +168,16 @@ def test_percentage_adds_left_to_right_on_every_interpreter():
 
 
 def test_percentage_empty_query_set():
-    assert match_percentage(instance_set(), []) == 0.0
+    assert match_percentage({}, []) == 0.0
 
 
 # ----------------------------------------------------------- pool_queries
 
 
 def test_pool_sums_frequencies_across_queries():
-    pooled = pool_queries(
-        {
-            "q2": instance_set(solar=2, wind=1),
-            "q1": instance_set(solar=3),
-        }
-    )
-    assert pooled.instances["solar"].frequency == 5
-    assert pooled.instances["wind"].frequency == 1
-    assert list(pooled.instances) == ["solar", "wind"]  # ascending query id
+    pooled = pool_queries({"q2": {"solar": 2, "wind": 1}, "q1": {"solar": 3}})
+    assert pooled == {"solar": 5, "wind": 1}
+    assert list(pooled) == ["solar", "wind"]  # first-seen order
 
 
 # ----------------------------------------------------------- rank_vendors
@@ -311,10 +303,15 @@ def reference_rank_vendors(queries, vendors, t, cfg):
     Every vendor is matched against the pooled queries and then again
     against each query on its own, with no score shared between calls.
     """
+
+    def as_map(found):
+        return {p: rec.frequency for p, rec in found.instances.items()}
+
+    queries = {query_id: as_map(s) for query_id, s in queries.items()}
     pooled = pool_queries(queries)
     results = []
     for vendor_id in sorted(vendors):
-        vendor = vendors[vendor_id]
+        vendor = as_map(vendors[vendor_id])
         pairs = semantic_match(pooled, vendor, t, cfg, {})
         per_query = {
             query_id: match_percentage(
