@@ -8,14 +8,21 @@ falls under ``bound = max(r_threshold, fallback_threshold)``, and flagged
 ``via_fallback`` when that value is not under ``r_threshold``; a fallback
 at or below the primary threshold therefore admits nothing extra.
 
-A candidate is scored only against the marked objects that two cheap lower
-bounds on relatedness leave in play: the stddev gap, and the distance the
-longer side's unmatched tail alone contributes (see :class:`_MarkedIndex`).
-A marked object skipped this way relates at ``bound`` or above, so it could
-neither admit the candidate nor be the best match of one that is admitted:
-pruning changes no output. Each admitted instance immediately updates the
-marking, so vocabulary discovered early in a corpus pass is available
-to later documents.
+A candidate is scored only against the marked objects that three cheap
+lower bounds on relatedness leave in play: the stddev gap, the distance the
+longer side's unmatched tail alone contributes, and the gap between the two
+sides' code sums plus the stddev gap, checked against the best score found
+so far (see :class:`_MarkedIndex`). A marked object skipped this way relates
+above the best score so far or at ``bound`` or above, so it could neither
+admit the candidate nor be its best match: pruning changes no output.
+
+A candidate that is already a marked object is answered without a lookup:
+its own row relates at exactly 0.0, and every other row relates above 0.0
+unless it is the candidate followed by NUL characters only, which zero
+padding can tie; a candidate with such a row is looked up as usual.
+
+Each admitted instance immediately updates the marking, so vocabulary
+discovered early in a corpus pass is available to later documents.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class InstanceSet:
         return len(self.instances)
 
 
-#: Relative slack on the length bound, which sums squared codes in another
+#: Relative slack on the length and mean bounds, which sum codes in another
 #: order than the kernel does; the rounding error there is ~1e-15.
 _LENGTH_SLACK = 1.0 - 1e-9
 #: Widening of each bucket's stddev window, far above the rounding of the gap.
@@ -66,10 +73,11 @@ def _length_bound(tail: float, pair_length: int) -> float:
 class _Bucket:
     """The marked rows of one length, sorted by stddev."""
 
-    __slots__ = ("sigmas", "rows", "min_tail")
+    __slots__ = ("sigmas", "sums", "rows", "min_tail")
 
     def __init__(self, length: int) -> None:
         self.sigmas: list[float] = []
+        self.sums: list[float] = []  # each row's ``math.fsum`` of codes
         self.rows: list[int] = []  # row ids, in the order of ``sigmas``
         # min_tail[n]: the smallest sum of squared codes at positions n and
         # beyond over these rows, which a candidate of length n pads with zeros
@@ -91,14 +99,25 @@ class _MarkedIndex:
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
       with zeros. A whole bucket is skipped when this bound, less a 1e-9
-      relative slack for summation order, reaches ``bound``.
+      relative slack for summation order, reaches ``bound``;
+    - the mean bound: by Cauchy-Schwarz the distance term is at least
+      ``|s1| / L``, and with zero padding ``s1`` is the gap between the two
+      sides' code sums, so relatedness is at least ``|S_row - S_cand| / L``
+      plus the stddev gap. A row within the stddev window is skipped when
+      this bound, less the same 1e-9 slack, exceeds the best score so far,
+      which starts at ``bound``.
 
     :meth:`best` scores each remaining row with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
-    every row would give, and keeps the smallest ``(relatedness, row)``, so
-    ties still go to the earliest row. A skipped row scores at least
-    ``bound``: it can neither admit a candidate nor be the best match of one
-    that is admitted, so pruning changes no output.
+    every row would give, and keeps the smallest ``(relatedness, row)``.
+    A skipped row scores at least ``bound`` or more than a row already
+    scored, so pruning changes no output. A row tied with the best score
+    has a bound below its score, or of exactly 0.0 at a score of 0.0, so it
+    is still scored and ties still go to the earliest row.
+
+    ``padded`` holds each phrase some row extends with NUL characters only:
+    zero padding gives such a pair a distance of 0, so the two rows can tie
+    at exactly 0.0 and a candidate's own row is not always its answer.
     """
 
     def __init__(self, marking: dict[str, int]) -> None:
@@ -106,6 +125,7 @@ class _MarkedIndex:
         self._rows: list[ObjectVector] = []
         self._buckets: dict[int, _Bucket] = {}
         self._by_length: list[int] = []  # bucket lengths, ascending
+        self.padded: set[str] = set()
         for phrase in marking:
             self.append(phrase, encode(phrase))
 
@@ -113,6 +133,8 @@ class _MarkedIndex:
         row, length = len(self._rows), len(vec)
         self._rows.append(vec)
         self._phrases.append(phrase)
+        if phrase.endswith("\x00"):
+            self.padded.add(phrase.rstrip("\x00"))
 
         bucket = self._buckets.get(length)
         if bucket is None:
@@ -120,6 +142,7 @@ class _MarkedIndex:
             insort(self._by_length, length)
         at = bisect_right(bucket.sigmas, vec.stddev)
         bucket.sigmas.insert(at, vec.stddev)
+        bucket.sums.insert(at, math.fsum(vec.codes))
         bucket.rows.insert(at, row)
         tail = 0.0
         for n in range(length - 1, 0, -1):
@@ -144,17 +167,22 @@ class _MarkedIndex:
             if _length_bound(self._buckets[length].min_tail[n], length) < bound:
                 kept.append(length)
 
-        lo = vec.stddev - bound - _SIGMA_SLACK
-        hi = vec.stddev + bound + _SIGMA_SLACK
+        sigma, total = vec.stddev, math.fsum(vec.codes)
+        lo = sigma - bound - _SIGMA_SLACK
+        hi = sigma + bound + _SIGMA_SLACK
         best = (bound, -1)  # beaten only by a row scoring under ``bound``
         for length in kept:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
-            sigmas = bucket.sigmas
-            for row in bucket.rows[bisect_left(sigmas, lo) : bisect_right(sigmas, hi)]:
-                dist, gap, variance = relatedness_terms(self._rows[row], vec)
-                scored = (dist + gap + variance, row)
+            sigmas, sums, rows = bucket.sigmas, bucket.sums, bucket.rows
+            pair_length = max(n, length)
+            for i in range(bisect_left(sigmas, lo), bisect_right(sigmas, hi)):
+                floor = abs(sums[i] - total) / pair_length + abs(sigmas[i] - sigma)
+                if floor * _LENGTH_SLACK > best[0]:
+                    continue
+                dist, gap, variance = relatedness_terms(self._rows[rows[i]], vec)
+                scored = (dist + gap + variance, rows[i])
                 if scored < best:
                     best = scored
         r, row = best
@@ -182,7 +210,10 @@ def extract_corpus(
         result = results[doc_id] = InstanceSet()
         for phrase, frequency in candidates(tokenize(documents[doc_id])).items():
             vec = encode(phrase)
-            hit = index.best(vec, bound)
+            if phrase in marking and phrase not in index.padded:
+                hit = (0.0, phrase)
+            else:
+                hit = index.best(vec, bound)
             if hit is None:
                 continue
             best_r, matched = hit

@@ -109,8 +109,9 @@ def update_marking(
 def save_marking(marking: dict[str, int], path: Path | str) -> Path:
     """Persist the marking atomically (write and fsync temp, then rename).
 
-    Writes through a symlink and keeps an existing file's permission bits.
-    On failure the original file is left intact. Returns the path written.
+    Writes through a symlink and keeps an existing file's permission bits;
+    a new file gets ``0o666`` less the umask, as ``open`` would give it. On
+    failure the original file is left intact. Returns the path written.
     """
     target = Path(path).resolve()
     fd, tmp_name = tempfile.mkstemp(
@@ -122,7 +123,12 @@ def save_marking(marking: dict[str, int], path: Path | str) -> Path:
             fh.flush()
             os.fsync(fh.fileno())
         if target.exists():
-            os.chmod(tmp_name, target.stat().st_mode & 0o7777)
+            mode = target.stat().st_mode & 0o7777
+        else:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp_name, mode)
         os.replace(tmp_name, target)
     except BaseException:
         try:

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repo_paths import DATA_DIR
 from synth_corpus import POOL, SEED_TERMS, fresh_marking, make_corpus
+from vendormatch import extraction
 from vendormatch.config import Thresholds
 from vendormatch.extraction import _MarkedIndex, extract_corpus
+from vendormatch.marking import load_marking
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.textstats import candidates, encode, relatedness_terms, tokenize
 
@@ -299,6 +302,83 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
             if rng.random() < 0.5:
                 rows.append(phrase())
                 index.append(rows[-1], encode(rows[-1]))
+
+
+def test_mean_bound_at_the_edges_of_bound():
+    # one code shift keeps the stddev: 'de' and 'bc' share a bucket and a
+    # stddev, tie exactly against 'cd' and differ only in their code sums
+    vec = encode("cd")
+    rows = ["de", "bc"]
+    assert encode("de").stddev == encode("bc").stddev
+    r = scan(rows, vec)[0]
+    assert scan(rows, vec) == [r, r]
+    # summed in another order than the kernel's, the mean bound of 'de'
+    # lands 33 ulps above its score: only the slack keeps it in play
+    row = encode("de")
+    mean = abs(math.fsum(row.codes) - math.fsum(vec.codes)) / 2
+    assert mean + abs(row.stddev - vec.stddev) > math.nextafter(r, math.inf)
+    just_in = (math.nextafter(r, math.inf), r * (1 + 1e-9), math.inf)
+    just_out = (r * (1 - 1e-6), math.nextafter(r, 0.0), r)
+    for bound in just_in + just_out:
+        for order in (rows, rows[::-1]):
+            index = _MarkedIndex(dict.fromkeys(order, 1))
+            assert index.best(vec, bound) == scan_best(order, vec, bound)
+            assert (index.best(vec, bound) is None) == (bound in just_out)
+
+
+def test_marked_candidate_after_rows_of_its_length_matches_itself():
+    marking = {"sum": 1, "run": 1, "sup": 1, "sun": 1, "tun": 1}
+    index = _MarkedIndex(marking)
+    for bound in (DEFAULTS.r_threshold, 0.05, math.inf):
+        assert index.best(encode("sun"), bound) == (0.0, "sun")
+        assert scan_best(list(marking), encode("sun"), bound) == (0.0, "sun")
+    out = extract_one("sun", dict(marking), DEFAULTS)
+    assert out.instances["sun"].best_r == 0.0
+    assert out.instances["sun"].matched_marked_phrase == "sun"
+    assert_equals_reference({"d": "sun sums run sun"}, dict(marking), DEFAULTS)
+
+
+def test_nul_padded_row_before_the_candidate_row():
+    # zero padding gives 'sun\x00' the codes of 'sun': the distance is 0
+    # and only the stddev gap keeps it from tying the candidate's own row
+    marking = {"sun\x00": 1, "sun": 1}
+    assert scan(list(marking), encode("sun"))[0] > 0.0
+    assert _MarkedIndex(marking).best(encode("sun"), 1.0) == (0.0, "sun")
+    assert_equals_reference({"d": "sun"}, dict(marking), DEFAULTS)
+    # 'b1' and 'b1' with 16 NULs have the same stddev to the last bit, so
+    # the rows tie at exactly 0.0 and the earlier one is the answer
+    padded = "b1" + "\x00" * 16
+    assert scan([padded], encode("b1")) == [0.0]
+    for order in ([padded, "b1"], ["b1", padded]):
+        marking = dict.fromkeys(order, 1)
+        for bound in (DEFAULTS.r_threshold, math.inf):
+            assert _MarkedIndex(marking).best(encode("b1"), bound) == (0.0, order[0])
+        out = extract_one("b1", marking, DEFAULTS)
+        assert out.instances["b1"].best_r == 0.0
+        assert out.instances["b1"].matched_marked_phrase == order[0]
+
+
+@pytest.mark.parametrize(
+    ("thresholds", "most"),
+    [(DEFAULTS, 300), (Thresholds(fallback_threshold=0.05), 3_200)],
+    ids=["defaults", "fb0.05"],
+)
+def test_bundled_extraction_scores_few_rows(monkeypatch, tmp_marking, thresholds, most):
+    # a full scan of the bundled corpus makes 1,326 kernel calls at the
+    # defaults and 6,429 at fallback 0.05; pruning keeps ~210 and ~2,983
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return relatedness_terms(a, b)
+
+    monkeypatch.setattr(extraction, "relatedness_terms", counted)
+    marking = load_marking(tmp_marking)
+    for kind in ("vendors", "queries"):
+        docs = {p.stem: p.read_text(encoding="utf-8") for p in (DATA_DIR / kind).glob("*.txt")}
+        assert extract_corpus(docs, marking, thresholds)
+    assert 0 < calls <= most
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():

@@ -175,6 +175,20 @@ def test_save_keeps_the_file_mode(tmp_path):
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
+@pytest.mark.parametrize(
+    ("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+)
+def test_save_gives_a_new_file_the_umask_mode(tmp_path, umask, mode):
+    path = tmp_path / "new.tsv"
+    old = os.umask(umask)
+    try:
+        save_marking({"sun": 1}, path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == b"sun\t1\n"
+
+
 def test_save_through_symlink_writes_the_file_it_names(tmp_path):
     target = write_marking(tmp_path, "sun\t37\n")
     link = tmp_path / "link.tsv"
