@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import OUTPUT_FORMATS, RunConfig, Thresholds
 from .extraction import extract_corpus
-from .marking import MarkingFormatError, load_marking, save_marking
+from .marking import MarkingFormatError, load_marking, read_text, save_marking
 from .matchmaker import MatchReport, rank_vendors
 from .taxonomy import TaxonomyError, load_taxonomy
 
@@ -33,14 +33,10 @@ class CorpusError(Exception):
 
 def _read_corpus(directory: Path) -> dict[str, str]:
     """Read every ``*.txt`` file; the file stem is the document id."""
-    docs = {}
-    for path in sorted(directory.glob("*.txt")):
-        try:
-            docs[path.stem] = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(
-                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
+    docs = {
+        path.stem: read_text(path, CorpusError)
+        for path in sorted(directory.glob("*.txt"))
+    }
     if not docs:
         raise CorpusError(f"no .txt documents found in {directory}")
     return docs
@@ -87,23 +83,9 @@ def emit_report(report: MatchReport, output_format: str = "text") -> str:
         raise ValueError(f"unknown output format: {output_format!r}")
     if output_format == "json":
         doc = {
-            "winner": report.winner,
+            **vars(report),
             "results": [
-                {
-                    "vendor_id": r.vendor_id,
-                    "match_percentage": r.match_percentage,
-                    "pairs": [
-                        {
-                            "query_phrase": p.query_phrase,
-                            "vendor_phrase": p.vendor_phrase,
-                            "score": p.score,
-                            "query_freq": p.query_freq,
-                            "vendor_freq": p.vendor_freq,
-                        }
-                        for p in r.pairs
-                    ],
-                    "per_query": dict(sorted(r.per_query.items())),
-                }
+                {**vars(r), "pairs": [vars(p) for p in r.pairs]}
                 for r in report.results
             ],
         }

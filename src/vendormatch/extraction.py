@@ -77,7 +77,7 @@ class _Bucket:
 
     def __init__(self, length: int) -> None:
         self.sigmas: list[float] = []
-        self.sums: list[float] = []  # each row's ``math.fsum`` of codes
+        self.sums: list[float] = []  # each row's ``ObjectVector.total``
         self.rows: list[int] = []  # row ids, in the order of ``sigmas``
         # min_tail[n]: the smallest sum of squared codes at positions n and
         # beyond over these rows, which a candidate of length n pads with zeros
@@ -142,7 +142,7 @@ class _MarkedIndex:
             insort(self._by_length, length)
         at = bisect_right(bucket.sigmas, vec.stddev)
         bucket.sigmas.insert(at, vec.stddev)
-        bucket.sums.insert(at, math.fsum(vec.codes))
+        bucket.sums.insert(at, vec.total)
         bucket.rows.insert(at, row)
         tail = 0.0
         for n in range(length - 1, 0, -1):
@@ -167,7 +167,7 @@ class _MarkedIndex:
             if _length_bound(self._buckets[length].min_tail[n], length) < bound:
                 kept.append(length)
 
-        sigma, total = vec.stddev, math.fsum(vec.codes)
+        sigma, total = vec.stddev, vec.total
         lo = sigma - bound - _SIGMA_SLACK
         hi = sigma + bound + _SIGMA_SLACK
         best = (bound, -1)  # beaten only by a row scoring under ``bound``

@@ -5,7 +5,8 @@ file grows adaptively: whenever extraction admits a new instance, it is
 appended here, so the file is the system's only mutable state. Format is
 one record per line, ``<phrase>\\t<frequency>``, UTF-8, LF line endings;
 :func:`read_records` reads that record layout for this file and for the
-taxonomy's edge list.
+taxonomy's edge list. It reads through :func:`read_text`, as the corpus
+reader does, so every input file has one UTF-8 check and one error text.
 
 In memory the marking is a plain ``{phrase: frequency}`` dict in file
 order: :func:`load_marking` builds it, :func:`update_marking` grows it in
@@ -30,22 +31,28 @@ class MarkingFormatError(ValueError):
     """A marking file line that does not parse, with its line number."""
 
 
-def read_records(path: Path, error: type[Exception]) -> list[str]:
-    """The lines of a UTF-8 record file, without their LF terminators.
+def read_text(path: Path, error: type[Exception]) -> str:
+    """A file's UTF-8 text, with CR and CRLF read as LF.
 
-    Lines end at LF only (CR and CRLF read as LF), so any other separator
-    character stays inside its line; the empty piece after a final LF is
-    dropped. Raises FileNotFoundError for a missing file and ``error`` for
-    a file that is not UTF-8.
+    Raises FileNotFoundError for a missing file and ``error``, naming the
+    path and the first bad byte, for a file that is not UTF-8.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            content = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise error(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
-    lines = content.split("\n")
+
+
+def read_records(path: Path, error: type[Exception]) -> list[str]:
+    """The lines of a file read by :func:`read_text`, without their LFs.
+
+    Lines end at LF only, so any other separator character stays inside its
+    line; the empty piece after a final LF is dropped.
+    """
+    lines = read_text(path, error).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

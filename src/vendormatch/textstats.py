@@ -32,19 +32,21 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 @dataclass(frozen=True)
 class ObjectVector:
-    """A phrase as scaled character codes with its population stddev."""
+    """A phrase's scaled character codes, their population stddev and sum."""
 
     codes: tuple[float, ...]
     stddev: float
+    total: float
 
     @classmethod
     def from_codes(cls, codes: Iterable[float]) -> "ObjectVector":
         values = tuple(map(float, codes))
         if not values:
             raise ValueError("object vector needs at least one element")
-        mu = math.fsum(values) / len(values)
+        total = math.fsum(values)
+        mu = total / len(values)
         var = math.fsum((c - mu) ** 2 for c in values) / len(values)
-        return cls(codes=values, stddev=math.sqrt(var))
+        return cls(codes=values, stddev=math.sqrt(var), total=total)
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -128,30 +128,69 @@ def test_emit_empty_report_json():
 
 
 def test_emit_single_vendor_report():
-    pair = MatchPair(
-        query_phrase="solar",
-        vendor_phrase="solar",
-        score=1.0,
-        query_freq=2,
-        vendor_freq=1,
+    pairs = (
+        MatchPair(
+            query_phrase="solar",
+            vendor_phrase="solar",
+            score=1.0,
+            query_freq=2,
+            vendor_freq=1,
+        ),
+        MatchPair(
+            query_phrase="wind turbine",
+            vendor_phrase="turbines",
+            score=0.75,
+            query_freq=1,
+            vendor_freq=3,
+        ),
     )
     report = MatchReport(
         results=(
             VendorResult(
                 vendor_id="v1",
-                pairs=(pair,),
-                match_percentage=100.0,
-                per_query={"q1": 100.0},
+                pairs=pairs,
+                match_percentage=87.5,
+                # out of key order: the report must sort it
+                per_query={"q2": 75.0, "q1": 100.0},
             ),
         ),
         winner="v1",
     )
-    doc = json.loads(emit_report(report, "json"))
-    assert doc["winner"] == "v1"
-    assert doc["results"][0]["pairs"][0]["vendor_phrase"] == "solar"
+    # the whole text, so a dropped or renamed field or an unsorted key fails
+    assert emit_report(report, "json") == """\
+{
+  "results": [
+    {
+      "match_percentage": 87.5,
+      "pairs": [
+        {
+          "query_freq": 2,
+          "query_phrase": "solar",
+          "score": 1.0,
+          "vendor_freq": 1,
+          "vendor_phrase": "solar"
+        },
+        {
+          "query_freq": 1,
+          "query_phrase": "wind turbine",
+          "score": 0.75,
+          "vendor_freq": 3,
+          "vendor_phrase": "turbines"
+        }
+      ],
+      "per_query": {
+        "q1": 100.0,
+        "q2": 75.0
+      },
+      "vendor_id": "v1"
+    }
+  ],
+  "winner": "v1"
+}
+"""
     text = emit_report(report, "text")
     assert "winner: v1" in text
-    assert "100.00" in text
+    assert "87.50" in text
 
 
 def test_emit_text_for_empty_report():
@@ -274,8 +313,9 @@ def test_main_non_utf8_corpus_file_is_a_data_error(tmp_path, tmp_marking, capsys
     )
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"vendormatch: error: {bad}: not valid UTF-8")
-    assert err.count("\n") == 1
+    assert err == (
+        f"vendormatch: error: {bad}: not valid UTF-8 (invalid start byte at byte 6)\n"
+    )
 
 
 @pytest.mark.parametrize("which", ["marking", "taxonomy"])
@@ -296,8 +336,12 @@ def test_main_non_utf8_marking_or_taxonomy_is_a_data_error(tmp_path, which, caps
         ]
     )
     assert code == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith(f"vendormatch: error: {files[which]}: not valid UTF-8")
+    # the same text from the same helper as the corpus reader's
+    start = len((DATA_DIR / f"{which}.tsv").read_bytes())
+    assert capsys.readouterr().err == (
+        f"vendormatch: error: {files[which]}: not valid UTF-8 "
+        f"(invalid start byte at byte {start})\n"
+    )
 
 
 @pytest.mark.parametrize(

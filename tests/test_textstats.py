@@ -196,6 +196,7 @@ def test_encode_stddev_is_the_two_pass_fsum_formula(phrase):
     v = encode(phrase)
     assert v.codes == tuple(codes)
     assert v.stddev == math.sqrt(var)
+    assert v.total == math.fsum(codes)  # the mean bound reads these bits
 
 
 # ------------------------------------------------------------- statistics
