@@ -16,6 +16,12 @@ so far (see :class:`_MarkedIndex`). A marked object skipped this way relates
 above the best score so far or at ``bound`` or above, so it could neither
 admit the candidate nor be its best match: pruning changes no output.
 
+The bounds read exact integer moments of a phrase's code points, not its
+float codes. Every candidate is encoded, but an
+:class:`~vendormatch.textstats.ObjectVector` computes its codes and stddev
+only when first read, so a candidate whose lookup scores no row never pays
+for them.
+
 A candidate that is already a marked object is answered without a lookup:
 its own row relates at exactly 0.0, and every other row relates above 0.0
 unless it is the candidate followed by NUL characters only, which zero
@@ -30,11 +36,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Mapping
 
 from .config import Thresholds
 from .marking import update_marking
-from .textstats import ObjectVector, candidates, encode, relatedness_terms, tokenize
+from .textstats import (
+    CODE_SCALE,
+    ObjectVector,
+    candidates,
+    encode,
+    relatedness_terms,
+    tokenize,
+)
 
 
 @dataclass(frozen=True)
@@ -57,44 +71,64 @@ class InstanceSet:
         return len(self.instances)
 
 
-#: Relative slack on the length and mean bounds, which sum codes in another
-#: order than the kernel does; the rounding error there is ~1e-15.
+#: Relative slack on the length and mean bounds, which the kernel's float
+#: sums, taken left to right, can undercut by ~1e-15.
 _LENGTH_SLACK = 1.0 - 1e-9
-#: Widening of each bucket's stddev window, far above the rounding of the gap.
-_SIGMA_SLACK = 1e-12
+#: Absolute widening of the stddev window and the mean bound, whose keys are
+#: exact integer moments (:func:`_moments`), not the float codes the kernel
+#: reads. With M the largest scaled code (1 for ASCII, < 8,774 for any code
+#: point) and u = 2**-53: each float code is within u M of the exact one, and
+#: a population stddev moves by at most the largest change of an element;
+#: the two ``math.fsum`` passes add under 4 u M, and the key (``n * Q - S * S``
+#: rounded once, then a sqrt and a division) under 2 u M. So a key is within
+#: 7 u M < 7e-12 of the kernel's stddev, and ``|S_row - S_cand| / (127 L)``
+#: within 2 u M of ``|s1| / L``. Measured on phrases of up to 4,000
+#: characters, the gaps stay under 2e-16 for ASCII and 1e-12 up to U+10FFFF.
+_KEY_SLACK = 1e-9
 
 
-def _length_bound(tail: float, pair_length: int) -> float:
-    """Lower bound on the distance term of a pair whose longer side has
-    squared codes summing to ``tail`` past the end of the shorter side."""
-    return math.sqrt(tail / pair_length) * _LENGTH_SLACK
+def _moments(phrase: str) -> tuple[list[int], int, float]:
+    """A phrase's code points, their exact sum and their stddev over 127.
+
+    The stddev is ``sqrt(n * Q - S * S) / (127 * n)`` from the exact integer
+    sum S and sum of squares Q of the n code points; it stands in for the
+    ``math.fsum`` stddev of :func:`encode` within ``_KEY_SLACK``.
+    """
+    points = list(map(ord, phrase))
+    n, total = len(points), sum(points)
+    spread = n * sum(map(mul, points, points)) - total * total
+    return points, total, math.sqrt(spread) / (CODE_SCALE * n)
 
 
 class _Bucket:
-    """The marked rows of one length, sorted by stddev."""
+    """The marked rows of one length, sorted by stddev key."""
 
     __slots__ = ("sigmas", "sums", "rows", "min_tail")
 
     def __init__(self, length: int) -> None:
         self.sigmas: list[float] = []
-        self.sums: list[float] = []  # each row's ``ObjectVector.total``
+        self.sums: list[int] = []  # each row's exact code-point sum
         self.rows: list[int] = []  # row ids, in the order of ``sigmas``
-        # min_tail[n]: the smallest sum of squared codes at positions n and
-        # beyond over these rows, which a candidate of length n pads with zeros
-        self.min_tail = [math.inf] * length
+        # min_tail[n]: the smallest sum of squared code points at positions n
+        # and beyond over these rows, which a candidate of length n pads with zeros
+        self.min_tail: list[float] = [math.inf] * length
 
 
 class _MarkedIndex:
-    """Marked-object encodings, scored only where they can beat a bound.
+    """Marked-object vectors, scored only where they can beat a bound.
 
-    Rows are the encodings in the marking's key order, also bucketed by
-    length, each bucket sorted by stddev. Relatedness is
-    ``dist + gap + variance`` with every term non-negative, so two lower
-    bounds hold for every row:
+    Rows are the vectors in the marking's key order, also bucketed by
+    length, each bucket sorted by stddev key. Every key comes from a
+    phrase's exact integer code moments (:func:`_moments`), never from its
+    float codes, so a lookup that no row survives never builds the
+    candidate's codes (:class:`~vendormatch.textstats.ObjectVector` builds
+    them on first read). Relatedness is ``dist + gap + variance`` with every
+    term non-negative, so three lower bounds hold for every row:
 
-    - the gap bound: relatedness is at least the stddev gap, exactly in
-      floating point, so only rows whose stddev lies within ``bound`` of the
-      candidate's (widened by 1e-12) can score under ``bound``;
+    - the gap bound: relatedness is at least the stddev gap, so only rows
+      whose stddev key lies within ``bound`` of the candidate's, widened by
+      ``_KEY_SLACK`` for the keys' distance from the kernel's stddevs, can
+      score under ``bound``;
     - the length bound: the distance term is at least ``sqrt(T / L)``, where
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
@@ -104,16 +138,16 @@ class _MarkedIndex:
       ``|s1| / L``, and with zero padding ``s1`` is the gap between the two
       sides' code sums, so relatedness is at least ``|S_row - S_cand| / L``
       plus the stddev gap. A row within the stddev window is skipped when
-      this bound, less the same 1e-9 slack, exceeds the best score so far,
-      which starts at ``bound``.
+      this bound, less the same 1e-9 slack and ``_KEY_SLACK``, exceeds the
+      best score so far, which starts at ``bound``.
 
     :meth:`best` scores each remaining row with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
     every row would give, and keeps the smallest ``(relatedness, row)``.
     A skipped row scores at least ``bound`` or more than a row already
     scored, so pruning changes no output. A row tied with the best score
-    has a bound below its score, or of exactly 0.0 at a score of 0.0, so it
-    is still scored and ties still go to the earliest row.
+    has a bound below its score, or within the slacks of 0.0 at a score of
+    0.0, so it is still scored and ties still go to the earliest row.
 
     ``padded`` holds each phrase some row extends with NUL characters only:
     zero padding gives such a pair a distance of 0, so the two rows can tie
@@ -121,18 +155,18 @@ class _MarkedIndex:
     """
 
     def __init__(self, marking: dict[str, int]) -> None:
-        self._phrases: list[str] = []
         self._rows: list[ObjectVector] = []
         self._buckets: dict[int, _Bucket] = {}
         self._by_length: list[int] = []  # bucket lengths, ascending
         self.padded: set[str] = set()
         for phrase in marking:
-            self.append(phrase, encode(phrase))
+            self.append(encode(phrase))
 
-    def append(self, phrase: str, vec: ObjectVector) -> None:
-        row, length = len(self._rows), len(vec)
+    def append(self, vec: ObjectVector) -> None:
+        phrase = vec.phrase
+        points, total, sigma = _moments(phrase)
+        row, length = len(self._rows), len(points)
         self._rows.append(vec)
-        self._phrases.append(phrase)
         if phrase.endswith("\x00"):
             self.padded.add(phrase.rstrip("\x00"))
 
@@ -140,13 +174,13 @@ class _MarkedIndex:
         if bucket is None:
             bucket = self._buckets[length] = _Bucket(length)
             insort(self._by_length, length)
-        at = bisect_right(bucket.sigmas, vec.stddev)
-        bucket.sigmas.insert(at, vec.stddev)
-        bucket.sums.insert(at, vec.total)
+        at = bisect_right(bucket.sigmas, sigma)
+        bucket.sigmas.insert(at, sigma)
+        bucket.sums.insert(at, total)
         bucket.rows.insert(at, row)
-        tail = 0.0
+        tail = 0
         for n in range(length - 1, 0, -1):
-            tail += vec.codes[n] ** 2
+            tail += points[n] * points[n]
             bucket.min_tail[n] = min(bucket.min_tail[n], tail)
 
     def best(self, vec: ObjectVector, bound: float) -> tuple[float, str] | None:
@@ -155,38 +189,43 @@ class _MarkedIndex:
         Returns None when no row scores under ``bound`` (an empty index
         included); ``math.inf`` scores every row.
         """
-        n = len(vec)
+        points, total, sigma = _moments(vec.phrase)
+        n = len(points)
+        # the length bound sqrt(T / L) / 127, less the slack, of a pair with
+        # longer length L and squared code points T in the longer side's
+        # tail reaches ``bound`` exactly when T >= L * cut
+        cut = (CODE_SCALE * bound / _LENGTH_SLACK) ** 2
         kept = [n]  # lengths of the buckets the length bound leaves in play
-        tail = 0.0
+        tail, most = 0, n * cut
         for length in range(n - 1, 0, -1):  # shorter rows: the candidate's tail
-            tail += vec.codes[length] ** 2
-            if _length_bound(tail, n) >= bound:
+            tail += points[length] * points[length]
+            if tail >= most:
                 break  # the tail only grows as rows get shorter
             kept.append(length)
         for length in self._by_length[bisect_right(self._by_length, n) :]:
-            if _length_bound(self._buckets[length].min_tail[n], length) < bound:
+            if self._buckets[length].min_tail[n] < length * cut:
                 kept.append(length)
 
-        sigma, total = vec.stddev, vec.total
-        lo = sigma - bound - _SIGMA_SLACK
-        hi = sigma + bound + _SIGMA_SLACK
+        lo = sigma - bound - _KEY_SLACK
+        hi = sigma + bound + _KEY_SLACK
         best = (bound, -1)  # beaten only by a row scoring under ``bound``
+        limit = bound / _LENGTH_SLACK + _KEY_SLACK  # a mean bound above it skips a row
         for length in kept:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
             sigmas, sums, rows = bucket.sigmas, bucket.sums, bucket.rows
-            pair_length = max(n, length)
+            scale = CODE_SCALE * max(n, length)
             for i in range(bisect_left(sigmas, lo), bisect_right(sigmas, hi)):
-                floor = abs(sums[i] - total) / pair_length + abs(sigmas[i] - sigma)
-                if floor * _LENGTH_SLACK > best[0]:
+                if abs(sums[i] - total) / scale + abs(sigmas[i] - sigma) > limit:
                     continue
                 dist, gap, variance = relatedness_terms(self._rows[rows[i]], vec)
                 scored = (dist + gap + variance, rows[i])
                 if scored < best:
                     best = scored
+                    limit = best[0] / _LENGTH_SLACK + _KEY_SLACK
         r, row = best
-        return None if row < 0 else (r, self._phrases[row])
+        return None if row < 0 else (r, self._rows[row].phrase)
 
 
 def extract_corpus(
@@ -218,7 +257,7 @@ def extract_corpus(
                 continue
             best_r, matched = hit
             if phrase not in marking:
-                index.append(phrase, vec)
+                index.append(vec)
             update_marking(marking, phrase, frequency)
             result.instances[phrase] = InstanceRecord(
                 frequency=frequency,

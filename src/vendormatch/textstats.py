@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -30,26 +30,36 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
-@dataclass(frozen=True)
 class ObjectVector:
-    """A phrase's scaled character codes, their population stddev and sum."""
+    """Character codes scaled into [0, 1] and their population stddev.
 
-    codes: tuple[float, ...]
-    stddev: float
-    total: float
+    A vector made by :func:`encode` keeps only its ``phrase``: ``codes``
+    (each code point / 127) and ``stddev`` (two ``math.fsum`` passes) are
+    computed on first read, so a vector that is never scored costs one
+    small object. :meth:`from_codes` makes a vector of given codes.
+    """
+
+    def __init__(self, phrase: str) -> None:
+        self.phrase = phrase
 
     @classmethod
     def from_codes(cls, codes: Iterable[float]) -> "ObjectVector":
         values = tuple(map(float, codes))
         if not values:
             raise ValueError("object vector needs at least one element")
-        total = math.fsum(values)
-        mu = total / len(values)
-        var = math.fsum((c - mu) ** 2 for c in values) / len(values)
-        return cls(codes=values, stddev=math.sqrt(var), total=total)
+        vec = cls.__new__(cls)
+        vec.codes = values
+        return vec
 
-    def __len__(self) -> int:
-        return len(self.codes)
+    @cached_property
+    def codes(self) -> tuple[float, ...]:
+        return tuple([ord(ch) / CODE_SCALE for ch in self.phrase])
+
+    @cached_property
+    def stddev(self) -> float:
+        values = self.codes
+        mu = math.fsum(values) / len(values)
+        return math.sqrt(math.fsum((c - mu) ** 2 for c in values) / len(values))
 
 
 def tokenize(text: str) -> list[str]:
@@ -86,10 +96,13 @@ def candidates(words: Sequence[str]) -> dict[str, int]:
 
 
 def encode(phrase: str) -> ObjectVector:
-    """Map each character of the phrase (spaces included) to code point / 127."""
+    """Map each character of the phrase (spaces included) to code point / 127.
+
+    The codes and their stddev are computed when first read.
+    """
     if not phrase:
         raise ValueError("cannot encode an empty phrase")
-    return ObjectVector.from_codes([ord(ch) / CODE_SCALE for ch in phrase])
+    return ObjectVector(phrase)
 
 
 def relatedness_terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:

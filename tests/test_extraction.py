@@ -262,12 +262,12 @@ def test_pruned_lookup_equals_full_scan(marking, data):
     for step in range(data.draw(st.integers(min_value=1, max_value=8))):
         if step == 2:  # a row longer than every row so far
             rows.append(max(rows, key=len) + data.draw(index_phrases))
-            index.append(rows[-1], encode(rows[-1]))
+            index.append(encode(rows[-1]))
         vec, bound = data.draw(lookups(rows))
         assert index.best(vec, bound) == scan_best(rows, vec, bound)
         if data.draw(st.booleans()):
             rows.append(data.draw(index_phrases))
-            index.append(rows[-1], encode(rows[-1]))
+            index.append(encode(rows[-1]))
 
 
 def test_pruned_lookup_equals_full_scan_on_seeded_markings():
@@ -301,7 +301,7 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
             assert index.best(vec, bound) == scan_best(rows, vec, bound)
             if rng.random() < 0.5:
                 rows.append(phrase())
-                index.append(rows[-1], encode(rows[-1]))
+                index.append(encode(rows[-1]))
 
 
 def test_mean_bound_at_the_edges_of_bound():
@@ -379,6 +379,123 @@ def test_bundled_extraction_scores_few_rows(monkeypatch, tmp_marking, thresholds
         docs = {p.stem: p.read_text(encoding="utf-8") for p in (DATA_DIR / kind).glob("*.txt")}
         assert extract_corpus(docs, marking, thresholds)
     assert 0 < calls <= most
+
+
+@pytest.mark.parametrize(
+    ("thresholds", "most"),
+    [(DEFAULTS, 300), (Thresholds(fallback_threshold=0.05), 800)],
+    ids=["defaults", "fb0.05"],
+)
+def test_bundled_extraction_builds_few_codes(monkeypatch, tmp_marking, thresholds, most):
+    # every candidate and marked phrase is encoded (1,412 vectors at the
+    # defaults, 1,463 at fallback 0.05), but a vector builds its codes, which
+    # it then keeps in its __dict__, only when a row survives the bounds:
+    # ~240 and ~660 of them do
+    vectors = []
+
+    def kept(phrase):
+        vectors.append(encode(phrase))
+        return vectors[-1]
+
+    monkeypatch.setattr(extraction, "encode", kept)
+    marking = load_marking(tmp_marking)
+    for kind in ("vendors", "queries"):
+        docs = {p.stem: p.read_text(encoding="utf-8") for p in (DATA_DIR / kind).glob("*.txt")}
+        assert extract_corpus(docs, marking, thresholds)
+    assert len(vectors) > 1_400
+    assert 0 < sum("codes" in vars(v) for v in vectors) <= most
+
+
+def hostile_phrase(rng, length):
+    """Control characters, [a-z0-9 ] or any code point, ``length`` of them."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return "".join(chr(rng.randint(0, 31)) for _ in range(length))
+    if kind == 1:
+        return "".join(rng.choices("abcdefghijklmnopqrstuvwxyz0123456789 ", k=length))
+    return "".join(chr(rng.randint(0, 0x10FFFF)) for _ in range(length))
+
+
+def test_integer_moment_keys_stay_far_inside_the_slack():
+    # the index's keys stand in for the kernel's float statistics; each gap
+    # must stay at least 100x below the slack that widens the bounds
+    rng = random.Random(1711)
+    phrases = [hostile_phrase(rng, rng.choice([1, 2, 7, 40, 400, 4_000])) for _ in range(300)]
+    phrases += [
+        chr(0x10FFFF) * 4_000,  # a stddev of exactly 0 from the integer moments
+        (chr(0x10FFFF) + "\x00") * 2_000,  # the largest stddev there is
+        chr(0x10FFFF) * 3_999 + chr(0x10FFFE),
+        "\x01" * 4_000,
+        "z",
+    ]
+    worst_sigma = worst_mean = 0.0
+    for phrase in phrases:
+        _, total, sigma = extraction._moments(phrase)
+        vec = encode(phrase)
+        worst_sigma = max(worst_sigma, abs(sigma - vec.stddev))
+        worst_mean = max(worst_mean, abs(total / 127 - math.fsum(vec.codes)) / len(phrase))
+    assert worst_sigma * 100 <= extraction._KEY_SLACK
+    assert worst_mean * 100 <= extraction._KEY_SLACK
+
+
+@pytest.mark.parametrize(
+    ("slack", "rows"),
+    [(extraction._KEY_SLACK, ["sun\x00"]), (0.01, ["sun\x00", "snC"])],
+    ids=["slack", "wide-slack-after-a-scored-row"],
+)
+def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, rows):
+    # 'sun\x00' pads to the codes of 'sun': its score is the stddev gap alone,
+    # the one term the stddev window and the mean bound read from the keys.
+    # Keys moved apart by half the slack must still leave the row in play,
+    # also once 'snC', in the bucket of the candidate's length and so scored
+    # first, has set the best score a little above it
+    monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
+    moments = extraction._moments
+
+    def apart(phrase):
+        points, total, sigma = moments(phrase)
+        return points, total, sigma + slack / 4 * (1 if phrase.endswith("\x00") else -1)
+
+    monkeypatch.setattr(extraction, "_moments", apart)
+    vec = encode("sun")
+    r = scan(rows, vec)
+    assert r[0] == abs(encode("sun\x00").stddev - vec.stddev) > 0.0
+    assert all(r[0] < other < r[0] + slack / 2 for other in r[1:])
+    for bound in (math.nextafter(r[0], math.inf), r[0] * (1 + 1e-12), r[0], 0.5, math.inf):
+        assert _MarkedIndex(dict.fromkeys(rows, 1)).best(vec, bound) == scan_best(rows, vec, bound)
+
+
+def test_pruned_lookup_equals_full_scan_on_hostile_rows():
+    # non-ASCII rows and 400-character rows, where the keys stray furthest
+    # from the kernel's statistics; near misses of a row and bounds just
+    # above or below the answer put rows at the edge of every bound
+    rng = random.Random(4242)
+    for _ in range(150):
+        rows = list(
+            dict.fromkeys(
+                hostile_phrase(rng, rng.choice([1, 3, 8, 400])) for _ in range(rng.randint(1, 8))
+            )
+        )
+        index = _MarkedIndex(dict.fromkeys(rows, 1))
+        for _ in range(4):
+            probe = rng.choice(rows) if rng.random() < 0.7 else hostile_phrase(rng, rng.randint(1, 9))
+            at = rng.randrange(len(probe))
+            if rng.random() < 0.5:
+                nudged = chr(min(0x10FFFF, max(0, ord(probe[at]) + rng.choice([-1, 1]))))
+                probe = probe[:at] + nudged + probe[at + 1 :]
+            vec = encode(probe)
+            nearest = min(scan(rows, vec))
+            bound = rng.choice(
+                [nearest * rng.uniform(1.0, 1.1), 10.0 ** rng.uniform(-4.0, 4.0), math.inf]
+            )
+            if bound > 0:
+                assert index.best(vec, bound) == scan_best(rows, vec, bound)
+            if rng.random() < 0.3:
+                rows.append(hostile_phrase(rng, rng.choice([2, 400])))
+                if rows[-1] in rows[:-1]:
+                    rows.pop()
+                else:
+                    index.append(encode(rows[-1]))
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():
