@@ -8,13 +8,18 @@ falls under ``bound = max(r_threshold, fallback_threshold)``, and flagged
 ``via_fallback`` when that value is not under ``r_threshold``; a fallback
 at or below the primary threshold therefore admits nothing extra.
 
-A candidate is scored only against the marked objects that three cheap
-lower bounds on relatedness leave in play: the stddev gap, the distance the
+A candidate is scored only against the marked objects that cheap lower
+bounds on relatedness leave in play: the stddev gap, the distance the
 longer side's unmatched tail alone contributes, and the gap between the two
 sides' code sums plus the stddev gap, checked against the best score found
-so far (see :class:`_MarkedIndex`). A marked object skipped this way relates
-above the best score so far or at ``bound`` or above, so it could neither
-admit the candidate nor be its best match: pruning changes no output.
+so far. For marked objects of the candidate's own length a fourth, tighter
+bound adds the variance the stddev gap forces, and narrows the stddev
+window to about half. The relatedness kernel abandons a pair as soon as its
+running sum of squares shows it cannot reach the best score so far (see
+:class:`_MarkedIndex`). A marked object skipped or abandoned this way
+relates above the best score so far or at ``bound`` or above, so it could
+neither admit the candidate nor be its best match: pruning changes no
+output.
 
 The bounds read exact integer moments of a phrase's code points, not its
 float codes. Every candidate is encoded, but an
@@ -85,6 +90,23 @@ _LENGTH_SLACK = 1.0 - 1e-9
 #: within 2 u M of ``|s1| / L``. Measured on phrases of up to 4,000
 #: characters, the gaps stay under 2e-16 for ASCII and 1e-12 up to U+10FFFF.
 _KEY_SLACK = 1e-9
+# Rows of the candidate's own length n get a tighter bound. Population stddev
+# is a seminorm, so var(b - a) >= gap**2, and s2 / n = var + m**2 with
+# m = |s1| / n, so relatedness is at least sqrt(gap**2 + m**2) + gap + gap**2.
+# Its widening: read from the keys, gap and m are each within 15 u M <
+# _KEY_SLACK / 2 of the kernel's values. The bound's slope is at most
+# 2 + 2 gap in gap and 1 in m, so the keys move it by at most 1.5 _KEY_SLACK
+# plus gap _KEY_SLACK, and the bound is at least 2 gap: a widening of
+# 2 _KEY_SLACK and a relative 5e-10, which _LENGTH_SLACK covers beside the
+# kernel's own rounding. One more loss is not relative to the bound: the
+# variance term s2 / n - (s1 / n)**2 cancels, and its float value can fall
+# (3 n + 8) u s2 / n short of var. With s2 / n >= q = gap**2 + m**2, and
+# sqrt(s2 / n) minus that loss growing with s2 / n at any realistic n, the
+# bound drops (3 n + 8) u q. Since sqrt(q) >= gap, relatedness is also at
+# least 2 gap + gap**2, under ``bound`` only while gap < sqrt(1 + bound) - 1:
+# that stddev window, widened by _KEY_SLACK (which also covers its rounding),
+# is about half the ``bound`` other lengths keep. The relative slack holds
+# for phrases of under a million characters.
 
 
 def _moments(phrase: str) -> tuple[list[int], int, float]:
@@ -123,12 +145,14 @@ class _MarkedIndex:
     float codes, so a lookup that no row survives never builds the
     candidate's codes (:class:`~vendormatch.textstats.ObjectVector` builds
     them on first read). Relatedness is ``dist + gap + variance`` with every
-    term non-negative, so three lower bounds hold for every row:
+    term non-negative, so these lower bounds hold:
 
     - the gap bound: relatedness is at least the stddev gap, so only rows
       whose stddev key lies within ``bound`` of the candidate's, widened by
       ``_KEY_SLACK`` for the keys' distance from the kernel's stddevs, can
-      score under ``bound``;
+      score under ``bound``. For rows of the candidate's own length the
+      window is ``sqrt(1 + bound) - 1`` wide, about half that (see the
+      same-length bound);
     - the length bound: the distance term is at least ``sqrt(T / L)``, where
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
@@ -137,17 +161,28 @@ class _MarkedIndex:
     - the mean bound: by Cauchy-Schwarz the distance term is at least
       ``|s1| / L``, and with zero padding ``s1`` is the gap between the two
       sides' code sums, so relatedness is at least ``|S_row - S_cand| / L``
-      plus the stddev gap. A row within the stddev window is skipped when
-      this bound, less the same 1e-9 slack and ``_KEY_SLACK``, exceeds the
-      best score so far, which starts at ``bound``.
+      plus the stddev gap. A row of another length within the stddev
+      window is skipped when this bound, less the same 1e-9 slack and
+      ``_KEY_SLACK``, exceeds the best score so far, which starts at
+      ``bound``;
+    - the same-length bound: for rows of the candidate's own length the
+      variance term is at least ``gap**2``, because population stddev is a
+      seminorm, so relatedness is at least ``sqrt(gap**2 + m**2) + gap +
+      gap**2`` with ``m = |S_row - S_cand| / L``. It replaces the mean bound
+      there, widened as derived beside ``_KEY_SLACK``. It implies
+      ``2 gap + gap**2``, which narrows that bucket's stddev window.
 
     :meth:`best` scores each remaining row with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
     every row would give, and keeps the smallest ``(relatedness, row)``.
-    A skipped row scores at least ``bound`` or more than a row already
-    scored, so pruning changes no output. A row tied with the best score
-    has a bound below its score, or within the slacks of 0.0 at a score of
-    0.0, so it is still scored and ties still go to the earliest row.
+    The kernel's stddev gap alone skips a row when it exceeds the best score
+    so far; otherwise the kernel abandons the row once its running sum of
+    squares shows ``dist`` above the best score less that gap, widened by
+    the 1e-9 slack. A skipped or abandoned row scores at least ``bound`` or
+    more than a row already scored, so pruning changes no output. A row
+    tied with the best score has a bound below its score, or within the
+    slacks of 0.0 at a score of 0.0, so it is still scored in full and ties
+    still go to the earliest row.
 
     ``padded`` holds each phrase some row extends with NUL characters only:
     zero padding gives such a pair a distance of 0, so the two rows can tie
@@ -206,24 +241,51 @@ class _MarkedIndex:
             if self._buckets[length].min_tail[n] < length * cut:
                 kept.append(length)
 
-        lo = sigma - bound - _KEY_SLACK
-        hi = sigma + bound + _KEY_SLACK
+        # rows of the candidate's own length score at least 2 gap + gap**2,
+        # under ``bound`` only while gap < sqrt(1 + bound) - 1: about half
+        # the window other lengths keep
+        own = math.sqrt(1.0 + bound / _LENGTH_SLACK) - 1.0
+        # the variance term's float error per unit of s2 / n (see _KEY_SLACK)
+        cancel = (3 * n + 8) * 2.0**-53
         best = (bound, -1)  # beaten only by a row scoring under ``bound``
-        limit = bound / _LENGTH_SLACK + _KEY_SLACK  # a mean bound above it skips a row
+        limit = bound / _LENGTH_SLACK  # a bound above it, widened, skips a row
         for length in kept:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
             sigmas, sums, rows = bucket.sigmas, bucket.sums, bucket.rows
-            scale = CODE_SCALE * max(n, length)
+            same = length == n
+            half, widen = (own, 2 * _KEY_SLACK) if same else (bound, _KEY_SLACK)
+            edge = limit + widen
+            size = max(n, length)
+            scale = CODE_SCALE * size
+            lo = sigma - half - _KEY_SLACK
+            hi = sigma + half + _KEY_SLACK
             for i in range(bisect_left(sigmas, lo), bisect_right(sigmas, hi)):
-                if abs(sums[i] - total) / scale + abs(sigmas[i] - sigma) > limit:
+                g = abs(sigmas[i] - sigma)
+                m = abs(sums[i] - total) / scale
+                if same:
+                    q = g * g + m * m
+                    if math.sqrt(q) + g + g * g - cancel * q > edge:
+                        continue
+                elif m + g > edge:
                     continue
-                dist, gap, variance = relatedness_terms(self._rows[rows[i]], vec)
+                # past the cap, dist exceeds limit - gap: dist + gap is above
+                # the best score by a relative 1e-9, which rounding cannot
+                # undo, so abandoning the row keeps every tie scored
+                row = self._rows[rows[i]]
+                gap = abs(row.stddev - vec.stddev)
+                if gap > best[0]:
+                    continue
+                terms = relatedness_terms(row, vec, size * (limit - gap) ** 2)
+                if terms is None:
+                    continue
+                dist, gap, variance = terms
                 scored = (dist + gap + variance, rows[i])
                 if scored < best:
                     best = scored
-                    limit = best[0] / _LENGTH_SLACK + _KEY_SLACK
+                    limit = best[0] / _LENGTH_SLACK
+                    edge = limit + widen
         r, row = best
         return None if row < 0 else (r, self._rows[row].phrase)
 

@@ -19,6 +19,12 @@ from vendormatch.textstats import candidates, encode, relatedness_terms, tokeniz
 from test_textstats import oracle_relatedness
 
 DEFAULTS = Thresholds()
+#: The lookup bound, max(r_threshold, fallback_threshold), at the defaults,
+#: at fallback 0.05 and at r 0.2
+SETTING_BOUNDS = [
+    max(t.r_threshold, t.fallback_threshold)
+    for t in (DEFAULTS, Thresholds(fallback_threshold=0.05), Thresholds(r_threshold=0.2))
+]
 
 
 def extract_one(text, marking, thresholds):
@@ -264,7 +270,8 @@ def test_pruned_lookup_equals_full_scan(marking, data):
             rows.append(max(rows, key=len) + data.draw(index_phrases))
             index.append(encode(rows[-1]))
         vec, bound = data.draw(lookups(rows))
-        assert index.best(vec, bound) == scan_best(rows, vec, bound)
+        for bound in (bound, *SETTING_BOUNDS):
+            assert index.best(vec, bound) == scan_best(rows, vec, bound)
         if data.draw(st.booleans()):
             rows.append(data.draw(index_phrases))
             index.append(encode(rows[-1]))
@@ -298,7 +305,8 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
                 bound = min(scan(rows, vec)) * rng.uniform(1.0, 1.1)
             else:
                 bound = 10.0 ** rng.uniform(-4.0, 0.0)
-            assert index.best(vec, bound) == scan_best(rows, vec, bound)
+            for bound in (bound, *SETTING_BOUNDS):
+                assert index.best(vec, bound) == scan_best(rows, vec, bound)
             if rng.random() < 0.5:
                 rows.append(phrase())
                 index.append(encode(rows[-1]))
@@ -306,7 +314,8 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
 
 def test_mean_bound_at_the_edges_of_bound():
     # one code shift keeps the stddev: 'de' and 'bc' share a bucket and a
-    # stddev, tie exactly against 'cd' and differ only in their code sums
+    # stddev, tie exactly against 'cd' and differ only in their code sums.
+    # With a gap of 0 their own-length bound is the mean term alone
     vec = encode("cd")
     rows = ["de", "bc"]
     assert encode("de").stddev == encode("bc").stddev
@@ -324,6 +333,27 @@ def test_mean_bound_at_the_edges_of_bound():
             index = _MarkedIndex(dict.fromkeys(order, 1))
             assert index.best(vec, bound) == scan_best(order, vec, bound)
             assert (index.best(vec, bound) is None) == (bound in just_out)
+
+
+def test_length_cut_at_the_edges_of_bound(monkeypatch):
+    # The length bound sqrt(T / L) / 127 is never a real pair's whole score:
+    # padding makes the difference vector uneven, and the variance term adds
+    # about 1 / (127 L) of it even for one code-1 character against L of
+    # them, far outside the 1e-9 slack for any phrase of practical length.
+    # So a kernel whose float sums undercut that bound by half the slack
+    # stands in: the cut must still leave the row in play, whichever side
+    # is the longer one
+    short, long = "\x01", "\x01" * 40
+    edge = math.sqrt(39 / 40) / 127
+    assert scan([long], encode(short))[0] > edge * (1 + 1e-4)
+    r = edge * (1 - 5e-10)
+    monkeypatch.setattr(extraction, "relatedness_terms", lambda a, b, cap: (r, 0.0, 0.0))
+    just_in = (math.nextafter(r, math.inf), r * (1 + 1e-12), edge, math.inf)
+    just_out = (r, math.nextafter(r, 0.0), r * (1 - 1e-9))
+    for candidate, row in ((short, long), (long, short)):
+        for bound in just_in + just_out:
+            got = _MarkedIndex({row: 1}).best(encode(candidate), bound)
+            assert got == (None if bound in just_out else (r, row))
 
 
 def test_marked_candidate_after_rows_of_its_length_matches_itself():
@@ -359,19 +389,24 @@ def test_nul_padded_row_before_the_candidate_row():
 
 
 @pytest.mark.parametrize(
-    ("thresholds", "most"),
-    [(DEFAULTS, 300), (Thresholds(fallback_threshold=0.05), 3_200)],
+    ("thresholds", "most", "most_scored"),
+    [(DEFAULTS, 180, 10), (Thresholds(fallback_threshold=0.05), 2_900, 180)],
     ids=["defaults", "fb0.05"],
 )
-def test_bundled_extraction_scores_few_rows(monkeypatch, tmp_marking, thresholds, most):
+def test_bundled_extraction_scores_few_rows(
+    monkeypatch, tmp_marking, thresholds, most, most_scored
+):
     # a full scan of the bundled corpus makes 1,326 kernel calls at the
-    # defaults and 6,429 at fallback 0.05; pruning keeps ~210 and ~2,983
-    calls = 0
+    # defaults and 6,429 at fallback 0.05; pruning keeps 157 and 2,625, and
+    # the cap abandons all but 2 and 152 of them before their last element
+    calls = scored = 0
 
-    def counted(a, b):
-        nonlocal calls
+    def counted(a, b, cap):
+        nonlocal calls, scored
         calls += 1
-        return relatedness_terms(a, b)
+        terms = relatedness_terms(a, b, cap)
+        scored += terms is not None
+        return terms
 
     monkeypatch.setattr(extraction, "relatedness_terms", counted)
     marking = load_marking(tmp_marking)
@@ -379,6 +414,7 @@ def test_bundled_extraction_scores_few_rows(monkeypatch, tmp_marking, thresholds
         docs = {p.stem: p.read_text(encoding="utf-8") for p in (DATA_DIR / kind).glob("*.txt")}
         assert extract_corpus(docs, marking, thresholds)
     assert 0 < calls <= most
+    assert 0 < scored <= most_scored
 
 
 @pytest.mark.parametrize(
@@ -439,29 +475,47 @@ def test_integer_moment_keys_stay_far_inside_the_slack():
 
 
 @pytest.mark.parametrize(
-    ("slack", "rows"),
-    [(extraction._KEY_SLACK, ["sun\x00"]), (0.01, ["sun\x00", "snC"])],
-    ids=["slack", "wide-slack-after-a-scored-row"],
+    ("slack", "candidate", "rows"),
+    [
+        (extraction._KEY_SLACK, "sun", ["sun\x00"]),
+        (0.01, "sun", ["sun\x00", "snC"]),
+        (extraction._KEY_SLACK, "ac", ["`d"]),
+        (0.01, "ac", ["`d"]),
+        (extraction._KEY_SLACK, "\u03e8\u0bb8", ["\x00\u0fa0"]),
+    ],
+    ids=[
+        "slack",
+        "wide-slack-after-a-scored-row",
+        "own-length",
+        "own-length-wide-slack",
+        "own-length-non-ascii",
+    ],
 )
-def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, rows):
+def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candidate, rows):
     # 'sun\x00' pads to the codes of 'sun': its score is the stddev gap alone,
     # the one term the stddev window and the mean bound read from the keys.
     # Keys moved apart by half the slack must still leave the row in play,
     # also once 'snC', in the bucket of the candidate's length and so scored
-    # first, has set the best score a little above it
+    # first, has set the best score a little above it. '`d' is 'ac' spread
+    # about the same mean: its score is exactly 2 gap + gap**2, the edge of
+    # the own-length bound and of its stddev window; code points 1000 and
+    # 3000 against 0 and 4000 put the same edge at a gap of 7.9
     monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
     moments = extraction._moments
 
     def apart(phrase):
         points, total, sigma = moments(phrase)
-        return points, total, sigma + slack / 4 * (1 if phrase.endswith("\x00") else -1)
+        return points, total, sigma + slack / 4 * (1 if phrase == rows[0] else -1)
 
     monkeypatch.setattr(extraction, "_moments", apart)
-    vec = encode("sun")
+    vec = encode(candidate)
     r = scan(rows, vec)
-    assert r[0] == abs(encode("sun\x00").stddev - vec.stddev) > 0.0
+    gap = encode(rows[0]).stddev - vec.stddev
+    assert gap > 0.0
+    assert r[0] == pytest.approx(2 * gap + gap * gap if len(rows[0]) == len(candidate) else gap)
     assert all(r[0] < other < r[0] + slack / 2 for other in r[1:])
-    for bound in (math.nextafter(r[0], math.inf), r[0] * (1 + 1e-12), r[0], 0.5, math.inf):
+    bounds = (math.nextafter(r[0], math.inf), r[0] * (1 + 1e-12), r[0], 0.5, math.inf)
+    for bound in bounds + tuple(SETTING_BOUNDS):
         assert _MarkedIndex(dict.fromkeys(rows, 1)).best(vec, bound) == scan_best(rows, vec, bound)
 
 
@@ -488,7 +542,7 @@ def test_pruned_lookup_equals_full_scan_on_hostile_rows():
             bound = rng.choice(
                 [nearest * rng.uniform(1.0, 1.1), 10.0 ** rng.uniform(-4.0, 4.0), math.inf]
             )
-            if bound > 0:
+            for bound in [b for b in (bound, *SETTING_BOUNDS) if b > 0]:
                 assert index.best(vec, bound) == scan_best(rows, vec, bound)
             if rng.random() < 0.3:
                 rows.append(hostile_phrase(rng, rng.choice([2, 400])))

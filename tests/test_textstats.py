@@ -335,3 +335,51 @@ def test_relatedness_nonnegative_on_thousand_random_pairs():
         a = "".join(rng.choices(PHRASE_ALPHABET.strip() + " ", k=rng.randint(1, 20)))
         b = "".join(rng.choices(PHRASE_ALPHABET.strip() + " ", k=rng.randint(1, 20)))
         assert sum(terms(encode(a or "x"), encode(b or "x"))) >= 0.0
+
+
+# the terms of pinned pairs before the kernel took a cap: zero padding,
+# NUL-padded rows, non-ASCII and code points up to U+10FFFF
+PINNED_TERMS = [
+    (("sun", "son"), ("0x1.bee5797875b66p-6", "0x1.946670544b338p-8", "0x1.040c2050c1c46p-11")),
+    (("sun", "sunny"), ("0x1.26d433229e269p-1", "0x1.4a36d9fac09b0p-7", "0x1.98123a8cce241p-3")),
+    (("sun", "sun\x00"), ("0x0.0p+0", "0x1.76cf8fa8ae428p-2", "0x0.0p+0")),
+    (("b1", "b1" + "\x00" * 16), ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    (("caf\xe9", "cafe"), ("0x1.0a142850a1428p-1", "0x1.c36b0a1814cf9p-2", "0x1.9ed4d80cd3190p-3")),
+    (
+        ("€\U0010ffff", "sun"),
+        ("0x1.3c86d998e1fa9p+12", "0x1.1014fbc2ed88dp+12", "0x1.0300dec0c9046p+24"),
+    ),
+    (
+        ("speed of wind", "wind speed"),
+        ("0x1.f3971d9afd5e2p-2", "0x1.1305f73950070p-5", "0x1.ba61dc03e3a98p-3"),
+    ),
+]
+
+
+@pytest.mark.parametrize(("pair", "hexes"), PINNED_TERMS, ids=[repr(p) for p, _ in PINNED_TERMS])
+def test_relatedness_terms_default_cap_keeps_the_pinned_bits(pair, hexes):
+    a, b = map(encode, pair)
+    for got in (relatedness_terms(a, b), relatedness_terms(a, b, math.inf)):
+        assert tuple(x.hex() for x in got) == hexes
+
+
+def running_s2(a: ObjectVector, b: ObjectVector) -> float:
+    """The kernel's sum of squared differences, accumulated left to right."""
+    s2 = 0.0
+    for i in range(max(len(a.codes), len(b.codes))):
+        x = a.codes[i] if i < len(a.codes) else 0.0
+        y = b.codes[i] if i < len(b.codes) else 0.0
+        s2 += (y - x) * (y - x)
+    return s2
+
+
+@pytest.mark.parametrize(("pair", "hexes"), PINNED_TERMS, ids=[repr(p) for p, _ in PINNED_TERMS])
+def test_relatedness_terms_abandons_only_past_the_cap(pair, hexes):
+    a, b = map(encode, pair)
+    s2 = running_s2(a, b)
+    # a pair whose s2 equals the cap is scored, with the same bits
+    assert tuple(x.hex() for x in relatedness_terms(a, b, s2)) == hexes
+    if s2 > 0.0:
+        assert relatedness_terms(a, b, math.nextafter(s2, 0.0)) is None
+        assert relatedness_terms(a, b, 0.0) is None
+    assert relatedness_terms(a, b, -1.0) is None
