@@ -150,9 +150,7 @@ class _MarkedIndex:
     - the gap bound: relatedness is at least the stddev gap, so only rows
       whose stddev key lies within ``bound`` of the candidate's, widened by
       ``_KEY_SLACK`` for the keys' distance from the kernel's stddevs, can
-      score under ``bound``. For rows of the candidate's own length the
-      window is ``sqrt(1 + bound) - 1`` wide, about half that (see the
-      same-length bound);
+      score under ``bound``;
     - the length bound: the distance term is at least ``sqrt(T / L)``, where
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
@@ -170,7 +168,8 @@ class _MarkedIndex:
       seminorm, so relatedness is at least ``sqrt(gap**2 + m**2) + gap +
       gap**2`` with ``m = |S_row - S_cand| / L``. It replaces the mean bound
       there, widened as derived beside ``_KEY_SLACK``. It implies
-      ``2 gap + gap**2``, which narrows that bucket's stddev window.
+      ``2 gap + gap**2``, so that bucket's stddev window is only
+      ``sqrt(1 + bound) - 1``, about half of ``bound``, wide.
 
     :meth:`best` scores each remaining row with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
@@ -241,11 +240,9 @@ class _MarkedIndex:
             if self._buckets[length].min_tail[n] < length * cut:
                 kept.append(length)
 
-        # rows of the candidate's own length score at least 2 gap + gap**2,
-        # under ``bound`` only while gap < sqrt(1 + bound) - 1: about half
-        # the window other lengths keep
+        # the own length's stddev window and the variance term's float error
+        # per unit of s2 / n (both derived beside _KEY_SLACK)
         own = math.sqrt(1.0 + bound / _LENGTH_SLACK) - 1.0
-        # the variance term's float error per unit of s2 / n (see _KEY_SLACK)
         cancel = (3 * n + 8) * 2.0**-53
         best = (bound, -1)  # beaten only by a row scoring under ``bound``
         limit = bound / _LENGTH_SLACK  # a bound above it, widened, skips a row

@@ -419,14 +419,14 @@ def test_bundled_extraction_scores_few_rows(
 
 @pytest.mark.parametrize(
     ("thresholds", "most"),
-    [(DEFAULTS, 300), (Thresholds(fallback_threshold=0.05), 800)],
+    [(DEFAULTS, 220), (Thresholds(fallback_threshold=0.05), 700)],
     ids=["defaults", "fb0.05"],
 )
 def test_bundled_extraction_builds_few_codes(monkeypatch, tmp_marking, thresholds, most):
     # every candidate and marked phrase is encoded (1,412 vectors at the
     # defaults, 1,463 at fallback 0.05), but a vector builds its codes, which
     # it then keeps in its __dict__, only when a row survives the bounds:
-    # ~240 and ~660 of them do
+    # 192 and 649 of them do
     vectors = []
 
     def kept(phrase):
