@@ -28,6 +28,10 @@ def main() -> None:
         default=[0.005, 0.009, 0.01, 0.02, 0.05],
     )
     args = parser.parse_args()
+    try:
+        settings = [Thresholds(r_threshold=r) for r in sorted(args.thresholds)]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     taxonomy = load_taxonomy(ROOT / "data" / "taxonomy.tsv")
     vendors = _read_corpus(ROOT / "data" / "vendors")
@@ -35,8 +39,7 @@ def main() -> None:
 
     print(f"{'r_threshold':>12} {'vendor inst':>12} {'query inst':>11} "
           f"{'top %':>8}  winner")
-    for r_threshold in sorted(args.thresholds):
-        cfg = Thresholds(r_threshold=r_threshold)
+    for cfg in settings:
         mf = load_marking(ROOT / "data" / "marking.tsv")
         vendor_sets = extract_corpus(vendors, mf, cfg)
         query_sets = extract_corpus(queries, mf, cfg)
@@ -45,7 +48,7 @@ def main() -> None:
         n_query = sum(len(s) for s in query_sets.values())
         top = report.results[0]
         print(
-            f"{r_threshold:>12.4f} {n_vendor:>12} {n_query:>11} "
+            f"{cfg.r_threshold:>12.4f} {n_vendor:>12} {n_query:>11} "
             f"{top.match_percentage:>8.2f}  {report.winner}"
         )
 

@@ -20,10 +20,16 @@ from test_textstats import oracle_relatedness
 
 DEFAULTS = Thresholds()
 #: The lookup bound, max(r_threshold, fallback_threshold), at the defaults,
-#: at fallback 0.05 and at r 0.2
+#: at fallback 0.05, at r 0.2 and at fallback 0.5, where the row bound of
+#: rows of another length, its mean term, prunes rows
 SETTING_BOUNDS = [
     max(t.r_threshold, t.fallback_threshold)
-    for t in (DEFAULTS, Thresholds(fallback_threshold=0.05), Thresholds(r_threshold=0.2))
+    for t in (
+        DEFAULTS,
+        Thresholds(fallback_threshold=0.05),
+        Thresholds(r_threshold=0.2),
+        Thresholds(fallback_threshold=0.5),
+    )
 ]
 
 
@@ -321,8 +327,9 @@ def test_mean_bound_at_the_edges_of_bound():
     assert encode("de").stddev == encode("bc").stddev
     r = scan(rows, vec)[0]
     assert scan(rows, vec) == [r, r]
-    # summed in another order than the kernel's, the mean bound of 'de'
-    # lands 33 ulps above its score: only the slack keeps it in play
+    # summed in another order than the kernel's, the row bound of 'de', its
+    # mean term at a gap of 0, lands 33 ulps above its score: only the
+    # slack keeps it in play
     row = encode("de")
     mean = abs(math.fsum(row.codes) - math.fsum(vec.codes)) / 2
     assert mean + abs(row.stddev - vec.stddev) > math.nextafter(r, math.inf)
@@ -333,6 +340,32 @@ def test_mean_bound_at_the_edges_of_bound():
             index = _MarkedIndex(dict.fromkeys(order, 1))
             assert index.best(vec, bound) == scan_best(order, vec, bound)
             assert (index.best(vec, bound) is None) == (bound in just_out)
+
+
+@pytest.mark.parametrize(
+    ("row", "candidate"), [("0000", "zzzzz"), ("c0", "cc")], ids=["other-length", "own-length"]
+)
+def test_row_bound_alone_keeps_a_row_from_the_kernel(monkeypatch, row, candidate):
+    # other length: both stddev keys are 0, so '0000' is inside the stddev
+    # window, and the tail of 'zzzzz', 122**2 = 14,884, is under the length
+    # cut of 5 * (127 * 0.5)**2 = 20,161.25: only the row bound, here its
+    # mean term (5 * 122 - 4 * 48) / (127 * 5) = 0.658, prunes the row.
+    # Own length: 'c0' and 'cc' differ by 51 / 127 in one place, so their
+    # stddev gap and mean term are both 51 / 254 = 0.201, inside the own
+    # window sqrt(1.5) - 1 = 0.225, and their mean bound is 0.402: only the
+    # variance floor lifts the row bound to 0.525, the pair's exact score
+    calls = 0
+
+    def counted(a, b, cap):
+        nonlocal calls
+        calls += 1
+        return relatedness_terms(a, b, cap)
+
+    monkeypatch.setattr(extraction, "relatedness_terms", counted)
+    assert _MarkedIndex({row: 1}).best(encode(candidate), 0.5) is None
+    assert calls == 0
+    assert _MarkedIndex({row: 1}).best(encode(candidate), 0.7) is not None
+    assert calls == 1
 
 
 def test_length_cut_at_the_edges_of_bound(monkeypatch):
@@ -493,7 +526,7 @@ def test_integer_moment_keys_stay_far_inside_the_slack():
 )
 def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candidate, rows):
     # 'sun\x00' pads to the codes of 'sun': its score is the stddev gap alone,
-    # the one term the stddev window and the mean bound read from the keys.
+    # the one term the stddev window and the row bound read from the keys.
     # Keys moved apart by half the slack must still leave the row in play,
     # also once 'snC', in the bucket of the candidate's length and so scored
     # first, has set the best score a little above it. '`d' is 'ac' spread

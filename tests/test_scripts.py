@@ -47,3 +47,28 @@ def test_threshold_sweep_prints_the_known_table():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == SWEEP_TABLE
+
+
+@pytest.mark.parametrize(
+    ("threshold", "reason"),
+    [
+        ("0", "r_threshold must be strictly positive"),
+        ("-1", "r_threshold must be strictly positive"),
+        ("nan", "r_threshold must be a finite number"),
+    ],
+    ids=["zero", "negative", "nan"],
+)
+def test_threshold_sweep_rejects_a_bad_threshold_with_usage(threshold, reason):
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "threshold_sweep.py"),
+         "--thresholds", "0.01", threshold],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: threshold_sweep.py")
+    assert error == f"threshold_sweep.py: error: {reason}"
