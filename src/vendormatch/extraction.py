@@ -33,7 +33,9 @@ unless it is the candidate followed by NUL characters only, which zero
 padding can tie; a candidate with such a row is looked up as usual.
 
 Each admitted instance immediately updates the marking, so vocabulary
-discovered early in a corpus pass is available to later documents.
+discovered early in a corpus pass is available to later documents. A
+candidate whose lookup admitted nothing is skipped without a lookup until
+the gazetteer gains a row: until then its answer cannot change.
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ class _MarkedIndex:
         # the length bound sqrt(T / L) / 127, less the slack, of a pair with
         # longer length L and squared code points T in the longer side's
         # tail reaches ``bound`` exactly when T >= L * cut
-        cut = (CODE_SCALE * bound / _LENGTH_SLACK) ** 2
+        scaled = CODE_SCALE * bound / _LENGTH_SLACK
+        cut = scaled * scaled  # ``**`` raises OverflowError at a huge bound
         kept = [n]  # lengths of the buckets the length bound leaves in play
         tail, most = 0, n * cut
         for length in range(n - 1, 0, -1):  # shorter rows: the candidate's tail
@@ -267,10 +270,12 @@ class _MarkedIndex:
                 # the best score by a relative 1e-9, which rounding cannot
                 # undo, so abandoning the row keeps every tie scored. A gap
                 # over limit (only within the key slack) caps s2 below any
-                # nonzero squared code step, and its score loses anyway
+                # nonzero squared code step, and its score loses anyway.
+                # Squared by ``*``, which gives inf where ``**`` would raise
                 row = self._rows[rows[i]]
                 gap = abs(row.stddev - vec.stddev)
-                terms = relatedness_terms(row, vec, size * (limit - gap) ** 2)
+                room = limit - gap
+                terms = relatedness_terms(row, vec, size * (room * room))
                 if terms is None:
                     continue
                 dist, gap, variance = terms
@@ -295,24 +300,33 @@ def extract_corpus(
     processed in first-occurrence order; each admitted instance is written
     into the marking (new phrase appended, known phrase's frequency
     accumulated) before the next candidate is scored. One gazetteer index
-    serves the whole call and grows with each new admitted phrase.
+    serves the whole call and grows with each new admitted phrase. A set
+    of the phrases that missed since the index last grew answers their
+    repeats, so each distinct phrase is looked up once per index state.
     """
     bound = max(thresholds.r_threshold, thresholds.fallback_threshold)
     index = _MarkedIndex(marking)
+    missed: set[str] = set()  # phrases with no hit since the index last grew
     results = {}
     for doc_id in sorted(documents):
         result = results[doc_id] = InstanceSet()
         for phrase, frequency in candidates(tokenize(documents[doc_id])).items():
+            # every candidate is encoded: benchmark/tracing.py counts the
+            # index's own encodes as encode calls less candidates
             vec = encode(phrase)
+            if phrase in missed:
+                continue
             if phrase in marking and phrase not in index.padded:
                 hit = (0.0, phrase)
             else:
                 hit = index.best(vec, bound)
             if hit is None:
+                missed.add(phrase)
                 continue
             best_r, matched = hit
             if phrase not in marking:
                 index.append(vec)
+                missed.clear()  # a new row can turn any miss into a hit
             update_marking(marking, phrase, frequency)
             result.instances[phrase] = InstanceRecord(
                 frequency=frequency,

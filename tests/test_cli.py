@@ -352,3 +352,10 @@ def test_main_non_finite_threshold_exits_one(tmp_marking, capsys, flag, value):
     code = main(cli_args(tmp_marking, flag, value))
     assert code == EXIT_USAGE
     assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_main_huge_threshold_exits_zero(tmp_marking, capsys):
+    # squaring a bound of 1e200 overflows a float; it must not raise
+    code = main(cli_args(tmp_marking, "--r-threshold", "1e200", "--output", "json"))
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["winner"] is not None

@@ -126,6 +126,31 @@ def test_within_document_adaptive_chaining():
     assert "turbineu" in out2.instances
 
 
+def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
+    looked_up = []
+    best = _MarkedIndex.best
+
+    def counted(self, vec, bound):
+        looked_up.append(vec.phrase)
+        return best(self, vec, bound)
+
+    monkeypatch.setattr(_MarkedIndex, "best", counted)
+    # nothing is admitted, so the second document makes no lookup
+    text = "solau wind solau and turbinew"
+    marking = {"solar": 1}
+    out = extract_corpus({"a": text, "b": text}, marking, DEFAULTS)
+    assert not out["a"].instances and not out["b"].instances
+    assert looked_up == list(candidates(tokenize(text)))
+
+    # 'b' admits 'solat', a new row that brings 'solau' under the bound
+    looked_up.clear()
+    out = extract_corpus({"a": "solau", "b": "solat", "c": "solau"}, marking, DEFAULTS)
+    assert looked_up == ["solau", "solat", "solau"]
+    assert not out["a"].instances
+    assert out["b"].instances["solat"].matched_marked_phrase == "solar"
+    assert out["c"].instances["solau"].matched_marked_phrase == "solat"
+
+
 def test_tied_marked_objects_match_the_earlier_entry():
     # 'aa' differs from 'ab' and 'ba' by one code point at mirrored positions
     assert oracle_relatedness("ab", "aa") == oracle_relatedness("ba", "aa")
@@ -430,7 +455,7 @@ def test_bundled_extraction_scores_few_rows(
     monkeypatch, tmp_marking, thresholds, most, most_scored
 ):
     # a full scan of the bundled corpus makes 1,326 kernel calls at the
-    # defaults and 6,429 at fallback 0.05; pruning keeps 157 and 2,625, and
+    # defaults and 6,429 at fallback 0.05; pruning keeps 151 and 2,625, and
     # the cap abandons all but 2 and 152 of them before their last element
     calls = scored = 0
 
@@ -459,7 +484,7 @@ def test_bundled_extraction_builds_few_codes(monkeypatch, tmp_marking, threshold
     # every candidate and marked phrase is encoded (1,412 vectors at the
     # defaults, 1,463 at fallback 0.05), but a vector builds its codes, which
     # it then keeps in its __dict__, only when a row survives the bounds:
-    # 192 and 649 of them do
+    # 188 and 649 of them do
     vectors = []
 
     def kept(phrase):
@@ -661,8 +686,13 @@ def assert_equals_reference(docs, marking, thresholds):
             Thresholds(r_threshold=0.005, fallback_threshold=0.5),
             ("\x01\x02\x03", "\x1f\x1f"),
         ),
+        # a bound whose square overflows a float admits every candidate
+        (Thresholds(r_threshold=0.005, fallback_threshold=1e308), ()),
     ],
-    ids=["r0.005", "r0.01", "r0.02", "r0.005-fb0.02", "r0.005-fb0.5-ctrl"],
+    ids=[
+        "r0.005", "r0.01", "r0.02", "r0.005-fb0.02", "r0.005-fb0.5-ctrl",
+        "r0.005-fb1e308",
+    ],
 )
 def test_extract_corpus_equals_reference_on_synth_corpora(seed, thresholds, extra_rows):
     docs = make_corpus(random.Random(seed), 8)
