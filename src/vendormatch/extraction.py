@@ -229,7 +229,10 @@ class _MarkedIndex:
         # longer length L and squared code points T in the longer side's
         # tail reaches ``bound`` exactly when T >= L * cut
         scaled = CODE_SCALE * bound / _LENGTH_SLACK
-        cut = scaled * scaled  # ``**`` raises OverflowError at a huge bound
+        # ``**`` raises OverflowError at a huge bound; below ~1e-164 the square
+        # underflows to 0.0, which would cut a tail of NULs only (T = 0); the
+        # smallest float still cuts every positive (integer) tail
+        cut = scaled * scaled or 5e-324
         kept = [n]  # lengths of the buckets the length bound leaves in play
         tail, most = 0, n * cut
         for length in range(n - 1, 0, -1):  # shorter rows: the candidate's tail

@@ -34,16 +34,19 @@ class MarkingFormatError(ValueError):
 def read_text(path: Path, error: type[Exception]) -> str:
     """A file's UTF-8 text, with CR and CRLF read as LF.
 
-    Raises FileNotFoundError for a missing file and ``error``, naming the
-    path and the first bad byte, for a file that is not UTF-8.
+    One leading byte order mark (U+FEFF) is dropped, so it never joins the
+    first record; :func:`save_marking` writes none. Raises
+    FileNotFoundError for a missing file and ``error``, naming the path and
+    the first bad byte of the file, for a file that is not UTF-8.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise error(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
+    return text.removeprefix("\ufeff")
 
 
 def read_records(path: Path, error: type[Exception]) -> list[str]:

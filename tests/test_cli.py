@@ -85,6 +85,16 @@ def test_golden_report_without_numpy(tmp_marking):
     assert proc.stdout == GOLDEN_REPORT.read_bytes()
 
 
+def test_marking_with_a_byte_order_mark_reads_as_without(tmp_path, tmp_marking, capsys):
+    bom = tmp_path / "bom.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + tmp_marking.read_bytes())
+    assert main(cli_args(bom, "--output", "json", "--no-update-marking")) == EXIT_OK
+    assert capsys.readouterr().out == GOLDEN_REPORT.read_text(encoding="utf-8")
+    # the saved marking is the plain run's, with no mark
+    assert main(cli_args(bom)) == main(cli_args(tmp_marking)) == EXIT_OK
+    assert bom.read_bytes() == tmp_marking.read_bytes()
+
+
 def test_run_without_updates_leaves_marking_untouched(tmp_marking):
     before = tmp_marking.read_bytes()
     run(bundled_config(marking_path=tmp_marking, update_marking=False))
@@ -354,8 +364,22 @@ def test_main_non_finite_threshold_exits_one(tmp_marking, capsys, flag, value):
     assert "must be a finite number" in capsys.readouterr().err
 
 
-def test_main_huge_threshold_exits_zero(tmp_marking, capsys):
-    # squaring a bound of 1e200 overflows a float; it must not raise
-    code = main(cli_args(tmp_marking, "--r-threshold", "1e200", "--output", "json"))
+def test_main_huge_threshold_exits_zero(tmp_path, tmp_marking, capsys):
+    # squaring a bound of 1e200 overflows a float; it must not raise. Every
+    # candidate is admitted, so a two-file corpus keeps the run short
+    corpus = {"vendors": "solar panels and wind turbines", "queries": "solar wind"}
+    for kind, text in corpus.items():
+        (tmp_path / kind).mkdir()
+        (tmp_path / kind / "d.txt").write_text(text, encoding="utf-8")
+    code = main(
+        [
+            "--vendors-dir", str(tmp_path / "vendors"),
+            "--queries-dir", str(tmp_path / "queries"),
+            "--marking", str(tmp_marking),
+            "--taxonomy", str(DATA_DIR / "taxonomy.tsv"),
+            "--r-threshold", "1e200",
+            "--output", "json",
+        ]
+    )
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["winner"] is not None

@@ -437,13 +437,16 @@ def test_nul_padded_row_before_the_candidate_row():
     # the rows tie at exactly 0.0 and the earlier one is the answer
     padded = "b1" + "\x00" * 16
     assert scan([padded], encode("b1")) == [0.0]
+    # a bound whose square underflows must still keep a tail of NULs only
+    tiny = Thresholds(r_threshold=1e-200, fallback_threshold=1e-200)
     for order in ([padded, "b1"], ["b1", padded]):
         marking = dict.fromkeys(order, 1)
-        for bound in (DEFAULTS.r_threshold, math.inf):
+        for bound in (DEFAULTS.r_threshold, math.inf, 1e-200, 5e-324):
             assert _MarkedIndex(marking).best(encode("b1"), bound) == (0.0, order[0])
-        out = extract_one("b1", marking, DEFAULTS)
-        assert out.instances["b1"].best_r == 0.0
-        assert out.instances["b1"].matched_marked_phrase == order[0]
+        for thresholds in (DEFAULTS, tiny):
+            out = extract_one("b1", dict(marking), thresholds)
+            assert out.instances["b1"].best_r == 0.0
+            assert out.instances["b1"].matched_marked_phrase == order[0]
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from repo_paths import GOLDEN_DIR, REPO_ROOT
 
 
-@pytest.mark.parametrize("script", ["run_bundled_corpus.py", "threshold_sweep.py"])
+@pytest.mark.parametrize("script", ["threshold_sweep.py"])
 def test_script_help_prints_usage_and_writes_nothing(script):
     golden = GOLDEN_DIR / "bundled_report.json"
     before = golden.read_bytes(), golden.stat().st_mtime_ns

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repo_paths import REPO_ROOT
+from repo_paths import DATA_DIR, REPO_ROOT
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import (
     Taxonomy,
@@ -233,6 +233,14 @@ def test_load_crlf_reads_as_lf(tmp_path):
     assert len(t) == 3
     assert t.root == "energy"
     assert t.depth("wind") == 2
+
+
+def test_load_drops_a_byte_order_mark(tmp_path, bundled_taxonomy):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "taxonomy.tsv").read_bytes())
+    t = load_taxonomy(path)
+    assert list(t) == list(bundled_taxonomy)
+    assert [t.depth(c) for c in t] == [bundled_taxonomy.depth(c) for c in t]
 
 
 def test_load_ids_lowercased(tmp_path):
