@@ -8,6 +8,7 @@ so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -77,8 +78,49 @@ def run(cfg: RunConfig) -> MatchReport:
     return report
 
 
+@functools.cache
+def _json_encoder(depth: int):
+    """json's C encoder, one item a line, for a container at ``depth``."""
+    separator = ",\n" + "  " * (depth + 1)
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+
+
+def _write_json(value: object, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    An indent sends json.dumps to its pure-Python encoder. Here a container
+    that holds no container is one call to json's C encoder, whose item
+    separator carries the newline and indent; other containers recurse.
+    Keys are str, as every report key is.
+    """
+    encode = _json_encoder(depth)
+    if isinstance(value, dict):
+        brackets, values = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, values = "[]", value
+    else:
+        return encode(value)
+    if not value:
+        return brackets
+    indent = "  " * depth
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        body = encode(value)[1:-1]
+    elif brackets == "{}":
+        body = f",\n{indent}  ".join(
+            f"{encode(k)}: {_write_json(v, depth + 1)}"
+            for k, v in sorted(value.items())
+        )
+    else:
+        body = f",\n{indent}  ".join(_write_json(v, depth + 1) for v in value)
+    return f"{brackets[0]}\n{indent}  {body}\n{indent}{brackets[1]}"
+
+
 def emit_report(report: MatchReport, output_format: str = "text") -> str:
-    """Serialize a report; json is key-sorted and byte-stable."""
+    """Serialize a report.
+
+    The json bytes are ``json.dumps(doc, indent=2, sort_keys=True)``'s,
+    plus a final newline: key-sorted and byte-stable.
+    """
     if output_format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format: {output_format!r}")
     if output_format == "json":
@@ -89,7 +131,7 @@ def emit_report(report: MatchReport, output_format: str = "text") -> str:
                 for r in report.results
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _write_json(doc) + "\n"
 
     lines = [f"{'rank':<6}{'vendor':<16}{'match %':>10}{'pairs':>8}"]
     for rank, r in enumerate(report.results, start=1):

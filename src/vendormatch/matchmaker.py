@@ -101,7 +101,11 @@ def match_percentage(query: Mapping[str, int], pairs: list[MatchPair]) -> float:
     passed, restricted to its phrases. Scores add left to right, since
     builtin ``sum()`` of floats rounds differently from Python 3.12 on.
     """
-    total = sum(query.values())
+    return _percentage(query, pairs, sum(query.values()))
+
+
+def _percentage(query: Mapping[str, int], pairs: list[MatchPair], total: int) -> float:
+    """:func:`match_percentage`, given the query's total frequency."""
     if total == 0:
         return 0.0
     matched = 0.0
@@ -126,14 +130,18 @@ def rank_vendors(
 ) -> MatchReport:
     """Score every vendor against the pooled queries and rank them.
 
-    Each set is read once, into a phrase-sorted frequency map. A query
-    phrase's best vendor phrase does not depend on its query, so each
-    per-query percentage reuses the pooled pairs, restricted to its phrases.
+    Each set is read once, into a phrase-sorted frequency map, and each
+    query's total frequency is summed once. A query phrase's best vendor
+    phrase does not depend on its query, so each per-query percentage
+    reuses the pooled pairs, restricted to its phrases.
     """
     def frequencies(s: InstanceSet) -> dict[str, int]:
         return {p: rec.frequency for p, rec in sorted(s.instances.items())}
 
     query_freqs = {qid: frequencies(queries[qid]) for qid in sorted(queries)}
+    query_totals = [
+        (qid, freqs, sum(freqs.values())) for qid, freqs in query_freqs.items()
+    ]
     pooled = pool_queries(query_freqs)
     scores: dict[str, dict[str, float]] = {}
     results = []
@@ -141,8 +149,8 @@ def rank_vendors(
         pairs = semantic_match(pooled, frequencies(vendors[vendor_id]), t, cfg, scores)
         best = {p.query_phrase: p for p in pairs}
         per_query = {
-            query_id: match_percentage(freqs, [best[p] for p in freqs if p in best])
-            for query_id, freqs in query_freqs.items()
+            query_id: _percentage(freqs, [best[p] for p in freqs if p in best], total)
+            for query_id, freqs, total in query_totals
         }
         results.append(
             VendorResult(

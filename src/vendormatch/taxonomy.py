@@ -6,7 +6,8 @@ concept is the root. Depth counts from 1 at the root along the longest path
 down to a concept, so every ancestor is strictly shallower than its
 descendants and every similarity score lies in (0, 1]. Scores are plain
 floats; :func:`lcs` names the subsumer on demand. Graph and depths are
-fixed at construction; each ancestor set is walked on first use and kept.
+fixed at construction; each ancestor set is walked on first use and kept,
+and so is the Wu-Palmer score of each concept pair scored.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ class TaxonomyError(ValueError):
 
 
 class Taxonomy:
-    """Depths and parent lists of a validated DAG; see :meth:`from_edges`."""
+    """Depths and parent lists of a validated DAG; see :meth:`from_edges`.
+
+    It also keeps each ancestor set it has walked and the :func:`wup_score`
+    of each unordered concept pair it has scored.
+    """
 
     def __init__(
         self, depths: dict[str, int], root: str, parents: dict[str, list[str]]
@@ -43,6 +48,7 @@ class Taxonomy:
         self.root = root
         self._parents = parents
         self._ancestors: dict[str, frozenset[str]] = {}
+        self._wup: dict[tuple[str, str], float] = {}
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "Taxonomy":
@@ -165,8 +171,15 @@ def wup_score(t: Taxonomy, a: str, b: str) -> float:
 
     With the root at depth 1 the value always lies in (0, 1]; it is 1
     exactly when the two concepts coincide. :func:`lcs` names the LCS.
+    The score is symmetric to the bit, so ``t`` keeps one per unordered
+    pair; an unknown concept raises KeyError and caches nothing.
     """
-    return 2.0 * t.depth(lcs(t, a, b)) / (t.depth(a) + t.depth(b))
+    key = (a, b) if a < b else (b, a)
+    score = t._wup.get(key)
+    if score is None:
+        score = 2.0 * t.depth(lcs(t, a, b)) / (t.depth(a) + t.depth(b))
+        t._wup[key] = score
+    return score
 
 
 def _token_pair_score(t: Taxonomy, x: str, y: str) -> float:
@@ -189,14 +202,17 @@ def phrase_score(t: Taxonomy, a: str, b: str) -> float:
     resolvable tokens score exactly their :func:`wup_score`. If either
     phrase is nothing but stopwords, falls back to whole-phrase string
     equality.
+
+    A token pair scores the same both ways round, so each is scored once:
+    the rows of one |a| x |b| table give a's best matches and its columns
+    give b's.
     """
     tokens_a = [w for w in a.lower().split() if w not in DEFAULT_STOPWORDS]
     tokens_b = [w for w in b.lower().split() if w not in DEFAULT_STOPWORDS]
     if not tokens_a or not tokens_b:
         return 1.0 if a.lower() == b.lower() else 0.0
 
-    def directed(src: list[str], dst: list[str]) -> float:
-        best = (max(_token_pair_score(t, x, y) for y in dst) for x in src)
-        return math.fsum(best) / len(src)
-
-    return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
+    rows = [[_token_pair_score(t, x, y) for y in tokens_b] for x in tokens_a]
+    a_to_b = math.fsum(map(max, rows)) / len(tokens_a)
+    b_to_a = math.fsum(map(max, zip(*rows))) / len(tokens_b)
+    return (a_to_b + b_to_a) / 2.0

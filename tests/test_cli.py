@@ -1,25 +1,32 @@
 """End-to-end CLI behavior: orchestration, serialization, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
+from synth_corpus import fresh_marking, make_corpus
 from vendormatch.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    _write_json,
     emit_report,
     main,
     run,
 )
-from vendormatch.config import RunConfig
+from vendormatch.config import RunConfig, Thresholds
 from vendormatch.extraction import extract_corpus
 from vendormatch.marking import load_marking, save_marking
-from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult
+from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult, rank_vendors
 
 GOLDEN_REPORT = GOLDEN_DIR / "bundled_report.json"
 
@@ -206,6 +213,60 @@ def test_emit_single_vendor_report():
 def test_emit_text_for_empty_report():
     text = emit_report(MatchReport(results=(), winner=None), "text")
     assert "winner: none" in text
+
+
+_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀'), st.characters()),
+    max_size=6,
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**300), 2**300),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]),
+    _TEXT,
+)
+
+
+def json_trees(depth):
+    """JSON documents nested up to ``depth`` containers deep."""
+    if depth == 0:
+        return _SCALARS
+    child = json_trees(depth - 1)
+    return st.one_of(
+        _SCALARS,
+        st.lists(child, max_size=4),
+        st.lists(child, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, child, max_size=4),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees(5))
+def test_json_writer_equals_indented_json_dumps(doc):
+    assert _write_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_report_of_a_synth_ranking_is_indented_json_dumps(bundled_taxonomy):
+    rng = random.Random(5)
+    cfg = Thresholds()
+    marking = fresh_marking()
+    vendors = extract_corpus(make_corpus(rng, 100), marking, cfg)
+    queries = extract_corpus(make_corpus(rng, 100, words_per_doc=12), marking, cfg)
+    report = rank_vendors(queries, vendors, bundled_taxonomy, cfg)
+    assert sum(len(r.pairs) for r in report.results) > 100
+    expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    assert emit_report(report, "json") == expected
+
+
+def test_readme_schema_example_is_the_head_of_the_golden_report():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## JSON report schema\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert example.count("\n") > 10
+    assert GOLDEN_REPORT.read_text(encoding="utf-8").startswith(example)
 
 
 def test_json_schema_is_stable():

@@ -1,5 +1,7 @@
 """Concept graph validation, LCS, and similarity scoring."""
 
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -12,6 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repo_paths import DATA_DIR, REPO_ROOT
+from vendormatch import taxonomy
+from vendormatch.config import Thresholds
+from vendormatch.extraction import extract_corpus
+from vendormatch.marking import load_marking
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import (
     Taxonomy,
@@ -391,6 +397,36 @@ def test_wup_symmetric_exactly():
         assert lcs(t, a, b) == lcs(t, b, a)
 
 
+def test_wup_reversed_pair_reads_the_cached_score(monkeypatch):
+    rng = random.Random(29)
+    edges, ids = random_rooted_dag(rng, max_nodes=30)
+    t = Taxonomy.from_edges(edges)
+    lcs_calls = []
+    monkeypatch.setattr(
+        taxonomy, "lcs", lambda t, a, b: lcs_calls.append((a, b)) or lcs(t, a, b)
+    )
+    for a, b in itertools.product(ids, repeat=2):
+        first = wup_score(t, a, b)
+        calls = len(lcs_calls)
+        assert wup_score(t, b, a).hex() == first.hex()
+        assert wup_score(t, a, b).hex() == first.hex()
+        assert len(lcs_calls) == calls
+        _, depth_a, depth_b, depth_lcs = oracle_lcs_and_depth(edges, a, b)
+        assert first.hex() == (2.0 * depth_lcs / (depth_a + depth_b)).hex()
+    # one lcs per unordered pair, then only cached reads
+    assert len(lcs_calls) == len(ids) * (len(ids) + 1) // 2
+
+
+def test_wup_unknown_concept_raises_on_every_call():
+    t = tax(("b", "a"), ("c", "a"))
+    for _ in range(2):
+        for a, b in (("b", "zz"), ("zz", "b"), ("zz", "zz"), ("a", "")):
+            with pytest.raises(KeyError, match="unknown concept"):
+                wup_score(t, a, b)
+        assert wup_score(t, "b", "c") == 2 / 4
+        assert wup_score(t, "c", "b") == 2 / 4
+
+
 def test_wup_deeper_lcs_scores_higher():
     # both pairs sit at depth 4; only the subsumer depth differs
     t = tax(
@@ -487,3 +523,73 @@ def test_phrase_score_uses_default_stopword_list(bundled_taxonomy):
     assert "of" in DEFAULT_STOPWORDS
     score = phrase_score(bundled_taxonomy, "speed of wind", "wind speed")
     assert score == 1.0
+
+
+# ------------------------------------- phrase_score vs. the plain path
+
+
+def plain_phrase_score(t, a, b):
+    """phrase_score as two directed passes, each token pair scored afresh."""
+
+    def token_score(x, y):
+        if x in t and y in t:
+            return 2.0 * t.depth(lcs(t, x, y)) / (t.depth(x) + t.depth(y))
+        if x not in t and y not in t and x == y:
+            return 1.0
+        return 0.0
+
+    tokens_a = [w for w in a.lower().split() if w not in DEFAULT_STOPWORDS]
+    tokens_b = [w for w in b.lower().split() if w not in DEFAULT_STOPWORDS]
+    if not tokens_a or not tokens_b:
+        return 1.0 if a.lower() == b.lower() else 0.0
+
+    def directed(src, dst):
+        best = (max(token_score(x, y) for y in dst) for x in src)
+        return math.fsum(best) / len(src)
+
+    return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
+
+
+def bundled_instance_phrases():
+    marking = load_marking(DATA_DIR / "marking.tsv")
+    phrases = set()
+    for kind in ("vendors", "queries"):
+        docs = {
+            path.stem: path.read_text(encoding="utf-8")
+            for path in sorted((DATA_DIR / kind).glob("*.txt"))
+        }
+        for found in extract_corpus(docs, marking, Thresholds()).values():
+            phrases.update(found.instances)
+    return sorted(phrases)
+
+
+def assert_phrase_scores_equal_plain_path(t, phrases):
+    for a, b in itertools.product(phrases, repeat=2):
+        assert phrase_score(t, a, b).hex() == plain_phrase_score(t, a, b).hex(), (a, b)
+
+
+def test_phrase_score_equals_plain_path_on_bundled_instances():
+    phrases = bundled_instance_phrases()
+    assert len(phrases) > 30
+    t = load_taxonomy(DATA_DIR / "taxonomy.tsv")
+    assert_phrase_scores_equal_plain_path(t, phrases)
+
+
+def test_phrase_score_equals_plain_path_on_edge_phrases(bundled_taxonomy):
+    assert "turbines" not in bundled_taxonomy and "zebra" not in bundled_taxonomy
+    phrases = [
+        # stopwords only
+        "of", "the", "of the", "Of", "and of",
+        # repeated tokens
+        "wind wind", "solar solar wind", "sun of sun",
+        # untaxonomized, equal or not
+        "turbines", "turbines turbines", "zebra", "solar zebra", "turbines of wind",
+        # mixed case
+        "Solar Wind", "WIND", "sUn",
+    ]
+    # every ordering of three tokens, with and without a stopword between
+    for tokens in itertools.permutations(["sun", "wind", "turbines"]):
+        phrases += [" ".join(tokens), " of ".join(tokens)]
+    for tokens in itertools.permutations(["solar", "panels", "energy"]):
+        phrases.append(" ".join(tokens))
+    assert_phrase_scores_equal_plain_path(bundled_taxonomy, phrases)
