@@ -14,6 +14,7 @@ from .matchmaker import (
     VendorResult,
     match_percentage,
     pool_queries,
+    rank_phrases,
     rank_vendors,
     semantic_match,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "match_percentage",
     "phrase_score",
     "pool_queries",
+    "rank_phrases",
     "rank_vendors",
     "save_marking",
     "semantic_match",

@@ -4,14 +4,17 @@ Each query instance is matched to its best-scoring vendor instance; pairs
 at or above the similarity threshold count toward a frequency- and
 score-weighted match percentage. Ranking reads ``{phrase: frequency}``
 maps; the queries are pooled into one, with a per-query breakdown kept for
-the report. All tie-breaks are lexicographic so reports are reproducible.
+the report. Each pooled query phrase is scored once against every vendor
+phrase of the run and its vendor phrases are ranked once; a vendor's best
+match is the first ranked phrase it holds. All tie-breaks are
+lexicographic so reports are reproducible.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Iterable, Mapping
 
 from .config import Thresholds
 from .extraction import InstanceSet
@@ -47,79 +50,78 @@ class MatchReport:
     winner: str | None
 
 
+def rank_phrases(
+    query_phrases: Iterable[str],
+    vendor_phrases: Collection[str],
+    t: Taxonomy,
+    cfg: Thresholds,
+) -> dict[str, list[tuple[float, str]]]:
+    """Each query phrase's vendor phrases that clear the threshold, best first.
+
+    Every query phrase is scored once against every vendor phrase. Its
+    ``(-score, vendor phrase)`` entries with a score of at least
+    ``cfg.wup_threshold`` are sorted, so equal scores list the
+    lexicographically smallest vendor phrase first.
+    """
+    return {
+        q: sorted(
+            (-score, v)
+            for v in vendor_phrases
+            if (score := phrase_score(t, q, v)) >= cfg.wup_threshold
+        )
+        for q in query_phrases
+    }
+
+
 def semantic_match(
     query: Mapping[str, int],
     vendor: Mapping[str, int],
-    t: Taxonomy,
-    cfg: Thresholds,
-    scores: dict[str, dict[str, float]],
+    ranked: Mapping[str, list[tuple[float, str]]],
 ) -> list[MatchPair]:
     """Best vendor match per query phrase, kept if it clears the threshold.
 
-    ``query`` and ``vendor`` map phrase -> frequency. At most one pair per
-    query phrase, so a vendor phrase is never double-counted into the
-    percentage; ties break to the lexicographically smallest vendor phrase.
-    The ``scores`` table (query phrase -> vendor phrase -> score) is filled
-    in place and shared across vendors, so each pair is scored once per run.
+    ``query`` and ``vendor`` map phrase -> frequency; ``ranked`` is
+    :func:`rank_phrases` of the query's phrases against vendor phrases that
+    include the vendor's. A query phrase pairs with the first ranked phrase
+    the vendor holds, so ties break to the lexicographically smallest vendor
+    phrase. At most one pair per query phrase, so a vendor phrase is never
+    double-counted into the percentage.
     """
     pairs: list[MatchPair] = []
-    vendor_phrases = sorted(vendor)
-    for query_phrase in sorted(query):
-        row = scores.setdefault(query_phrase, {})
-        best_score = -1.0
-        best_vendor_phrase = None
-        for vendor_phrase in vendor_phrases:
-            score = row.get(vendor_phrase)
-            if score is None:
-                score = row[vendor_phrase] = phrase_score(
-                    t, query_phrase, vendor_phrase
-                )
-            if score > best_score:
-                best_score = score
-                best_vendor_phrase = vendor_phrase
-        if best_vendor_phrase is None or best_score < cfg.wup_threshold:
-            continue
-        pairs.append(
-            MatchPair(
-                query_phrase=query_phrase,
-                vendor_phrase=best_vendor_phrase,
-                score=best_score,
-                query_freq=query[query_phrase],
-                vendor_freq=vendor[best_vendor_phrase],
-            )
-        )
+    for q in sorted(query):
+        for neg_score, v in ranked[q]:
+            if v in vendor:
+                pairs.append(MatchPair(q, v, -neg_score, query[q], vendor[v]))
+                break
     return pairs
 
 
-def match_percentage(query: Mapping[str, int], pairs: list[MatchPair]) -> float:
+def match_percentage(query: Mapping[str, int], scores: Mapping[str, float]) -> float:
     """Frequency-weighted, score-weighted coverage of the query map, 0-100.
 
-    100 * sum(frequency * score over matched phrases) divided by the total
-    query frequency mass; 100 exactly only when every query phrase matched
-    at score 1.0, and 0 for an empty query. Frequencies are read from the
-    ``query`` map, so pairs matched for a pool that contains it can be
-    passed, restricted to its phrases. Scores add left to right, since
+    ``scores`` maps each matched phrase to its pair's score; it may hold
+    phrases of a pool that contains the query. 100 * sum(frequency * score
+    over matched phrases) divided by the total query frequency mass; 100
+    exactly only when every query phrase matched at score 1.0, and 0 for an
+    empty query. Products add left to right in ``query``'s order, since
     builtin ``sum()`` of floats rounds differently from Python 3.12 on.
     """
-    return _percentage(query, pairs, sum(query.values()))
-
-
-def _percentage(query: Mapping[str, int], pairs: list[MatchPair], total: int) -> float:
-    """:func:`match_percentage`, given the query's total frequency."""
+    total = sum(query.values())
     if total == 0:
         return 0.0
     matched = 0.0
-    for p in pairs:
-        matched += query[p.query_phrase] * p.score
+    for phrase, frequency in query.items():
+        if phrase in scores:
+            matched += frequency * scores[phrase]
     return 100.0 * matched / total
 
 
 def pool_queries(queries: Mapping[str, Mapping[str, int]]) -> dict[str, int]:
-    """One ``{phrase: frequency}`` map, frequencies summed over the queries."""
+    """One phrase-sorted ``{phrase: frequency}`` map, summed over the queries."""
     pooled: Counter[str] = Counter()
     for query in queries.values():
         pooled.update(query)
-    return dict(pooled)
+    return dict(sorted(pooled.items()))
 
 
 def rank_vendors(
@@ -130,33 +132,28 @@ def rank_vendors(
 ) -> MatchReport:
     """Score every vendor against the pooled queries and rank them.
 
-    Each set is read once, into a phrase-sorted frequency map, and each
-    query's total frequency is summed once. A query phrase's best vendor
-    phrase does not depend on its query, so each per-query percentage
-    reuses the pooled pairs, restricted to its phrases.
+    Each set is read into a phrase-sorted frequency map. The pooled phrases
+    are ranked once against the union of the vendors' phrases. A query
+    phrase's best vendor phrase does not depend on its query, so each
+    per-query percentage reads the scores of the vendor's pooled pairs.
     """
     def frequencies(s: InstanceSet) -> dict[str, int]:
         return {p: rec.frequency for p, rec in sorted(s.instances.items())}
 
     query_freqs = {qid: frequencies(queries[qid]) for qid in sorted(queries)}
-    query_totals = [
-        (qid, freqs, sum(freqs.values())) for qid, freqs in query_freqs.items()
-    ]
     pooled = pool_queries(query_freqs)
-    scores: dict[str, dict[str, float]] = {}
+    vendor_phrases = sorted({p for s in vendors.values() for p in s.instances})
+    ranked = rank_phrases(pooled, vendor_phrases, t, cfg)
     results = []
     for vendor_id in sorted(vendors):
-        pairs = semantic_match(pooled, frequencies(vendors[vendor_id]), t, cfg, scores)
-        best = {p.query_phrase: p for p in pairs}
-        per_query = {
-            query_id: _percentage(freqs, [best[p] for p in freqs if p in best], total)
-            for query_id, freqs, total in query_totals
-        }
+        pairs = semantic_match(pooled, frequencies(vendors[vendor_id]), ranked)
+        scores = {p.query_phrase: p.score for p in pairs}
+        per_query = {qid: match_percentage(f, scores) for qid, f in query_freqs.items()}
         results.append(
             VendorResult(
                 vendor_id=vendor_id,
                 pairs=tuple(pairs),
-                match_percentage=match_percentage(pooled, pairs),
+                match_percentage=match_percentage(pooled, scores),
                 per_query=per_query,
             )
         )

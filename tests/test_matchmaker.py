@@ -1,5 +1,6 @@
 """Pairing, match percentage, and vendor ranking."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -8,19 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_rank_vendors
 from synth_corpus import fresh_marking, make_corpus
+from vendormatch import matchmaker
 from vendormatch.config import Thresholds
 from vendormatch.extraction import InstanceRecord, InstanceSet, extract_corpus
 from vendormatch.matchmaker import (
     MatchPair,
-    MatchReport,
-    VendorResult,
     match_percentage,
     pool_queries,
+    rank_phrases,
     rank_vendors,
     semantic_match,
 )
-from vendormatch.taxonomy import Taxonomy
+from vendormatch.taxonomy import Taxonomy, phrase_score
 
 DEFAULTS = Thresholds()
 
@@ -56,101 +58,109 @@ def little_taxonomy():
     )
 
 
+# ----------------------------------------------------------- rank_phrases
+
+
+def test_rank_phrases_scores_each_pair_once_best_first(little_taxonomy, monkeypatch):
+    calls = []
+
+    def counted(t, a, b):
+        calls.append((a, b))
+        return phrase_score(t, a, b)
+
+    monkeypatch.setattr(matchmaker, "phrase_score", counted)
+    query_phrases = ["solar", "wind speed"]
+    vendor_phrases = ["wind", "speed wind", "sun", "speed", "speed of wind", "solar"]
+    ranked = rank_phrases(
+        query_phrases, vendor_phrases, little_taxonomy, Thresholds(wup_threshold=0.6)
+    )
+    assert len(calls) == len(query_phrases) * len(vendor_phrases)
+    assert set(calls) == set(itertools.product(query_phrases, vendor_phrases))
+    # wup(solar, wind) = 2*3/(5+5) is exactly the threshold and is kept
+    assert ranked["solar"] == [(-1.0, "solar"), (-10 / 11, "sun"), (-0.6, "wind")]
+    # two ties: both permutations score 1.0, and speed and wind score alike
+    assert [v for _, v in ranked["wind speed"]] == [
+        "speed of wind", "speed wind", "speed", "wind"
+    ]
+    assert ranked["wind speed"][2][0] == ranked["wind speed"][3][0] > -1.0
+
+
+def test_rank_phrases_of_no_vendor_phrases(little_taxonomy):
+    assert rank_phrases(["solar"], [], little_taxonomy, DEFAULTS) == {"solar": []}
+
+
 # --------------------------------------------------------- semantic_match
 
 
+def match(query, vendor, t, cfg=DEFAULTS):
+    """semantic_match of one query against one vendor, ranked for just them."""
+    return semantic_match(query, vendor, rank_phrases(query, vendor, t, cfg))
+
+
 def test_identity_pair(little_taxonomy):
-    pairs = semantic_match(
-        {"solar": 1},
-        {"solar": 2},
-        little_taxonomy,
-        DEFAULTS,
-        {},
-    )
+    pairs = match({"solar": 1}, {"solar": 2}, little_taxonomy)
     assert len(pairs) == 1
     assert pairs[0].score == 1.0
     assert (pairs[0].query_freq, pairs[0].vendor_freq) == (1, 2)
 
 
 def test_empty_query_set(little_taxonomy):
-    assert semantic_match({}, {"solar": 1}, little_taxonomy, DEFAULTS, {}) == []
+    assert match({}, {"solar": 1}, little_taxonomy) == []
 
 
 def test_permuted_phrase_matches(little_taxonomy):
-    pairs = semantic_match(
-        {"wind speed": 1},
-        {"speed of wind": 1},
-        little_taxonomy,
-        DEFAULTS,
-        {},
-    )
+    pairs = match({"wind speed": 1}, {"speed of wind": 1}, little_taxonomy)
     assert len(pairs) == 1
     assert pairs[0].score == 1.0
 
 
 def test_one_pair_per_query_instance(little_taxonomy):
-    pairs = semantic_match(
-        {"solar": 3},
-        {"solar": 1, "sun": 1},
-        little_taxonomy,
-        DEFAULTS,
-        {},
-    )
+    pairs = match({"solar": 3}, {"solar": 1, "sun": 1}, little_taxonomy)
     assert len(pairs) == 1
     assert pairs[0].vendor_phrase == "solar"  # exact beats the 10/11 sibling
 
 
 def test_score_tie_breaks_to_smallest_vendor_phrase(little_taxonomy):
     # two vendor phrases that both score 1.0 against the query instance
-    pairs = semantic_match(
-        {"wind speed": 1},
-        {"speed of wind": 1, "speed wind": 1},
-        little_taxonomy,
-        DEFAULTS,
-        {},
+    pairs = match(
+        {"wind speed": 1}, {"speed wind": 1, "speed of wind": 1}, little_taxonomy
     )
     assert pairs[0].vendor_phrase == "speed of wind"
 
 
 def test_below_threshold_pairs_dropped(little_taxonomy):
-    pairs = semantic_match(
-        {"sun": 1},
-        {"wind": 1},
-        little_taxonomy,
-        DEFAULTS,
-        {},
-    )
-    assert pairs == []
+    assert match({"sun": 1}, {"wind": 1}, little_taxonomy) == []
+
+
+def test_semantic_match_skips_ranked_phrases_the_vendor_lacks():
+    ranked = {"solar": [(-1.0, "solar"), (-0.95, "sun")], "wind": [(-1.0, "wind")]}
+    pairs = semantic_match({"wind": 1, "solar": 2}, {"sun": 4}, ranked)
+    assert pairs == [MatchPair("solar", "sun", 0.95, 2, 4)]
 
 
 # ------------------------------------------------------- match_percentage
 
 
 def test_percentage_no_pairs():
-    assert match_percentage({"solar": 3}, []) == 0.0
+    assert match_percentage({"solar": 3}, {}) == 0.0
 
 
 def test_percentage_full_coverage(little_taxonomy):
     query = {"solar": 3, "wind": 2}
-    pairs = semantic_match(
-        query, {"solar": 1, "wind": 1}, little_taxonomy, DEFAULTS, {}
-    )
-    assert match_percentage(query, pairs) == 100.0
+    pairs = match(query, {"solar": 1, "wind": 1}, little_taxonomy)
+    assert match_percentage(query, {p.query_phrase: p.score for p in pairs}) == 100.0
 
 
 def test_percentage_weighted_partial_coverage():
     # a: freq 3 matched at score 0.9; b: freq 1 unmatched -> 100*2.7/4
-    query = {"a": 3, "b": 1}
-    pairs = [
-        MatchPair(
-            query_phrase="a",
-            vendor_phrase="a",
-            score=0.9,
-            query_freq=3,
-            vendor_freq=1,
-        )
-    ]
-    assert match_percentage(query, pairs) == pytest.approx(67.5, abs=1e-9)
+    assert match_percentage({"a": 3, "b": 1}, {"a": 0.9}) == pytest.approx(
+        67.5, abs=1e-9
+    )
+
+
+def test_percentage_ignores_scores_of_other_phrases():
+    # scores of a pool that contains the query: only the query's phrases count
+    assert match_percentage({"a": 1}, {"a": 0.5, "z": 1.0}) == 50.0
 
 
 def test_percentage_adds_left_to_right_on_every_interpreter():
@@ -158,17 +168,11 @@ def test_percentage_adds_left_to_right_on_every_interpreter():
     # on Python 3.12+ compensates and would give exactly 1.0
     phrases = [f"p{i}" for i in range(10)]
     query = dict.fromkeys(phrases, 1)
-    pairs = [
-        MatchPair(
-            query_phrase=p, vendor_phrase=p, score=0.1, query_freq=1, vendor_freq=1
-        )
-        for p in phrases
-    ]
-    assert match_percentage(query, pairs) == 9.999999999999998
+    assert match_percentage(query, dict.fromkeys(phrases, 0.1)) == 9.999999999999998
 
 
 def test_percentage_empty_query_set():
-    assert match_percentage({}, []) == 0.0
+    assert match_percentage({}, {}) == 0.0
 
 
 # ----------------------------------------------------------- pool_queries
@@ -177,7 +181,11 @@ def test_percentage_empty_query_set():
 def test_pool_sums_frequencies_across_queries():
     pooled = pool_queries({"q2": {"solar": 2, "wind": 1}, "q1": {"solar": 3}})
     assert pooled == {"solar": 5, "wind": 1}
-    assert list(pooled) == ["solar", "wind"]  # first-seen order
+
+
+def test_pool_is_phrase_sorted_not_first_seen():
+    pooled = pool_queries({"q1": {"wind": 1}, "q2": {"solar": 1}})
+    assert list(pooled) == ["solar", "wind"]
 
 
 # ----------------------------------------------------------- rank_vendors
@@ -295,44 +303,6 @@ def test_report_is_deterministic(little_taxonomy):
 
 
 # ------------------------------------------- rank_vendors vs. reference
-
-
-def reference_rank_vendors(queries, vendors, t, cfg):
-    """Ranking as V x (Q+1) independent semantic_match calls.
-
-    Every vendor is matched against the pooled queries and then again
-    against each query on its own, with no score shared between calls.
-    """
-
-    def as_map(found):
-        return {p: rec.frequency for p, rec in found.instances.items()}
-
-    queries = {query_id: as_map(s) for query_id, s in queries.items()}
-    pooled = pool_queries(queries)
-    results = []
-    for vendor_id in sorted(vendors):
-        vendor = as_map(vendors[vendor_id])
-        pairs = semantic_match(pooled, vendor, t, cfg, {})
-        per_query = {
-            query_id: match_percentage(
-                queries[query_id],
-                semantic_match(queries[query_id], vendor, t, cfg, {}),
-            )
-            for query_id in sorted(queries)
-        }
-        results.append(
-            VendorResult(
-                vendor_id=vendor_id,
-                pairs=tuple(pairs),
-                match_percentage=match_percentage(pooled, pairs),
-                per_query=per_query,
-            )
-        )
-    results.sort(key=lambda r: (-r.match_percentage, r.vendor_id))
-    winner = None
-    if results and results[0].match_percentage > 0:
-        winner = results[0].vendor_id
-    return MatchReport(results=tuple(results), winner=winner)
 
 
 @pytest.mark.parametrize("wup", [0.5, 0.9])

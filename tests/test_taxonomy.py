@@ -1,7 +1,6 @@
 """Concept graph validation, LCS, and similarity scoring."""
 
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import plain_phrase_score
 from repo_paths import DATA_DIR, REPO_ROOT
 from vendormatch import taxonomy
 from vendormatch.config import Thresholds
@@ -526,28 +526,6 @@ def test_phrase_score_uses_default_stopword_list(bundled_taxonomy):
 
 
 # ------------------------------------- phrase_score vs. the plain path
-
-
-def plain_phrase_score(t, a, b):
-    """phrase_score as two directed passes, each token pair scored afresh."""
-
-    def token_score(x, y):
-        if x in t and y in t:
-            return 2.0 * t.depth(lcs(t, x, y)) / (t.depth(x) + t.depth(y))
-        if x not in t and y not in t and x == y:
-            return 1.0
-        return 0.0
-
-    tokens_a = [w for w in a.lower().split() if w not in DEFAULT_STOPWORDS]
-    tokens_b = [w for w in b.lower().split() if w not in DEFAULT_STOPWORDS]
-    if not tokens_a or not tokens_b:
-        return 1.0 if a.lower() == b.lower() else 0.0
-
-    def directed(src, dst):
-        best = (max(token_score(x, y) for y in dst) for x in src)
-        return math.fsum(best) / len(src)
-
-    return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
 
 
 def bundled_instance_phrases():
