@@ -1,12 +1,37 @@
 import pytest
 
 from repo_paths import DATA_DIR
+from vendormatch.config import Thresholds
+from vendormatch.extraction import extract_corpus
+from vendormatch.marking import load_marking
 from vendormatch.taxonomy import Taxonomy, load_taxonomy
 
 
 @pytest.fixture(scope="session")
 def bundled_taxonomy() -> Taxonomy:
     return load_taxonomy(DATA_DIR / "taxonomy.tsv")
+
+
+@pytest.fixture(scope="session")
+def bundled_corpus() -> dict[str, dict[str, str]]:
+    """The bundled documents, {"vendors" | "queries": {doc id: text}}; read-only."""
+    return {
+        kind: {
+            path.stem: path.read_text(encoding="utf-8")
+            for path in sorted((DATA_DIR / kind).glob("*.txt"))
+        }
+        for kind in ("vendors", "queries")
+    }
+
+
+@pytest.fixture(scope="session")
+def bundled_instance_sets(bundled_corpus):
+    """(vendor sets, query sets) as a default run extracts them; read-only."""
+    marking = load_marking(DATA_DIR / "marking.tsv")
+    return tuple(
+        extract_corpus(bundled_corpus[kind], marking, Thresholds())
+        for kind in ("vendors", "queries")
+    )
 
 
 @pytest.fixture()

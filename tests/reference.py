@@ -1,16 +1,151 @@
-"""Plain reference paths that the library's ranking is checked against.
+"""Every plain reference path that the library is checked against.
 
-They share no code with what they check: every phrase pair is scored
-afresh through ``lcs`` and the taxonomy's depths, with no memo, and every
-sum adds left to right. Only the result dataclasses come from
-``vendormatch.matchmaker``.
+They share no code with what they check: text is tokenized afresh from the
+documented contract, relatedness is evaluated term by term, LCS comes from
+a brute-force ancestor closure, and every phrase pair is scored through
+``lcs`` and the taxonomy's depths with no memo. From ``vendormatch`` come
+only the result dataclasses, the stopword list and ``lcs``.
 """
 
 import math
+from collections import Counter, defaultdict
 
 from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import lcs
+
+# ------------------------------------------------------------- extraction
+
+
+def direct_var(xs):
+    """Population variance by two plain left-to-right passes."""
+    total = 0.0
+    for x in xs:
+        total += x
+    mu = total / len(xs)
+    total = 0.0
+    for x in xs:
+        total += (x - mu) ** 2
+    return total / len(xs)
+
+
+def oracle_relatedness(a: str, b: str) -> float:
+    """Term-by-term evaluation of the composite metric on two phrases."""
+    ca = [ord(ch) / 127.0 for ch in a]
+    cb = [ord(ch) / 127.0 for ch in b]
+    length = max(len(ca), len(cb))
+    ca = ca + [0.0] * (length - len(ca))
+    cb = cb + [0.0] * (length - len(cb))
+    dist = math.sqrt(sum((y - x) ** 2 for x, y in zip(ca, cb))) / math.sqrt(length)
+    sig_a = math.sqrt(direct_var([ord(ch) / 127.0 for ch in a]))
+    sig_b = math.sqrt(direct_var([ord(ch) / 127.0 for ch in b]))
+    diff = [y - x for x, y in zip(ca, cb)]
+    return dist + abs(sig_a - sig_b) + direct_var(diff)
+
+
+def reference_tokenize(text):
+    """Tokens by the contract: non-ASCII replaced, then lowercased, [a-z0-9]+."""
+    seven_bit = "".join(ch if ord(ch) < 128 else "?" for ch in text)
+    tokens, token = [], ""
+    for ch in seven_bit.lower() + " ":
+        if "a" <= ch <= "z" or "0" <= ch <= "9":
+            token += ch
+        elif token:
+            tokens.append(token)
+            token = ""
+    return tokens
+
+
+def reference_candidates(tokens):
+    """Every 1-3-gram with no stopword at an edge, counted in first-occurrence order."""
+    grams = []
+    for start in range(len(tokens)):
+        for n in (1, 2, 3):
+            gram = tokens[start : start + n]
+            if len(gram) < n or {gram[0], gram[-1]} & DEFAULT_STOPWORDS:
+                continue
+            grams.append(" ".join(gram))
+    return dict(Counter(grams))
+
+
+def reference_extract(documents, marking, thresholds):
+    """Plain extraction: documents in sorted order, every marked object scanned.
+
+    ``marking`` is an insertion-ordered {phrase: frequency} dict, updated in
+    place. Returns {doc_id: {phrase: (frequency, best_r, matched, via_fallback)}}.
+    """
+    out = {}
+    for doc_id in sorted(documents):
+        found = out[doc_id] = {}
+        words = reference_tokenize(documents[doc_id])
+        for phrase, frequency in reference_candidates(words).items():
+            best_r, matched = None, None
+            for marked in marking:
+                r = oracle_relatedness(marked, phrase)
+                if best_r is None or r < best_r:  # first minimum wins
+                    best_r, matched = r, marked
+            if best_r is None:
+                continue
+            if best_r < thresholds.r_threshold:
+                via_fallback = False
+            elif best_r < thresholds.fallback_threshold:
+                via_fallback = True
+            else:
+                continue
+            marking[phrase] = marking.get(phrase, 0) + frequency
+            found[phrase] = (frequency, best_r, matched, via_fallback)
+    return out
+
+
+# --------------------------------------------------------------- taxonomy
+
+
+def oracle_lcs_and_depth(edges, a, b):
+    """Independent ancestor enumeration: recursive closure + longest-path depth."""
+    parents = defaultdict(set)
+    for child, parent in edges:
+        parents[child].add(parent)
+
+    depth_memo, anc_memo = {}, {}
+
+    def depth(x):
+        if x not in depth_memo:
+            ps = parents.get(x, set())
+            depth_memo[x] = 1 if not ps else 1 + max(depth(p) for p in ps)
+        return depth_memo[x]
+
+    def ancestors(x):
+        if x not in anc_memo:
+            closure = {x}
+            for p in parents.get(x, set()):
+                closure |= ancestors(p)
+            anc_memo[x] = closure
+        return anc_memo[x]
+
+    common = ancestors(a) & ancestors(b)
+    best_depth = max(depth(c) for c in common)
+    winner = min(c for c in common if depth(c) == best_depth)
+    return winner, depth(a), depth(b), best_depth
+
+
+def random_rooted_dag(rng, max_nodes=50):
+    n = rng.randint(2, max_nodes)
+    ids = [f"c{i:02d}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        for p in rng.sample(range(i), rng.randint(1, min(2, i))):
+            edges.append((ids[i], ids[p]))
+    return edges, ids
+
+
+def random_rooted_tree(rng, max_nodes=50):
+    n = rng.randint(2, max_nodes)
+    ids = [f"c{i:02d}" for i in range(n)]
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+    return edges, ids
+
+
+# ---------------------------------------------------------------- ranking
 
 
 def plain_phrase_score(t, a, b):

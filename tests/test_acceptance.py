@@ -9,19 +9,16 @@ import random
 import time
 from dataclasses import replace
 
-import pytest
-
+from reference import direct_var, oracle_lcs_and_depth, random_rooted_dag, random_rooted_tree
 from repo_paths import DATA_DIR
 from synth_corpus import fresh_marking, make_corpus
-from test_taxonomy import oracle_lcs_and_depth, random_rooted_dag, random_rooted_tree
-from test_textstats import direct_var, terms
-from vendormatch.cli import _read_corpus, emit_report, run
+from vendormatch.cli import emit_report, run
 from vendormatch.config import RunConfig, Thresholds
 from vendormatch.extraction import InstanceSet, extract_corpus
 from vendormatch.marking import load_marking, save_marking
 from vendormatch.matchmaker import rank_vendors
 from vendormatch.taxonomy import Taxonomy, lcs, phrase_score, wup_score
-from vendormatch.textstats import ObjectVector, encode
+from vendormatch.textstats import ObjectVector, encode, relatedness_terms
 
 DEFAULTS = Thresholds()
 
@@ -131,7 +128,7 @@ def test_statistics_against_direct_summation():
         pa = first + [0.0] * (length - len(first))
         pb = second + [0.0] * (length - len(second))
         diff = [y - x for x, y in zip(pa, pb)]
-        got = terms(
+        got = relatedness_terms(
             ObjectVector.from_codes(first), ObjectVector.from_codes(second)
         )[2]
         assert abs(got - direct_var(diff)) <= 1e-12
@@ -140,7 +137,7 @@ def test_statistics_against_direct_summation():
     for _ in range(1000):
         phrase = "".join(rng.choices(alphabet, k=rng.randint(1, 30))).strip() or "x"
         v = encode(phrase)
-        assert sum(terms(v, v)) == 0.0
+        assert sum(relatedness_terms(v, v)) == 0.0
     _passed("statistics oracle: 1000 vectors at 1e-12; relatedness(v, v) == 0")
 
 
@@ -159,8 +156,11 @@ def test_metric_symmetry_and_triangle_inequality():
             ObjectVector.from_codes([rng.random() for _ in range(n)])
             for _ in range(3)
         )
-        assert terms(u, v)[0] == terms(v, u)[0]
-        assert terms(u, w)[0] <= terms(u, v)[0] + terms(v, w)[0] + 1e-9
+        uv, vu, uw, vw = (
+            relatedness_terms(x, y)[0] for x, y in ((u, v), (v, u), (u, w), (v, w))
+        )
+        assert uv == vu
+        assert uw <= uv + vw + 1e-9
     _passed("metric properties: symmetry exact, triangle inequality at 1e-9")
 
 
@@ -231,11 +231,11 @@ def test_seed_table_terms_extracted_exactly(tmp_path):
 # -------------------------------------------------------------------------
 
 
-def test_adaptive_marking_on_bundled_corpus(tmp_marking):
+def test_adaptive_marking_on_bundled_corpus(tmp_marking, bundled_corpus):
     def one_run():
         marking = load_marking(tmp_marking)
         vendor_sets, query_sets = (
-            extract_corpus(_read_corpus(DATA_DIR / kind), marking, DEFAULTS)
+            extract_corpus(bundled_corpus[kind], marking, DEFAULTS)
             for kind in ("vendors", "queries")
         )
         save_marking(marking, tmp_marking)
@@ -298,16 +298,8 @@ def test_end_to_end_determinism_at_corpus_scale():
 # -------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def bundled_instance_sets():
-    marking = load_marking(DATA_DIR / "marking.tsv")
-    vendor_sets = extract_corpus(_read_corpus(DATA_DIR / "vendors"), marking, DEFAULTS)
-    query_sets = extract_corpus(_read_corpus(DATA_DIR / "queries"), marking, DEFAULTS)
-    return query_sets, vendor_sets
-
-
 def test_ranking_scale_invariance(bundled_taxonomy, bundled_instance_sets):
-    query_sets, vendor_sets = bundled_instance_sets
+    vendor_sets, query_sets = bundled_instance_sets
     base = rank_vendors(query_sets, vendor_sets, bundled_taxonomy, DEFAULTS)
     scaled_queries = {
         qid: InstanceSet(
@@ -327,7 +319,7 @@ def test_ranking_scale_invariance(bundled_taxonomy, bundled_instance_sets):
 
 
 def test_ranking_threshold_monotonicity(bundled_taxonomy, bundled_instance_sets):
-    query_sets, vendor_sets = bundled_instance_sets
+    vendor_sets, query_sets = bundled_instance_sets
     loose = rank_vendors(query_sets, vendor_sets, bundled_taxonomy, DEFAULTS)
     strict = rank_vendors(
         query_sets, vendor_sets, bundled_taxonomy, Thresholds(wup_threshold=0.95)

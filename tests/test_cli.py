@@ -116,15 +116,10 @@ def test_run_with_updates_grows_marking(tmp_marking):
     assert len(after.splitlines()) >= len(before.splitlines())
 
 
-def test_second_run_admits_superset_of_instances(tmp_marking):
-    docs = {
-        p.stem: p.read_text(encoding="utf-8")
-        for p in sorted((DATA_DIR / "vendors").glob("*.txt"))
-    }
-
+def test_second_run_admits_superset_of_instances(tmp_marking, bundled_corpus):
     def run_extraction():
         marking = load_marking(tmp_marking)
-        sets = extract_corpus(docs, marking, bundled_config().thresholds)
+        sets = extract_corpus(bundled_corpus["vendors"], marking, bundled_config().thresholds)
         save_marking(marking, tmp_marking)
         return {d: set(s.instances) for d, s in sets.items()}
 

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_rank_vendors
+from reference import reference_extract, reference_rank_vendors
 from synth_corpus import JUNK, POOL, SEED_TERMS, make_corpus
-from test_extraction import reference_extract
 from vendormatch.cli import run
 from vendormatch.config import RunConfig, Thresholds
 from vendormatch.extraction import InstanceRecord, InstanceSet

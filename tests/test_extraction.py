@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repo_paths import DATA_DIR
+from reference import oracle_relatedness, reference_extract
 from synth_corpus import POOL, SEED_TERMS, fresh_marking, make_corpus
 from vendormatch import extraction
 from vendormatch.config import Thresholds
@@ -15,8 +15,6 @@ from vendormatch.extraction import _MarkedIndex, extract_corpus
 from vendormatch.marking import load_marking
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.textstats import candidates, encode, relatedness_terms, tokenize
-
-from test_textstats import oracle_relatedness
 
 DEFAULTS = Thresholds()
 #: The lookup bound, max(r_threshold, fallback_threshold), at the defaults,
@@ -455,7 +453,7 @@ def test_nul_padded_row_before_the_candidate_row():
     ids=["defaults", "fb0.05"],
 )
 def test_bundled_extraction_scores_few_rows(
-    monkeypatch, tmp_marking, thresholds, most, most_scored
+    monkeypatch, tmp_marking, bundled_corpus, thresholds, most, most_scored
 ):
     # a full scan of the bundled corpus makes 1,326 kernel calls at the
     # defaults and 6,429 at fallback 0.05; pruning keeps 151 and 2,625, and
@@ -471,8 +469,7 @@ def test_bundled_extraction_scores_few_rows(
 
     monkeypatch.setattr(extraction, "relatedness_terms", counted)
     marking = load_marking(tmp_marking)
-    for kind in ("vendors", "queries"):
-        docs = {p.stem: p.read_text(encoding="utf-8") for p in (DATA_DIR / kind).glob("*.txt")}
+    for docs in bundled_corpus.values():
         assert extract_corpus(docs, marking, thresholds)
     assert 0 < calls <= most
     assert 0 < scored <= most_scored
@@ -483,7 +480,9 @@ def test_bundled_extraction_scores_few_rows(
     [(DEFAULTS, 220), (Thresholds(fallback_threshold=0.05), 700)],
     ids=["defaults", "fb0.05"],
 )
-def test_bundled_extraction_builds_few_codes(monkeypatch, tmp_marking, thresholds, most):
+def test_bundled_extraction_builds_few_codes(
+    monkeypatch, tmp_marking, bundled_corpus, thresholds, most
+):
     # every candidate and marked phrase is encoded (1,412 vectors at the
     # defaults, 1,463 at fallback 0.05), but a vector builds its codes, which
     # it then keeps in its __dict__, only when a row survives the bounds:
@@ -496,8 +495,7 @@ def test_bundled_extraction_builds_few_codes(monkeypatch, tmp_marking, threshold
 
     monkeypatch.setattr(extraction, "encode", kept)
     marking = load_marking(tmp_marking)
-    for kind in ("vendors", "queries"):
-        docs = {p.stem: p.read_text(encoding="utf-8") for p in (DATA_DIR / kind).glob("*.txt")}
+    for docs in bundled_corpus.values():
         assert extract_corpus(docs, marking, thresholds)
     assert len(vectors) > 1_400
     assert 0 < sum("codes" in vars(v) for v in vectors) <= most
@@ -627,34 +625,6 @@ def test_exact_hit_guarantee_on_random_marked_phrases():
         marking = {phrase: 5}
         out = extract_one(f"report: {phrase} noted", marking, DEFAULTS)
         assert out.instances[phrase].best_r == 0.0
-
-
-def reference_extract(documents, marking, thresholds):
-    """Plain extraction: documents in sorted order, every marked object scanned.
-
-    ``marking`` is an insertion-ordered {phrase: frequency} dict, updated in
-    place. Returns {doc_id: {phrase: (frequency, best_r, matched, via_fallback)}}.
-    """
-    out = {}
-    for doc_id in sorted(documents):
-        found = out[doc_id] = {}
-        for phrase, frequency in candidates(tokenize(documents[doc_id])).items():
-            best_r, matched = None, None
-            for marked in marking:
-                r = oracle_relatedness(marked, phrase)
-                if best_r is None or r < best_r:  # first minimum wins
-                    best_r, matched = r, marked
-            if best_r is None:
-                continue
-            if best_r < thresholds.r_threshold:
-                via_fallback = False
-            elif best_r < thresholds.fallback_threshold:
-                via_fallback = True
-            else:
-                continue
-            marking[phrase] = marking.get(phrase, 0) + frequency
-            found[phrase] = (frequency, best_r, matched, via_fallback)
-    return out
 
 
 def assert_equals_reference(docs, marking, thresholds):

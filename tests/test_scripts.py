@@ -9,12 +9,11 @@ import pytest
 from repo_paths import GOLDEN_DIR, REPO_ROOT
 
 
-@pytest.mark.parametrize("script", ["threshold_sweep.py"])
-def test_script_help_prints_usage_and_writes_nothing(script):
+def test_threshold_sweep_help_prints_usage_and_writes_nothing():
     golden = GOLDEN_DIR / "bundled_report.json"
     before = golden.read_bytes(), golden.stat().st_mtime_ns
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / script), "--help"],
+        [sys.executable, str(REPO_ROOT / "scripts" / "threshold_sweep.py"), "--help"],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         capture_output=True,
         text=True,

@@ -6,18 +6,15 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import defaultdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import plain_phrase_score
+from reference import oracle_lcs_and_depth, plain_phrase_score
+from reference import random_rooted_dag, random_rooted_tree
 from repo_paths import DATA_DIR, REPO_ROOT
 from vendormatch import taxonomy
-from vendormatch.config import Thresholds
-from vendormatch.extraction import extract_corpus
-from vendormatch.marking import load_marking
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import (
     Taxonomy,
@@ -31,56 +28,6 @@ from vendormatch.taxonomy import (
 
 def tax(*edges):
     return Taxonomy.from_edges(edges)
-
-
-# ----------------------------------------------------- brute-force oracle
-
-
-def oracle_lcs_and_depth(edges, a, b):
-    """Independent ancestor enumeration: recursive closure + longest-path depth."""
-    parents = defaultdict(set)
-    nodes = set()
-    for child, parent in edges:
-        parents[child].add(parent)
-        nodes.update((child, parent))
-
-    depth_memo, anc_memo = {}, {}
-
-    def depth(x):
-        if x not in depth_memo:
-            ps = parents.get(x, set())
-            depth_memo[x] = 1 if not ps else 1 + max(depth(p) for p in ps)
-        return depth_memo[x]
-
-    def ancestors(x):
-        if x not in anc_memo:
-            closure = {x}
-            for p in parents.get(x, set()):
-                closure |= ancestors(p)
-            anc_memo[x] = closure
-        return anc_memo[x]
-
-    common = ancestors(a) & ancestors(b)
-    best_depth = max(depth(c) for c in common)
-    winner = min(c for c in common if depth(c) == best_depth)
-    return winner, depth(a), depth(b), best_depth
-
-
-def random_rooted_dag(rng, max_nodes=50):
-    n = rng.randint(2, max_nodes)
-    ids = [f"c{i:02d}" for i in range(n)]
-    edges = []
-    for i in range(1, n):
-        for p in rng.sample(range(i), rng.randint(1, min(2, i))):
-            edges.append((ids[i], ids[p]))
-    return edges, ids
-
-
-def random_rooted_tree(rng, max_nodes=50):
-    n = rng.randint(2, max_nodes)
-    ids = [f"c{i:02d}" for i in range(n)]
-    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
-    return edges, ids
 
 
 # ------------------------------------------------------------------- load
@@ -528,26 +475,15 @@ def test_phrase_score_uses_default_stopword_list(bundled_taxonomy):
 # ------------------------------------- phrase_score vs. the plain path
 
 
-def bundled_instance_phrases():
-    marking = load_marking(DATA_DIR / "marking.tsv")
-    phrases = set()
-    for kind in ("vendors", "queries"):
-        docs = {
-            path.stem: path.read_text(encoding="utf-8")
-            for path in sorted((DATA_DIR / kind).glob("*.txt"))
-        }
-        for found in extract_corpus(docs, marking, Thresholds()).values():
-            phrases.update(found.instances)
-    return sorted(phrases)
-
-
 def assert_phrase_scores_equal_plain_path(t, phrases):
     for a, b in itertools.product(phrases, repeat=2):
         assert phrase_score(t, a, b).hex() == plain_phrase_score(t, a, b).hex(), (a, b)
 
 
-def test_phrase_score_equals_plain_path_on_bundled_instances():
-    phrases = bundled_instance_phrases()
+def test_phrase_score_equals_plain_path_on_bundled_instances(bundled_instance_sets):
+    phrases = sorted(
+        {p for sets in bundled_instance_sets for found in sets.values() for p in found.instances}
+    )
     assert len(phrases) > 30
     t = load_taxonomy(DATA_DIR / "taxonomy.tsv")
     assert_phrase_scores_equal_plain_path(t, phrases)

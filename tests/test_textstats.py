@@ -6,9 +6,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import direct_var, oracle_relatedness, reference_candidates, reference_tokenize
 from vendormatch.textstats import (
     ObjectVector,
     candidates,
@@ -27,43 +28,6 @@ code_lists = st.lists(
     min_size=1,
     max_size=64,
 )
-
-
-# ---------------------------------------------------------------- oracles
-
-
-def direct_mean(xs):
-    total = 0.0
-    for x in xs:
-        total += x
-    return total / len(xs)
-
-
-def direct_var(xs):
-    mu = direct_mean(xs)
-    total = 0.0
-    for x in xs:
-        total += (x - mu) ** 2
-    return total / len(xs)
-
-
-def oracle_relatedness(a: str, b: str) -> float:
-    """Term-by-term evaluation of the composite metric on two phrases."""
-    ca = [ord(ch) / 127.0 for ch in a]
-    cb = [ord(ch) / 127.0 for ch in b]
-    length = max(len(ca), len(cb))
-    ca = ca + [0.0] * (length - len(ca))
-    cb = cb + [0.0] * (length - len(cb))
-    dist = math.sqrt(sum((y - x) ** 2 for x, y in zip(ca, cb))) / math.sqrt(length)
-    sig_a = math.sqrt(direct_var([ord(ch) / 127.0 for ch in a]))
-    sig_b = math.sqrt(direct_var([ord(ch) / 127.0 for ch in b]))
-    diff = [y - x for x, y in zip(ca, cb)]
-    return dist + abs(sig_a - sig_b) + direct_var(diff)
-
-
-def terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:
-    """Distance, stddev gap and variance of ``b`` against ``a``."""
-    return relatedness_terms(a, b)
 
 
 # --------------------------------------------------------------- tokenize
@@ -150,6 +114,25 @@ def test_candidates_deterministic(words):
         assert frequency >= 1
 
 
+# words in mixed case, digits, stopwords that land at phrase edges, the
+# ASCII neighbours of [0-9a-zA-Z], and non-ASCII characters whose lowercase
+# is (or starts with) ASCII: U+212A KELVIN SIGN lowercases to 'k', U+0130 to
+# 'i' + U+0307
+text_pieces = st.sampled_from(
+    ["Wind", "wind", "SOLAR", "energy", "quartz", "b1", "1990", "the", "Of", "and"]
+    + [" ", " ", ", ", "-", "/:", "@[`{", "\n", "\u212a", "\u0130", "\u00e9", "\u20ac"]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(text_pieces, max_size=16).map("".join))
+@example("\u212aelvin wind")  # ['elvin', 'wind']: replaced, then lowercased
+def test_candidates_of_tokenize_equal_the_reference_enumeration(text):
+    words = tokenize(text)
+    assert words == reference_tokenize(text)
+    assert list(candidates(words).items()) == list(reference_candidates(words).items())
+
+
 # ------------------------------------------------------------------ encode
 
 
@@ -226,28 +209,28 @@ def test_statistics_match_direct_summation(codes):
 
 def test_distance_term_identity():
     v = encode("storage")
-    assert terms(v, v)[0] == 0.0
+    assert relatedness_terms(v, v)[0] == 0.0
 
 
 def test_distance_term_three_four_five():
     p = ObjectVector.from_codes([0.0, 0.0])
     q = ObjectVector.from_codes([0.6, 0.8])
-    assert terms(p, q)[0] == pytest.approx(1.0 / math.sqrt(2), abs=1e-12)
+    assert relatedness_terms(p, q)[0] == pytest.approx(1.0 / math.sqrt(2), abs=1e-12)
 
 
 def test_distance_term_pads_shorter_vector():
     # hand expansion: 'sunny' extends 'sun' by two characters vs zeros
     a, b = encode("sun"), encode("sunny")
     expected = math.sqrt((110 / 127) ** 2 + (121 / 127) ** 2) / math.sqrt(5)
-    assert terms(a, b)[0] == pytest.approx(expected, abs=1e-12)
+    assert relatedness_terms(a, b)[0] == pytest.approx(expected, abs=1e-12)
 
 
 @given(code_lists, code_lists)
 def test_distance_term_symmetric_nonnegative(xs, ys):
     p = ObjectVector.from_codes(xs)
     q = ObjectVector.from_codes(ys)
-    assert terms(p, q)[0] == terms(q, p)[0]
-    assert terms(p, q)[0] >= 0.0
+    assert relatedness_terms(p, q)[0] == relatedness_terms(q, p)[0]
+    assert relatedness_terms(p, q)[0] >= 0.0
 
 
 @given(
@@ -265,7 +248,8 @@ def test_distance_term_symmetric_nonnegative(xs, ys):
 )
 def test_distance_term_triangle_inequality_equal_lengths(triple):
     u, v, w = (ObjectVector.from_codes(c) for c in triple)
-    assert terms(u, w)[0] <= terms(u, v)[0] + terms(v, w)[0] + 1e-9
+    uw, uv, vw = (relatedness_terms(x, y)[0] for x, y in ((u, w), (u, v), (v, w)))
+    assert uw <= uv + vw + 1e-9
 
 
 # ----------------------------------------------------------- variance term
@@ -273,22 +257,22 @@ def test_distance_term_triangle_inequality_equal_lengths(triple):
 
 def test_variance_term_identity_is_exactly_zero():
     v = encode("renewable")
-    assert terms(v, v)[2] == 0.0
+    assert relatedness_terms(v, v)[2] == 0.0
 
 
 @given(code_lists, code_lists)
 def test_variance_term_sign_invariant(xs, ys):
     a = ObjectVector.from_codes(xs)
     b = ObjectVector.from_codes(ys)
-    assert terms(a, b)[2] == pytest.approx(terms(b, a)[2], abs=1e-12)
-    assert terms(a, b)[2] >= 0.0
+    assert relatedness_terms(a, b)[2] == pytest.approx(relatedness_terms(b, a)[2], abs=1e-12)
+    assert relatedness_terms(a, b)[2] >= 0.0
 
 
 def test_variance_term_matches_direct_evaluation():
     a, b = encode("sun"), encode("sunny")
     ca = list(a.codes) + [0.0, 0.0]
     diff = [y - x for x, y in zip(ca, b.codes)]
-    assert terms(a, b)[2] == pytest.approx(direct_var(diff), abs=1e-12)
+    assert relatedness_terms(a, b)[2] == pytest.approx(direct_var(diff), abs=1e-12)
 
 
 # ------------------------------------------------------------- relatedness
@@ -297,7 +281,7 @@ def test_variance_term_matches_direct_evaluation():
 def test_relatedness_identity_exactly_zero():
     for phrase in ("sun", "energy sources", "a"):
         v = encode(phrase)
-        assert sum(terms(v, v)) == 0.0
+        assert sum(relatedness_terms(v, v)) == 0.0
 
 
 def test_relatedness_matches_oracle_on_reference_pairs():
@@ -305,7 +289,7 @@ def test_relatedness_matches_oracle_on_reference_pairs():
     # character churn ('lock'); the oracle fixes both values, the
     # implementation must agree either way
     for a, b in (("sun", "sunny"), ("sun", "lock")):
-        assert sum(terms(encode(a), encode(b))) == pytest.approx(
+        assert sum(relatedness_terms(encode(a), encode(b))) == pytest.approx(
             oracle_relatedness(a, b), abs=1e-12
         )
 
@@ -314,8 +298,8 @@ def test_relatedness_orders_equal_length_near_variant_first():
     r_near = oracle_relatedness("sun", "son")
     r_far = oracle_relatedness("sun", "lock")
     assert r_near < r_far  # fix the oracle ordering first
-    lhs = sum(terms(encode("sun"), encode("son")))
-    rhs = sum(terms(encode("sun"), encode("lock")))
+    lhs = sum(relatedness_terms(encode("sun"), encode("son")))
+    rhs = sum(relatedness_terms(encode("sun"), encode("lock")))
     assert lhs == pytest.approx(r_near, abs=1e-12)
     assert rhs == pytest.approx(r_far, abs=1e-12)
     assert lhs < rhs
@@ -324,7 +308,7 @@ def test_relatedness_orders_equal_length_near_variant_first():
 @settings(max_examples=250)
 @given(phrases, phrases)
 def test_relatedness_nonnegative_and_matches_oracle(a, b):
-    value = sum(terms(encode(a), encode(b)))
+    value = sum(relatedness_terms(encode(a), encode(b)))
     assert value >= 0.0
     assert value == pytest.approx(oracle_relatedness(a, b), abs=1e-12)
 
@@ -334,7 +318,7 @@ def test_relatedness_nonnegative_on_thousand_random_pairs():
     for _ in range(1000):
         a = "".join(rng.choices(PHRASE_ALPHABET.strip() + " ", k=rng.randint(1, 20)))
         b = "".join(rng.choices(PHRASE_ALPHABET.strip() + " ", k=rng.randint(1, 20)))
-        assert sum(terms(encode(a or "x"), encode(b or "x"))) >= 0.0
+        assert sum(relatedness_terms(encode(a or "x"), encode(b or "x"))) >= 0.0
 
 
 # the terms of pinned pairs before the kernel took a cap: zero padding,
