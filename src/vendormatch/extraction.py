@@ -19,7 +19,10 @@ soon as its running sum of squares shows it cannot reach the best score so
 far (see :class:`_MarkedIndex`). A marked object skipped or abandoned this
 way relates above the best score so far or at ``bound`` or above, so it
 could neither admit the candidate nor be its best match: pruning changes
-no output.
+no output. The index keeps one more scalar, the smallest squared last code
+point of its rows, which no longer row's tail can undercut: while it is not
+under the longest length's cut, a lookup skips the buckets of longer rows
+without visiting them, as the cut would have skipped each one.
 
 The bounds read exact integer moments of a phrase's code points, not its
 float codes. Every candidate is encoded, but an
@@ -44,7 +47,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .config import Thresholds
 from .marking import update_marking
@@ -115,14 +118,18 @@ _KEY_SLACK = 1e-9
 # under a million characters.
 
 
-def _moments(phrase: str) -> tuple[list[int], int, float]:
+def _moments(phrase: str) -> tuple[Sequence[int], int, float]:
     """A phrase's code points, their exact sum and their stddev over 127.
 
     The stddev is ``sqrt(n * Q - S * S) / (127 * n)`` from the exact integer
     sum S and sum of squares Q of the n code points; it stands in for the
-    ``math.fsum`` stddev of :func:`encode` within ``_KEY_SLACK``.
+    ``math.fsum`` stddev of :func:`encode` within ``_KEY_SLACK``. An ASCII
+    phrase's UTF-8 bytes are its code points, and ``str.encode`` makes them
+    in one C call where ``map(ord, ...)`` makes one call per character. The
+    tokenizer makes every candidate ASCII; only a marking row can take the
+    slower path, and the integers are the same either way.
     """
-    points = list(map(ord, phrase))
+    points = phrase.encode() if phrase.isascii() else list(map(ord, phrase))
     n, total = len(points), sum(points)
     spread = n * sum(map(mul, points, points)) - total * total
     return points, total, math.sqrt(spread) / (CODE_SCALE * n)
@@ -162,7 +169,14 @@ class _MarkedIndex:
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
       with zeros. A whole bucket is skipped when this bound, less a 1e-9
-      relative slack for summation order, reaches ``bound``;
+      relative slack for summation order, reaches ``bound``. For rows
+      longer than the candidate, ``min_tail`` holds each bucket's smallest
+      T; none is below ``_least_last``, the smallest squared last code
+      point of any row of length 2 or more, since a row's tail past any
+      shorter length holds its last code point. So when ``_least_last`` is
+      at least the cut of the longest length, no longer bucket could pass
+      and the walk over them is skipped, exactly. A row ending in NUL sets
+      it to 0, and then every longer bucket is checked as before;
     - the row bound: with zero padding ``dist**2`` is the variance of the
       difference vector plus ``m**2``, ``m = |S_row - S_cand| / L`` for code
       sums S. That variance is at least the variance floor v, ``gap**2`` at
@@ -192,6 +206,9 @@ class _MarkedIndex:
         self._rows: list[ObjectVector] = []
         self._buckets: dict[int, _Bucket] = {}
         self._by_length: list[int] = []  # bucket lengths, ascending
+        # the smallest squared last code point of any row of length >= 2: no
+        # min_tail entry of any bucket is below it
+        self._least_last: float = math.inf
         self.padded: set[str] = set()
         for phrase in marking:
             self.append(encode(phrase))
@@ -216,6 +233,8 @@ class _MarkedIndex:
         for n in range(length - 1, 0, -1):
             tail += points[n] * points[n]
             bucket.min_tail[n] = min(bucket.min_tail[n], tail)
+        if length > 1:
+            self._least_last = min(self._least_last, points[-1] * points[-1])
 
     def best(self, vec: ObjectVector, bound: float) -> tuple[float, str] | None:
         """Smallest relatedness to any row with the earliest such row's phrase.
@@ -240,9 +259,13 @@ class _MarkedIndex:
             if tail >= most:
                 break  # the tail only grows as rows get shorter
             kept.append(length)
-        for length in self._by_length[bisect_right(self._by_length, n) :]:
-            if self._buckets[length].min_tail[n] < length * cut:
-                kept.append(length)
+        # longer rows: their own tails. Every min_tail entry is at least
+        # _least_last, so no longer bucket passes unless it is under the
+        # longest length's cut
+        if self._by_length and self._least_last < self._by_length[-1] * cut:
+            for length in self._by_length[bisect_right(self._by_length, n) :]:
+                if self._buckets[length].min_tail[n] < length * cut:
+                    kept.append(length)
 
         # the own length's stddev window and the variance term's float error
         # per unit of s2 / n (both derived beside _KEY_SLACK)

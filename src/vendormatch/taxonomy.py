@@ -7,7 +7,8 @@ down to a concept, so every ancestor is strictly shallower than its
 descendants and every similarity score lies in (0, 1]. Scores are plain
 floats; :func:`lcs` names the subsumer on demand. Graph and depths are
 fixed at construction; each ancestor set is walked on first use and kept,
-and so is the Wu-Palmer score of each concept pair scored.
+and so are the Wu-Palmer score of each concept pair scored and the tokens
+of each phrase scored.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class TaxonomyError(ValueError):
 class Taxonomy:
     """Depths and parent lists of a validated DAG; see :meth:`from_edges`.
 
-    It also keeps each ancestor set it has walked and the :func:`wup_score`
-    of each unordered concept pair it has scored.
+    It also keeps each ancestor set it has walked, the :func:`wup_score`
+    of each unordered concept pair it has scored and the stopword-filtered
+    tokens of each phrase :func:`phrase_score` has read.
     """
 
     def __init__(
@@ -49,6 +51,7 @@ class Taxonomy:
         self._parents = parents
         self._ancestors: dict[str, frozenset[str]] = {}
         self._wup: dict[tuple[str, str], float] = {}
+        self._tokens: dict[str, list[str]] = {}
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "Taxonomy":
@@ -191,6 +194,14 @@ def _token_pair_score(t: Taxonomy, x: str, y: str) -> float:
     return 0.0
 
 
+def _tokens(t: Taxonomy, phrase: str) -> list[str]:
+    tokens = t._tokens.get(phrase)
+    if tokens is None:
+        tokens = [w for w in phrase.lower().split() if w not in DEFAULT_STOPWORDS]
+        t._tokens[phrase] = tokens
+    return tokens
+
+
 def phrase_score(t: Taxonomy, a: str, b: str) -> float:
     """Phrase-level similarity via symmetrized greedy token alignment.
 
@@ -205,10 +216,10 @@ def phrase_score(t: Taxonomy, a: str, b: str) -> float:
 
     A token pair scores the same both ways round, so each is scored once:
     the rows of one |a| x |b| table give a's best matches and its columns
-    give b's.
+    give b's. Each phrase is tokenized once per ``t``.
     """
-    tokens_a = [w for w in a.lower().split() if w not in DEFAULT_STOPWORDS]
-    tokens_b = [w for w in b.lower().split() if w not in DEFAULT_STOPWORDS]
+    tokens_a = _tokens(t, a)
+    tokens_b = _tokens(t, b)
     if not tokens_a or not tokens_b:
         return 1.0 if a.lower() == b.lower() else 0.0
 

@@ -81,17 +81,18 @@ def candidates(words: Sequence[str]) -> dict[str, int]:
     An n-gram qualifies only if its first and last token are not in
     ``DEFAULT_STOPWORDS`` (interior stopwords are fine, so "speed of wind"
     survives). Returns ``{phrase: frequency}`` with keys in first-occurrence
-    order, scanning start positions left to right and lengths 1..3.
+    order, scanning start positions left to right and lengths 1..3. Each
+    bigram is its unigram extended by one word, and each trigram its bigram.
     """
     seen: dict[str, int] = {}
-    for start in range(len(words)):
-        if words[start] in DEFAULT_STOPWORDS:
+    for start, phrase in enumerate(words):
+        if phrase in DEFAULT_STOPWORDS:
             continue
-        for end in range(start + 1, min(start + 3, len(words)) + 1):
-            if words[end - 1] in DEFAULT_STOPWORDS:
-                continue
-            phrase = " ".join(words[start:end])
-            seen[phrase] = seen.get(phrase, 0) + 1
+        seen[phrase] = seen.get(phrase, 0) + 1
+        for word in words[start + 1 : start + 3]:
+            phrase = phrase + " " + word
+            if word not in DEFAULT_STOPWORDS:
+                seen[phrase] = seen.get(phrase, 0) + 1
     return seen
 
 

@@ -29,6 +29,17 @@ def direct_var(xs):
     return total / len(xs)
 
 
+def exact_moments(phrase):
+    """Code points, their sum and ``sqrt(n Q - S**2) / (127 n)``, by plain loops."""
+    points = list(map(ord, phrase))
+    total = squares = 0
+    for p in points:
+        total += p
+        squares += p * p
+    n = len(points)
+    return points, total, math.sqrt(n * squares - total * total) / (127.0 * n)
+
+
 def oracle_relatedness(a: str, b: str) -> float:
     """Term-by-term evaluation of the composite metric on two phrases."""
     ca = [ord(ch) / 127.0 for ch in a]

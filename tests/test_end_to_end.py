@@ -62,11 +62,11 @@ def marking_text(marking):
     return "".join(f"{p}\t{f}\n" for p, f in marking.items())
 
 
-def pipeline_config(directory, vendor_docs, query_docs, edges, **kwargs):
-    """Write both corpora, the seed marking and a taxonomy; configure a run."""
+def pipeline_config(directory, vendor_docs, query_docs, edges, marking=SEED_TERMS, **kwargs):
+    """Write both corpora, a seed marking and a taxonomy; configure a run."""
     write_corpus(directory / "vendors", vendor_docs)
     write_corpus(directory / "queries", query_docs)
-    (directory / "marking.tsv").write_text(marking_text(SEED_TERMS), encoding="utf-8")
+    (directory / "marking.tsv").write_text(marking_text(marking), encoding="utf-8")
     (directory / "taxonomy.tsv").write_text(
         "".join(f"{child}\t{parent}\n" for child, parent in edges), encoding="utf-8"
     )
@@ -79,8 +79,10 @@ def pipeline_config(directory, vendor_docs, query_docs, edges, **kwargs):
     )
 
 
-def assert_run_equals_reference(directory, seed, vendor_docs, query_docs, wup_threshold):
-    """run() on seed's taxonomy and the given documents equals the reference path."""
+def assert_run_equals_reference(
+    directory, seed, vendor_docs, query_docs, wup_threshold, marking=SEED_TERMS
+):
+    """run() on seed's taxonomy, the documents and a seed marking equals the reference path."""
     edges = random_pool_taxonomy(random.Random(seed))
     # pair the shortcut node every time
     vendor_docs, query_docs = (
@@ -93,13 +95,14 @@ def assert_run_equals_reference(directory, seed, vendor_docs, query_docs, wup_th
         vendor_docs,
         query_docs,
         edges,
+        marking,
         thresholds=thresholds,
         update_marking=False,
     )
     report = run(cfg)
-    assert cfg.marking_path.read_text(encoding="utf-8") == marking_text(SEED_TERMS)
+    assert cfg.marking_path.read_text(encoding="utf-8") == marking_text(marking)
 
-    marking = dict(SEED_TERMS)  # shared by both corpora, vendors first
+    marking = dict(marking)  # shared by both corpora, vendors first
     vendors = as_instance_sets(reference_extract(vendor_docs, marking, thresholds))
     queries = as_instance_sets(reference_extract(query_docs, marking, thresholds))
     t = Taxonomy.from_edges(edges)
@@ -124,6 +127,33 @@ def test_run_equals_reference_pipeline_on_random_taxonomies(tmp_path, seed):
     vendor_docs = list(make_corpus(rng, 6).values())
     query_docs = list(make_corpus(rng, 5, words_per_doc=12).values())
     assert_run_equals_reference(tmp_path, seed, vendor_docs, query_docs, 0.5)
+
+
+def realistic_text(rng, words):
+    """Pool words in mixed case between punctuation, digits and non-ASCII text.
+
+    A word before ``9`` makes one token with it, and U+212A KELVIN SIGN
+    lowercases to an ASCII ``k``, but must become ``?`` first.
+    """
+    cases = (str, str.upper, str.title)
+    gaps = [" ", " ", ", ", ". ", "; ", "-", " (", ") ", "!\n", " 2024 ", "9 ", " b1 ", "/10kw "]
+    gaps += [" \u00e9t\u00e9 ", "\u20ac", " \u212a", "\u00fcber ", " \u03a9-"]
+    return "".join(rng.choice(cases)(w) + rng.choice(gaps) for w in rng.choices(POOL, k=words))
+
+
+def test_run_equals_reference_pipeline_on_realistic_text(tmp_path):
+    # The marking's non-ASCII row takes the code-point path of the index's
+    # moments, every other row and candidate the byte path. Its row ending
+    # in \x01 leaves a tail of 1, under the length cut of any longer bucket,
+    # so lookups walk the longer buckets' tails
+    marking = {**SEED_TERMS, "\u00e9nergie": 3, "wind\x01": 2}
+    rng = random.Random(8)
+    vendor_docs = [realistic_text(rng, 40) for _ in range(6)]
+    query_docs = [realistic_text(rng, 12) for _ in range(5)]
+    text = "".join(vendor_docs + query_docs)
+    for piece in ("ENERGY", "Wind", "2024", "9 ", "10kw", "\u212a", "\u20ac", "!\n", "; "):
+        assert piece in text
+    assert_run_equals_reference(tmp_path, 8, vendor_docs, query_docs, 0.5, marking)
 
 
 documents = st.lists(st.sampled_from(POOL), max_size=30).map(" ".join)

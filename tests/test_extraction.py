@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import oracle_relatedness, reference_extract
+from reference import exact_moments, oracle_relatedness, reference_extract
 from synth_corpus import POOL, SEED_TERMS, fresh_marking, make_corpus
 from vendormatch import extraction
 from vendormatch.config import Thresholds
@@ -531,6 +531,44 @@ def test_integer_moment_keys_stay_far_inside_the_slack():
         worst_mean = max(worst_mean, abs(total / 127 - math.fsum(vec.codes)) / len(phrase))
     assert worst_sigma * 100 <= extraction._KEY_SLACK
     assert worst_mean * 100 <= extraction._KEY_SLACK
+
+
+def test_moments_equal_the_exact_integer_moments():
+    # ASCII phrases are read from their bytes, others by code point: both
+    # must give the code points, the sum and the key of plain integer loops
+    rng = random.Random(2310)
+    phrases = [hostile_phrase(rng, rng.choice([1, 2, 7, 40, 400])) for _ in range(300)]
+    phrases += [
+        "sun", "wind energy", "b1", " ", "\x00", "sun\x00", "b1" + "\x00" * 16,
+        "\x01\x1f\x7f", "\x7f\x80", "\u00e9nergie", chr(0x10FFFF), "z" + chr(0x10FFFF) * 3,
+    ]
+    for phrase in phrases:
+        points, total, sigma = extraction._moments(phrase)
+        want_points, want_total, want_sigma = exact_moments(phrase)
+        assert list(points) == want_points
+        assert total == want_total
+        assert sigma.hex() == want_sigma.hex()
+
+
+@pytest.mark.parametrize("tail", ["\x00", "\x01"])
+def test_longer_rows_are_walked_once_a_row_ends_low(tail):
+    # Rows ending in letters put every longer bucket's tail at 97**2 or more,
+    # past any length cut at these bounds, so a lookup skips the walk over
+    # longer buckets. A longer row ending in a NUL or \x01 brings that floor
+    # to 0 or 1, and is the candidate's answer: from then on the walk must
+    # run. At 0.005 the cut of the longest length, 4 * 0.635**2 = 1.61, lets
+    # a tail of 1 through, and the shortest length's, 0.40, would not
+    rows = ["a", "ab", "sun"]
+    index = _MarkedIndex(dict.fromkeys(rows, 1))
+    vec = encode("\x01\x01\x01")
+    bounds = (0.005, *SETTING_BOUNDS)
+    for bound in bounds:
+        assert index.best(vec, bound) == scan_best(rows, vec, bound)
+    rows.append("\x01\x01\x01" + tail)
+    index.append(encode(rows[-1]))
+    for bound in bounds:
+        assert index.best(vec, bound) == scan_best(rows, vec, bound)
+        assert index.best(vec, bound)[1] == rows[-1]
 
 
 @pytest.mark.parametrize(

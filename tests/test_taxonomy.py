@@ -489,6 +489,28 @@ def test_phrase_score_equals_plain_path_on_bundled_instances(bundled_instance_se
     assert_phrase_scores_equal_plain_path(t, phrases)
 
 
+def test_phrase_score_tokenizes_each_phrase_once():
+    # a fresh taxonomy, so the token memo starts empty: each phrase keeps its
+    # own tokens, stopword-only phrases keep none and still fall back to
+    # comparing the whole phrases, case aside
+    t = load_taxonomy(DATA_DIR / "taxonomy.tsv")
+    phrases = ["Of", "of", "the", "Solar Wind", "solar wind", "speed of wind", "of the sun"]
+    for a, b in itertools.product(phrases, repeat=2):
+        cold = phrase_score(t, a, b)
+        assert cold.hex() == phrase_score(t, a, b).hex() == plain_phrase_score(t, a, b).hex()
+    assert t._tokens == {
+        "Of": [],
+        "of": [],
+        "the": [],
+        "Solar Wind": ["solar", "wind"],
+        "solar wind": ["solar", "wind"],
+        "speed of wind": ["speed", "wind"],
+        "of the sun": ["sun"],
+    }
+    assert phrase_score(t, "Of", "of") == 1.0
+    assert phrase_score(t, "of", "the") == 0.0
+
+
 def test_phrase_score_equals_plain_path_on_edge_phrases(bundled_taxonomy):
     assert "turbines" not in bundled_taxonomy and "zebra" not in bundled_taxonomy
     phrases = [

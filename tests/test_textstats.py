@@ -97,6 +97,30 @@ def test_candidates_stopword_edges():
     assert "of wind" not in out
 
 
+def test_candidates_keep_a_trigram_whose_bigram_ends_in_a_stopword():
+    # the trigram is built from the bigram, which is not counted itself
+    assert list(candidates(tokenize("wind of sun")).items()) == [
+        ("wind", 1),
+        ("wind of sun", 1),
+        ("sun", 1),
+    ]
+
+
+def test_candidates_at_the_end_of_a_document():
+    # the last starts have room for fewer than three words
+    assert list(candidates(tokenize("sun wind energy sun")).items()) == [
+        ("sun", 2),
+        ("sun wind", 1),
+        ("sun wind energy", 1),
+        ("wind", 1),
+        ("wind energy", 1),
+        ("wind energy sun", 1),
+        ("energy", 1),
+        ("energy sun", 1),
+    ]
+    assert candidates(tokenize("solar wind of")) == {"solar": 1, "solar wind": 1, "wind": 1}
+
+
 def test_candidates_first_occurrence_order():
     ordered = list(candidates(tokenize("sun wind sun")))
     assert ordered == ["sun", "sun wind", "sun wind sun", "wind", "wind sun"]
