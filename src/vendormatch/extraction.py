@@ -30,15 +30,17 @@ float codes. Every candidate is encoded, but an
 only when first read, so a candidate whose lookup scores no row never pays
 for them.
 
-A candidate that is already a marked object is answered without a lookup:
-its own row relates at exactly 0.0, and every other row relates above 0.0
-unless it is the candidate followed by NUL characters only, which zero
-padding can tie; a candidate with such a row is looked up as usual.
+A candidate that is a marked object is answered without a search when no
+other row has its stem, the phrase less any trailing NUL characters: its
+own row relates at exactly 0.0 and a row of another stem above 0.0, while
+zero padding can tie rows of one stem at 0.0, so a candidate whose stem
+two rows share is searched as usual.
 
 Each admitted instance immediately updates the marking, so vocabulary
-discovered early in a corpus pass is available to later documents. A
-candidate whose lookup admitted nothing is skipped without a lookup until
-the gazetteer gains a row: until then its answer cannot change.
+discovered early in a corpus pass is available to later documents. The
+index remembers each phrase whose lookup found no row and answers its
+repeats without a search until it gains a row: until then the answer
+cannot change.
 """
 
 from __future__ import annotations
@@ -152,12 +154,13 @@ class _Bucket:
 class _MarkedIndex:
     """Marked-object vectors, scored only where they can beat a bound.
 
-    Rows are the vectors in the marking's key order, also bucketed by
-    length, each bucket sorted by stddev key. Every key comes from a
-    phrase's exact integer code moments (:func:`_moments`), never from its
-    float codes, so a lookup that no row survives never builds the
-    candidate's codes (:class:`~vendormatch.textstats.ObjectVector` builds
-    them on first read). Relatedness is ``dist + gap + variance`` with every
+    The bound is fixed when the index is built. Rows are the vectors in the
+    marking's key order, also bucketed by length, each bucket sorted by
+    stddev key. Every key comes from a phrase's exact integer code moments
+    (:func:`_moments`), never from its float codes, so a lookup that no row
+    survives never builds the candidate's codes
+    (:class:`~vendormatch.textstats.ObjectVector` builds them on first
+    read). Relatedness is ``dist + gap + variance`` with every
     term non-negative, so three checks leave a row out:
 
     - the stddev window: relatedness is at least the stddev gap, so only
@@ -197,19 +200,35 @@ class _MarkedIndex:
     slacks of 0.0 at a score of 0.0, so it is still scored in full and ties
     still go to the earliest row.
 
-    ``padded`` holds each phrase some row extends with NUL characters only:
-    zero padding gives such a pair a distance of 0, so the two rows can tie
-    at exactly 0.0 and a candidate's own row is not always its answer.
+    ``_stems`` maps each row's stem, its phrase less trailing NUL
+    characters, to that row, or to None once two rows share it: zero
+    padding lets such rows tie at exactly 0.0. A row alone with its stem is
+    its own answer at 0.0, returned without a search while ``bound`` is
+    above 0. ``_missed`` holds the phrases whose search found no row since
+    the last :meth:`append`.
     """
 
-    def __init__(self, marking: dict[str, int]) -> None:
+    def __init__(self, marking: dict[str, int], bound: float) -> None:
+        self._bound = bound
+        # the length bound sqrt(T / L) / 127, less the slack, of a pair with
+        # longer length L and squared code points T in the longer side's
+        # tail reaches ``bound`` exactly when T >= L * cut
+        scaled = CODE_SCALE * bound / _LENGTH_SLACK
+        # ``**`` raises OverflowError at a huge bound; below ~1e-164 the square
+        # underflows to 0.0, which would cut a tail of NULs only (T = 0); the
+        # smallest float still cuts every positive (integer) tail
+        self._cut = scaled * scaled or 5e-324
+        self._limit = bound / _LENGTH_SLACK
+        # the own length's stddev window (derived beside _KEY_SLACK)
+        self._own = math.sqrt(1.0 + self._limit) - 1.0
         self._rows: list[ObjectVector] = []
         self._buckets: dict[int, _Bucket] = {}
         self._by_length: list[int] = []  # bucket lengths, ascending
         # the smallest squared last code point of any row of length >= 2: no
         # min_tail entry of any bucket is below it
         self._least_last: float = math.inf
-        self.padded: set[str] = set()
+        self._stems: dict[str, str | None] = {}
+        self._missed: set[str] = set()
         for phrase in marking:
             self.append(encode(phrase))
 
@@ -218,8 +237,9 @@ class _MarkedIndex:
         points, total, sigma = _moments(phrase)
         row, length = len(self._rows), len(points)
         self._rows.append(vec)
-        if phrase.endswith("\x00"):
-            self.padded.add(phrase.rstrip("\x00"))
+        stem = phrase.rstrip("\x00")
+        self._stems[stem] = None if stem in self._stems else phrase
+        self._missed.clear()  # a new row can turn any miss into a hit
 
         bucket = self._buckets.get(length)
         if bucket is None:
@@ -236,22 +256,20 @@ class _MarkedIndex:
         if length > 1:
             self._least_last = min(self._least_last, points[-1] * points[-1])
 
-    def best(self, vec: ObjectVector, bound: float) -> tuple[float, str] | None:
+    def best(self, vec: ObjectVector) -> tuple[float, str] | None:
         """Smallest relatedness to any row with the earliest such row's phrase.
 
-        Returns None when no row scores under ``bound`` (an empty index
-        included); ``math.inf`` scores every row.
+        Returns None when no row scores under the index's ``bound`` (an
+        empty index included); ``math.inf`` scores every row.
         """
-        points, total, sigma = _moments(vec.phrase)
+        phrase = vec.phrase
+        if phrase in self._missed:
+            return None
+        if self._bound > 0 and self._stems.get(phrase.rstrip("\x00")) == phrase:
+            return 0.0, phrase
+        points, total, sigma = _moments(phrase)
         n = len(points)
-        # the length bound sqrt(T / L) / 127, less the slack, of a pair with
-        # longer length L and squared code points T in the longer side's
-        # tail reaches ``bound`` exactly when T >= L * cut
-        scaled = CODE_SCALE * bound / _LENGTH_SLACK
-        # ``**`` raises OverflowError at a huge bound; below ~1e-164 the square
-        # underflows to 0.0, which would cut a tail of NULs only (T = 0); the
-        # smallest float still cuts every positive (integer) tail
-        cut = scaled * scaled or 5e-324
+        bound, cut = self._bound, self._cut
         kept = [n]  # lengths of the buckets the length bound leaves in play
         tail, most = 0, n * cut
         for length in range(n - 1, 0, -1):  # shorter rows: the candidate's tail
@@ -267,12 +285,11 @@ class _MarkedIndex:
                 if self._buckets[length].min_tail[n] < length * cut:
                     kept.append(length)
 
-        # the own length's stddev window and the variance term's float error
-        # per unit of s2 / n (both derived beside _KEY_SLACK)
-        own = math.sqrt(1.0 + bound / _LENGTH_SLACK) - 1.0
+        # the variance term's float error per unit of s2 / n (derived beside
+        # _KEY_SLACK)
         cancel = (3 * n + 8) * 2.0**-53
         best = (bound, -1)  # beaten only by a row scoring under ``bound``
-        limit = bound / _LENGTH_SLACK
+        limit = self._limit
         edge = limit + 2 * _KEY_SLACK  # a row bound above it skips the row
         for length in kept:
             bucket = self._buckets.get(length)
@@ -280,7 +297,7 @@ class _MarkedIndex:
                 continue
             sigmas, sums, rows = bucket.sigmas, bucket.sums, bucket.rows
             # the variance floor v is g**2 at the candidate's length, else 0
-            half, floor = (own, 1.0) if length == n else (bound, 0.0)
+            half, floor = (self._own, 1.0) if length == n else (bound, 0.0)
             size = max(n, length)
             scale = CODE_SCALE * size
             lo = sigma - half - _KEY_SLACK
@@ -311,7 +328,10 @@ class _MarkedIndex:
                     limit = best[0] / _LENGTH_SLACK
                     edge = limit + 2 * _KEY_SLACK
         r, row = best
-        return None if row < 0 else (r, self._rows[row].phrase)
+        if row < 0:
+            self._missed.add(phrase)
+            return None
+        return r, self._rows[row].phrase
 
 
 def extract_corpus(
@@ -325,14 +345,11 @@ def extract_corpus(
     to keep corpus runs reproducible. Within a document, candidates are
     processed in first-occurrence order; each admitted instance is written
     into the marking (new phrase appended, known phrase's frequency
-    accumulated) before the next candidate is scored. One gazetteer index
-    serves the whole call and grows with each new admitted phrase. A set
-    of the phrases that missed since the index last grew answers their
-    repeats, so each distinct phrase is looked up once per index state.
+    accumulated) before the next candidate is scored. One gazetteer index,
+    bounded by ``max(r_threshold, fallback_threshold)``, serves the whole
+    call, grows with each new admitted phrase and answers every lookup.
     """
-    bound = max(thresholds.r_threshold, thresholds.fallback_threshold)
-    index = _MarkedIndex(marking)
-    missed: set[str] = set()  # phrases with no hit since the index last grew
+    index = _MarkedIndex(marking, max(thresholds.r_threshold, thresholds.fallback_threshold))
     results = {}
     for doc_id in sorted(documents):
         result = results[doc_id] = InstanceSet()
@@ -340,19 +357,12 @@ def extract_corpus(
             # every candidate is encoded: benchmark/tracing.py counts the
             # index's own encodes as encode calls less candidates
             vec = encode(phrase)
-            if phrase in missed:
-                continue
-            if phrase in marking and phrase not in index.padded:
-                hit = (0.0, phrase)
-            else:
-                hit = index.best(vec, bound)
+            hit = index.best(vec)
             if hit is None:
-                missed.add(phrase)
                 continue
             best_r, matched = hit
             if phrase not in marking:
                 index.append(vec)
-                missed.clear()  # a new row can turn any miss into a hit
             update_marking(marking, phrase, frequency)
             result.instances[phrase] = InstanceRecord(
                 frequency=frequency,

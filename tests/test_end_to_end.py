@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from reference import reference_extract, reference_rank_vendors
 from synth_corpus import JUNK, POOL, SEED_TERMS, make_corpus
 from vendormatch.cli import run
-from vendormatch.config import RunConfig, Thresholds
+from vendormatch.config import DEFAULT_R_THRESHOLD, RunConfig, Thresholds
 from vendormatch.extraction import InstanceRecord, InstanceSet
 from vendormatch.taxonomy import Taxonomy
 
@@ -80,7 +80,13 @@ def pipeline_config(directory, vendor_docs, query_docs, edges, marking=SEED_TERM
 
 
 def assert_run_equals_reference(
-    directory, seed, vendor_docs, query_docs, wup_threshold, marking=SEED_TERMS
+    directory,
+    seed,
+    vendor_docs,
+    query_docs,
+    wup_threshold,
+    marking=SEED_TERMS,
+    r_threshold=DEFAULT_R_THRESHOLD,
 ):
     """run() on seed's taxonomy, the documents and a seed marking equals the reference path."""
     edges = random_pool_taxonomy(random.Random(seed))
@@ -89,7 +95,7 @@ def assert_run_equals_reference(
         {f"d{i:03d}": text for i, text in enumerate(["wind " + docs[0], *docs[1:]])}
         for docs in (vendor_docs, query_docs)
     )
-    thresholds = Thresholds(wup_threshold=wup_threshold)
+    thresholds = Thresholds(r_threshold=r_threshold, wup_threshold=wup_threshold)
     cfg = pipeline_config(
         directory,
         vendor_docs,
@@ -154,6 +160,22 @@ def test_run_equals_reference_pipeline_on_realistic_text(tmp_path):
     for piece in ("ENERGY", "Wind", "2024", "9 ", "10kw", "\u212a", "\u20ac", "!\n", "; "):
         assert piece in text
     assert_run_equals_reference(tmp_path, 8, vendor_docs, query_docs, 0.5, marking)
+
+
+def test_run_equals_reference_pipeline_when_only_a_longer_row_admits(tmp_path):
+    # With 'wind\x01' but no 'wind' in the marking, 'wind' (the first
+    # candidate of both corpora) relates under r 0.3 only to that longer
+    # row, at 0.2904: a lookup that skipped the longer buckets would not
+    # admit it, and the report would hold no ('wind', 'wind') pair
+    marking = {**SEED_TERMS, "wind\x01": 2}
+    del marking["wind"]
+    rng = random.Random(6)
+    random_pool_taxonomy(rng)
+    vendor_docs = list(make_corpus(rng, 6).values())
+    query_docs = list(make_corpus(rng, 5, words_per_doc=12).values())
+    assert_run_equals_reference(
+        tmp_path, 6, vendor_docs, query_docs, 0.5, marking, r_threshold=0.3
+    )
 
 
 documents = st.lists(st.sampled_from(POOL), max_size=30).map(" ".join)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -125,14 +126,17 @@ def test_within_document_adaptive_chaining():
 
 
 def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
+    # a search reads the candidate's moments first; a remembered miss
+    # returns before that, and append reads only the new row's moments
     looked_up = []
-    best = _MarkedIndex.best
+    moments = extraction._moments
 
-    def counted(self, vec, bound):
-        looked_up.append(vec.phrase)
-        return best(self, vec, bound)
+    def counted(phrase):
+        if sys._getframe(1).f_code is _MarkedIndex.best.__code__:
+            looked_up.append(phrase)
+        return moments(phrase)
 
-    monkeypatch.setattr(_MarkedIndex, "best", counted)
+    monkeypatch.setattr(extraction, "_moments", counted)
     # nothing is admitted, so the second document makes no lookup
     text = "solau wind solau and turbinew"
     marking = {"solar": 1}
@@ -164,8 +168,8 @@ def test_tied_marked_objects_match_the_earlier_entry():
         r = scan(list(tied), encode(phrase))
         assert r[0] == r[1] < DEFAULTS.r_threshold
         for first, second in (tied, tied[::-1]):
-            index = _MarkedIndex({first: 1, second: 1})
-            assert index.best(encode(phrase), DEFAULTS.r_threshold)[1] == first
+            index = _MarkedIndex({first: 1, second: 1}, DEFAULTS.r_threshold)
+            assert index.best(encode(phrase))[1] == first
             if phrase.isalpha():
                 out = extract_one(phrase, {first: 1, second: 1}, DEFAULTS)
                 assert out.instances[phrase].matched_marked_phrase == first
@@ -225,12 +229,12 @@ def test_marking_covers_every_extracted_instance():
 def test_batch_scoring_agrees_with_oracle():
     rng = random.Random(55)
     pool = ["sun", "wind", "solar energy", "turbines", "grid", "storage unit"]
-    index = _MarkedIndex(dict.fromkeys(pool, 1))
+    index = _MarkedIndex(dict.fromkeys(pool, 1), math.inf)
     words = pool + ["sunny", "turbiner", "zzz", "a", "speed of wind", "xylophone"]
     for _ in range(200):
         phrase = rng.choice(words)
         vec = encode(phrase)
-        batch_r, batch_phrase = index.best(vec, math.inf)
+        batch_r, batch_phrase = index.best(vec)
         oracle = {p: oracle_relatedness(p, phrase) for p in pool}
         assert batch_r == pytest.approx(min(oracle.values()), abs=1e-12)
         assert oracle[batch_phrase] == pytest.approx(batch_r, abs=1e-12)
@@ -279,11 +283,23 @@ def lookups(draw, rows):
         st.one_of(
             st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
             st.just(math.inf),
-            # just above or below the answer, where a loose bound would prune it
+            # just above or below the answer, where a loose bound would prune
+            # it; 0.0 for a phrase that is a row, and nothing scores under 0.0
             st.floats(min_value=0.9, max_value=1.1).map(lambda f: nearest * f),
-        ).filter(lambda b: b > 0)
+        )
     )
     return vec, bound
+
+
+def setting_indexes(rows):
+    """One index of ``rows`` at each of SETTING_BOUNDS, with its bound."""
+    return [(_MarkedIndex(dict.fromkeys(rows, 1), bound), bound) for bound in SETTING_BOUNDS]
+
+
+def append_row(rows, indexes, phrase):
+    rows.append(phrase)
+    for index, _ in indexes:
+        index.append(encode(phrase))
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,18 +308,19 @@ def lookups(draw, rows):
     data=st.data(),
 )
 def test_pruned_lookup_equals_full_scan(marking, data):
-    index = _MarkedIndex(dict.fromkeys(marking, 1))
+    # the indexes at the setting bounds grow row by row; one at the drawn
+    # bound is built for its lookup
     rows = list(marking)
+    indexes = setting_indexes(rows)
     for step in range(data.draw(st.integers(min_value=1, max_value=8))):
         if step == 2:  # a row longer than every row so far
-            rows.append(max(rows, key=len) + data.draw(index_phrases))
-            index.append(encode(rows[-1]))
+            append_row(rows, indexes, max(rows, key=len) + data.draw(index_phrases))
         vec, bound = data.draw(lookups(rows))
-        for bound in (bound, *SETTING_BOUNDS):
-            assert index.best(vec, bound) == scan_best(rows, vec, bound)
+        drawn = _MarkedIndex(dict.fromkeys(rows, 1), bound)
+        for index, bound in [(drawn, bound), *indexes]:
+            assert index.best(vec) == scan_best(rows, vec, bound)
         if data.draw(st.booleans()):
-            rows.append(data.draw(index_phrases))
-            index.append(encode(rows[-1]))
+            append_row(rows, indexes, data.draw(index_phrases))
 
 
 def test_pruned_lookup_equals_full_scan_on_seeded_markings():
@@ -317,7 +334,7 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
 
     for _ in range(500):
         rows = list(dict.fromkeys(phrase() for _ in range(rng.randint(1, 12))))
-        index = _MarkedIndex(dict.fromkeys(rows, 1))
+        indexes = setting_indexes(rows)
         for _ in range(6):
             probe = rng.choice(rows) if rng.random() < 0.7 else phrase()
             at = rng.randrange(len(probe))
@@ -334,11 +351,11 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
                 bound = min(scan(rows, vec)) * rng.uniform(1.0, 1.1)
             else:
                 bound = 10.0 ** rng.uniform(-4.0, 0.0)
-            for bound in (bound, *SETTING_BOUNDS):
-                assert index.best(vec, bound) == scan_best(rows, vec, bound)
+            drawn = _MarkedIndex(dict.fromkeys(rows, 1), bound)
+            for index, bound in [(drawn, bound), *indexes]:
+                assert index.best(vec) == scan_best(rows, vec, bound)
             if rng.random() < 0.5:
-                rows.append(phrase())
-                index.append(encode(rows[-1]))
+                append_row(rows, indexes, phrase())
 
 
 def test_mean_bound_at_the_edges_of_bound():
@@ -360,9 +377,9 @@ def test_mean_bound_at_the_edges_of_bound():
     just_out = (r * (1 - 1e-6), math.nextafter(r, 0.0), r)
     for bound in just_in + just_out:
         for order in (rows, rows[::-1]):
-            index = _MarkedIndex(dict.fromkeys(order, 1))
-            assert index.best(vec, bound) == scan_best(order, vec, bound)
-            assert (index.best(vec, bound) is None) == (bound in just_out)
+            got = _MarkedIndex(dict.fromkeys(order, 1), bound).best(vec)
+            assert got == scan_best(order, vec, bound)
+            assert (got is None) == (bound in just_out)
 
 
 @pytest.mark.parametrize(
@@ -385,9 +402,9 @@ def test_row_bound_alone_keeps_a_row_from_the_kernel(monkeypatch, row, candidate
         return relatedness_terms(a, b, cap)
 
     monkeypatch.setattr(extraction, "relatedness_terms", counted)
-    assert _MarkedIndex({row: 1}).best(encode(candidate), 0.5) is None
+    assert _MarkedIndex({row: 1}, 0.5).best(encode(candidate)) is None
     assert calls == 0
-    assert _MarkedIndex({row: 1}).best(encode(candidate), 0.7) is not None
+    assert _MarkedIndex({row: 1}, 0.7).best(encode(candidate)) is not None
     assert calls == 1
 
 
@@ -408,15 +425,14 @@ def test_length_cut_at_the_edges_of_bound(monkeypatch):
     just_out = (r, math.nextafter(r, 0.0), r * (1 - 1e-9))
     for candidate, row in ((short, long), (long, short)):
         for bound in just_in + just_out:
-            got = _MarkedIndex({row: 1}).best(encode(candidate), bound)
+            got = _MarkedIndex({row: 1}, bound).best(encode(candidate))
             assert got == (None if bound in just_out else (r, row))
 
 
 def test_marked_candidate_after_rows_of_its_length_matches_itself():
     marking = {"sum": 1, "run": 1, "sup": 1, "sun": 1, "tun": 1}
-    index = _MarkedIndex(marking)
     for bound in (DEFAULTS.r_threshold, 0.05, math.inf):
-        assert index.best(encode("sun"), bound) == (0.0, "sun")
+        assert _MarkedIndex(marking, bound).best(encode("sun")) == (0.0, "sun")
         assert scan_best(list(marking), encode("sun"), bound) == (0.0, "sun")
     out = extract_one("sun", dict(marking), DEFAULTS)
     assert out.instances["sun"].best_r == 0.0
@@ -429,10 +445,13 @@ def test_nul_padded_row_before_the_candidate_row():
     # and only the stddev gap keeps it from tying the candidate's own row
     marking = {"sun\x00": 1, "sun": 1}
     assert scan(list(marking), encode("sun"))[0] > 0.0
-    assert _MarkedIndex(marking).best(encode("sun"), 1.0) == (0.0, "sun")
+    assert _MarkedIndex(marking, 1.0).best(encode("sun")) == (0.0, "sun")
     assert_equals_reference({"d": "sun"}, dict(marking), DEFAULTS)
     # 'b1' and 'b1' with 16 NULs have the same stddev to the last bit, so
-    # the rows tie at exactly 0.0 and the earlier one is the answer
+    # the rows tie at exactly 0.0 and the earlier one answers either of
+    # them, the padded one included: a rule that answered a marked
+    # candidate with itself would name the candidate. At a bound of 0
+    # nothing scores, a candidate's own row included
     padded = "b1" + "\x00" * 16
     assert scan([padded], encode("b1")) == [0.0]
     # a bound whose square underflows must still keep a tail of NULs only
@@ -440,7 +459,12 @@ def test_nul_padded_row_before_the_candidate_row():
     for order in ([padded, "b1"], ["b1", padded]):
         marking = dict.fromkeys(order, 1)
         for bound in (DEFAULTS.r_threshold, math.inf, 1e-200, 5e-324):
-            assert _MarkedIndex(marking).best(encode("b1"), bound) == (0.0, order[0])
+            assert _MarkedIndex(marking, bound).best(encode("b1")) == (0.0, order[0])
+        for candidate in order:
+            vec = encode(candidate)
+            assert scan_best(order, vec, DEFAULTS.r_threshold) == (0.0, order[0])
+            for bound in (*SETTING_BOUNDS, 0.0):
+                assert _MarkedIndex(marking, bound).best(vec) == scan_best(order, vec, bound)
         for thresholds in (DEFAULTS, tiny):
             out = extract_one("b1", dict(marking), thresholds)
             assert out.instances["b1"].best_r == 0.0
@@ -559,16 +583,15 @@ def test_longer_rows_are_walked_once_a_row_ends_low(tail):
     # run. At 0.005 the cut of the longest length, 4 * 0.635**2 = 1.61, lets
     # a tail of 1 through, and the shortest length's, 0.40, would not
     rows = ["a", "ab", "sun"]
-    index = _MarkedIndex(dict.fromkeys(rows, 1))
+    indexes = [(_MarkedIndex(dict.fromkeys(rows, 1), b), b) for b in (0.005, *SETTING_BOUNDS)]
     vec = encode("\x01\x01\x01")
-    bounds = (0.005, *SETTING_BOUNDS)
-    for bound in bounds:
-        assert index.best(vec, bound) == scan_best(rows, vec, bound)
-    rows.append("\x01\x01\x01" + tail)
-    index.append(encode(rows[-1]))
-    for bound in bounds:
-        assert index.best(vec, bound) == scan_best(rows, vec, bound)
-        assert index.best(vec, bound)[1] == rows[-1]
+    for index, bound in indexes:
+        assert index.best(vec) == scan_best(rows, vec, bound)
+    # the lookups above missed: the new row must end the remembered miss
+    append_row(rows, indexes, "\x01\x01\x01" + tail)
+    for index, bound in indexes:
+        assert index.best(vec) == scan_best(rows, vec, bound)
+        assert index.best(vec)[1] == rows[-1]
 
 
 @pytest.mark.parametrize(
@@ -613,7 +636,7 @@ def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candida
     assert all(r[0] < other < r[0] + slack / 2 for other in r[1:])
     bounds = (math.nextafter(r[0], math.inf), r[0] * (1 + 1e-12), r[0], 0.5, math.inf)
     for bound in bounds + tuple(SETTING_BOUNDS):
-        assert _MarkedIndex(dict.fromkeys(rows, 1)).best(vec, bound) == scan_best(rows, vec, bound)
+        assert _MarkedIndex(dict.fromkeys(rows, 1), bound).best(vec) == scan_best(rows, vec, bound)
 
 
 def test_pruned_lookup_equals_full_scan_on_hostile_rows():
@@ -627,7 +650,7 @@ def test_pruned_lookup_equals_full_scan_on_hostile_rows():
                 hostile_phrase(rng, rng.choice([1, 3, 8, 400])) for _ in range(rng.randint(1, 8))
             )
         )
-        index = _MarkedIndex(dict.fromkeys(rows, 1))
+        indexes = setting_indexes(rows)
         for _ in range(4):
             probe = rng.choice(rows) if rng.random() < 0.7 else hostile_phrase(rng, rng.randint(1, 9))
             at = rng.randrange(len(probe))
@@ -639,14 +662,13 @@ def test_pruned_lookup_equals_full_scan_on_hostile_rows():
             bound = rng.choice(
                 [nearest * rng.uniform(1.0, 1.1), 10.0 ** rng.uniform(-4.0, 4.0), math.inf]
             )
-            for bound in [b for b in (bound, *SETTING_BOUNDS) if b > 0]:
-                assert index.best(vec, bound) == scan_best(rows, vec, bound)
+            drawn = _MarkedIndex(dict.fromkeys(rows, 1), bound)
+            for index, bound in [(drawn, bound), *indexes]:
+                assert index.best(vec) == scan_best(rows, vec, bound)
             if rng.random() < 0.3:
-                rows.append(hostile_phrase(rng, rng.choice([2, 400])))
-                if rows[-1] in rows[:-1]:
-                    rows.pop()
-                else:
-                    index.append(encode(rows[-1]))
+                row = hostile_phrase(rng, rng.choice([2, 400]))
+                if row not in rows:
+                    append_row(rows, indexes, row)
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():
