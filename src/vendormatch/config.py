@@ -6,10 +6,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Defaults established by trial and error in the source experiments.
-DEFAULT_R_THRESHOLD = 0.01
-DEFAULT_FALLBACK_THRESHOLD = 0.009
-DEFAULT_WUP_THRESHOLD = 0.9
 OUTPUT_FORMATS = ("text", "json")
 
 
@@ -25,9 +21,10 @@ class Thresholds:
     semantic match.
     """
 
-    r_threshold: float = DEFAULT_R_THRESHOLD
-    fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD
-    wup_threshold: float = DEFAULT_WUP_THRESHOLD
+    # defaults established by trial and error in the source experiments
+    r_threshold: float = 0.01
+    fallback_threshold: float = 0.009
+    wup_threshold: float = 0.9
 
     def __post_init__(self) -> None:
         for name in ("r_threshold", "fallback_threshold", "wup_threshold"):

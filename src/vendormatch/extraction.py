@@ -19,10 +19,9 @@ soon as its running sum of squares shows it cannot reach the best score so
 far (see :class:`_MarkedIndex`). A marked object skipped or abandoned this
 way relates above the best score so far or at ``bound`` or above, so it
 could neither admit the candidate nor be its best match: pruning changes
-no output. The index keeps one more scalar, the smallest squared last code
-point of its rows, which no longer row's tail can undercut: while it is not
-under the longest length's cut, a lookup skips the buckets of longer rows
-without visiting them, as the cut would have skipped each one.
+no output. For rows longer than the candidate the length cut depends only
+on the candidate's length, so the index decides it once per row, when the
+row is appended, and a lookup visits only the longer buckets it keeps.
 
 The bounds read exact integer moments of a phrase's code points, not its
 float codes. Every candidate is encoded, but an
@@ -138,17 +137,14 @@ def _moments(phrase: str) -> tuple[Sequence[int], int, float]:
 
 
 class _Bucket:
-    """The marked rows of one length, sorted by stddev key."""
+    """The marked rows of one length, in parallel lists sorted by stddev key."""
 
-    __slots__ = ("sigmas", "sums", "rows", "min_tail")
+    __slots__ = ("sigmas", "sums", "rows")
 
-    def __init__(self, length: int) -> None:
+    def __init__(self) -> None:
         self.sigmas: list[float] = []
         self.sums: list[int] = []  # each row's exact code-point sum
         self.rows: list[int] = []  # row ids, in the order of ``sigmas``
-        # min_tail[n]: the smallest sum of squared code points at positions n
-        # and beyond over these rows, which a candidate of length n pads with zeros
-        self.min_tail: list[float] = [math.inf] * length
 
 
 class _MarkedIndex:
@@ -172,14 +168,12 @@ class _MarkedIndex:
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
       with zeros. A whole bucket is skipped when this bound, less a 1e-9
-      relative slack for summation order, reaches ``bound``. For rows
-      longer than the candidate, ``min_tail`` holds each bucket's smallest
-      T; none is below ``_least_last``, the smallest squared last code
-      point of any row of length 2 or more, since a row's tail past any
-      shorter length holds its last code point. So when ``_least_last`` is
-      at least the cut of the longest length, no longer bucket could pass
-      and the walk over them is skipped, exactly. A row ending in NUL sets
-      it to 0, and then every longer bucket is checked as before;
+      relative slack for summation order, reaches ``bound``. For shorter
+      rows T is the candidate's own tail, summed in each lookup. For longer
+      rows it is the row's tail past the candidate's length n, which
+      :meth:`append` works out for every n: ``_longer[n]`` lists, in
+      ascending order, each length L > n of a row whose tail past n is
+      under the cut, the only longer buckets a lookup visits;
     - the row bound: with zero padding ``dist**2`` is the variance of the
       difference vector plus ``m**2``, ``m = |S_row - S_cand| / L`` for code
       sums S. That variance is at least the variance floor v, ``gap**2`` at
@@ -223,10 +217,7 @@ class _MarkedIndex:
         self._own = math.sqrt(1.0 + self._limit) - 1.0
         self._rows: list[ObjectVector] = []
         self._buckets: dict[int, _Bucket] = {}
-        self._by_length: list[int] = []  # bucket lengths, ascending
-        # the smallest squared last code point of any row of length >= 2: no
-        # min_tail entry of any bucket is below it
-        self._least_last: float = math.inf
+        self._longer: dict[int, list[int]] = {}  # see the length cut above
         self._stems: dict[str, str | None] = {}
         self._missed: set[str] = set()
         for phrase in marking:
@@ -241,20 +232,19 @@ class _MarkedIndex:
         self._stems[stem] = None if stem in self._stems else phrase
         self._missed.clear()  # a new row can turn any miss into a hit
 
-        bucket = self._buckets.get(length)
-        if bucket is None:
-            bucket = self._buckets[length] = _Bucket(length)
-            insort(self._by_length, length)
+        bucket = self._buckets.setdefault(length, _Bucket())
         at = bisect_right(bucket.sigmas, sigma)
         bucket.sigmas.insert(at, sigma)
         bucket.sums.insert(at, total)
         bucket.rows.insert(at, row)
-        tail = 0
-        for n in range(length - 1, 0, -1):
+        tail, most = 0, length * self._cut
+        for n in range(length - 1, 0, -1):  # the row's tail past n
             tail += points[n] * points[n]
-            bucket.min_tail[n] = min(bucket.min_tail[n], tail)
-        if length > 1:
-            self._least_last = min(self._least_last, points[-1] * points[-1])
+            if tail >= most:
+                break  # the tail only grows as n falls
+            longer = self._longer.setdefault(n, [])
+            if length not in longer:
+                insort(longer, length)
 
     def best(self, vec: ObjectVector) -> tuple[float, str] | None:
         """Smallest relatedness to any row with the earliest such row's phrase.
@@ -269,21 +259,15 @@ class _MarkedIndex:
             return 0.0, phrase
         points, total, sigma = _moments(phrase)
         n = len(points)
-        bound, cut = self._bound, self._cut
+        bound = self._bound
         kept = [n]  # lengths of the buckets the length bound leaves in play
-        tail, most = 0, n * cut
+        tail, most = 0, n * self._cut
         for length in range(n - 1, 0, -1):  # shorter rows: the candidate's tail
             tail += points[length] * points[length]
             if tail >= most:
                 break  # the tail only grows as rows get shorter
             kept.append(length)
-        # longer rows: their own tails. Every min_tail entry is at least
-        # _least_last, so no longer bucket passes unless it is under the
-        # longest length's cut
-        if self._by_length and self._least_last < self._by_length[-1] * cut:
-            for length in self._by_length[bisect_right(self._by_length, n) :]:
-                if self._buckets[length].min_tail[n] < length * cut:
-                    kept.append(length)
+        kept += self._longer.get(n, ())  # longer rows: their own tails
 
         # the variance term's float error per unit of s2 / n (derived beside
         # _KEY_SLACK)

@@ -1,6 +1,7 @@
 import pytest
 
 from repo_paths import DATA_DIR
+from vendormatch.cli import _read_corpus
 from vendormatch.config import Thresholds
 from vendormatch.extraction import extract_corpus
 from vendormatch.marking import load_marking
@@ -15,13 +16,7 @@ def bundled_taxonomy() -> Taxonomy:
 @pytest.fixture(scope="session")
 def bundled_corpus() -> dict[str, dict[str, str]]:
     """The bundled documents, {"vendors" | "queries": {doc id: text}}; read-only."""
-    return {
-        kind: {
-            path.stem: path.read_text(encoding="utf-8")
-            for path in sorted((DATA_DIR / kind).glob("*.txt"))
-        }
-        for kind in ("vendors", "queries")
-    }
+    return {kind: _read_corpus(DATA_DIR / kind) for kind in ("vendors", "queries")}
 
 
 @pytest.fixture(scope="session")

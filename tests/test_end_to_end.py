@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from reference import reference_extract, reference_rank_vendors
 from synth_corpus import JUNK, POOL, SEED_TERMS, make_corpus
 from vendormatch.cli import run
-from vendormatch.config import DEFAULT_R_THRESHOLD, RunConfig, Thresholds
+from vendormatch.config import RunConfig, Thresholds
 from vendormatch.extraction import InstanceRecord, InstanceSet
 from vendormatch.taxonomy import Taxonomy
 
@@ -86,7 +86,7 @@ def assert_run_equals_reference(
     query_docs,
     wup_threshold,
     marking=SEED_TERMS,
-    r_threshold=DEFAULT_R_THRESHOLD,
+    r_threshold=Thresholds.r_threshold,
 ):
     """run() on seed's taxonomy, the documents and a seed marking equals the reference path."""
     edges = random_pool_taxonomy(random.Random(seed))
@@ -150,8 +150,8 @@ def realistic_text(rng, words):
 def test_run_equals_reference_pipeline_on_realistic_text(tmp_path):
     # The marking's non-ASCII row takes the code-point path of the index's
     # moments, every other row and candidate the byte path. Its row ending
-    # in \x01 leaves a tail of 1, under the length cut of any longer bucket,
-    # so lookups walk the longer buckets' tails
+    # in \x01 has a tail of 1 past length 4, under its length cut, so the
+    # index keeps that longer row in play for every 4-character candidate
     marking = {**SEED_TERMS, "\u00e9nergie": 3, "wind\x01": 2}
     rng = random.Random(8)
     vendor_docs = [realistic_text(rng, 40) for _ in range(6)]
@@ -162,20 +162,33 @@ def test_run_equals_reference_pipeline_on_realistic_text(tmp_path):
     assert_run_equals_reference(tmp_path, 8, vendor_docs, query_docs, 0.5, marking)
 
 
-def test_run_equals_reference_pipeline_when_only_a_longer_row_admits(tmp_path):
-    # With 'wind\x01' but no 'wind' in the marking, 'wind' (the first
-    # candidate of both corpora) relates under r 0.3 only to that longer
-    # row, at 0.2904: a lookup that skipped the longer buckets would not
-    # admit it, and the report would hold no ('wind', 'wind') pair
-    marking = {**SEED_TERMS, "wind\x01": 2}
+def assert_longer_row_admits_wind(directory, row, r_threshold):
+    """The seed-6 run equals the reference with ``row`` in place of 'wind'."""
+    marking = {**SEED_TERMS, row: 2}
     del marking["wind"]
     rng = random.Random(6)
     random_pool_taxonomy(rng)
     vendor_docs = list(make_corpus(rng, 6).values())
     query_docs = list(make_corpus(rng, 5, words_per_doc=12).values())
     assert_run_equals_reference(
-        tmp_path, 6, vendor_docs, query_docs, 0.5, marking, r_threshold=0.3
+        directory, 6, vendor_docs, query_docs, 0.5, marking, r_threshold=r_threshold
     )
+
+
+def test_run_equals_reference_pipeline_when_only_a_longer_row_admits(tmp_path):
+    # With 'wind\x01' but no 'wind' in the marking, 'wind' (the first
+    # candidate of both corpora) relates under r 0.3 only to that longer
+    # row, at 0.2904: a lookup that skipped the longer buckets would not
+    # admit it, and the report would hold no ('wind', 'wind') pair
+    assert_longer_row_admits_wind(tmp_path, "wind\x01", 0.3)
+
+
+def test_run_equals_reference_pipeline_when_a_longer_letter_row_admits(tmp_path):
+    # 'wind' relates under r 0.5 only to 'winde', at 0.4573 ('solar' is
+    # next, at 0.5381). The tail of 'winde' past length 4 is 101**2 = 10,201,
+    # under the length-5 cut of 20,161 but over half of it: a cut decided on
+    # too little of the tail would drop the one row that admits 'wind'
+    assert_longer_row_admits_wind(tmp_path, "winde", 0.5)
 
 
 documents = st.lists(st.sampled_from(POOL), max_size=30).map(" ".join)
