@@ -6,40 +6,13 @@ instance iff its smallest composite relatedness
 (:func:`~vendormatch.textstats.relatedness_terms`) to any marked object
 falls under ``bound = max(r_threshold, fallback_threshold)``, and flagged
 ``via_fallback`` when that value is not under ``r_threshold``; a fallback
-at or below the primary threshold therefore admits nothing extra.
+at or below the primary threshold therefore admits nothing extra. Each
+admitted instance immediately updates the marking, so vocabulary
+discovered early in a corpus pass is available to later documents.
 
-A candidate is scored only against the marked objects that three cheap
-checks leave in play: a window around its stddev, a cut on the distance
-the longer side's unmatched tail alone contributes, and one lower bound on
-each row's relatedness from the two sides' code sums and stddevs, checked
-against the best score found so far. At the candidate's own length that
-bound also counts the variance the stddev gap forces, which narrows the
-stddev window to about half. The relatedness kernel abandons a pair as
-soon as its running sum of squares shows it cannot reach the best score so
-far (see :class:`_MarkedIndex`). A marked object skipped or abandoned this
-way relates above the best score so far or at ``bound`` or above, so it
-could neither admit the candidate nor be its best match: pruning changes
-no output. For rows longer than the candidate the length cut depends only
-on the candidate's length, so the index decides it once per row, when the
-row is appended, and a lookup visits only the longer buckets it keeps.
-
-The bounds read exact integer moments of a phrase's code points, not its
-float codes. Every candidate is encoded, but an
-:class:`~vendormatch.textstats.ObjectVector` computes its codes and stddev
-only when first read, so a candidate whose lookup scores no row never pays
-for them.
-
-A candidate that is a marked object is answered without a search when no
-other row has its stem, the phrase less any trailing NUL characters: its
-own row relates at exactly 0.0 and a row of another stem above 0.0, while
-zero padding can tie rows of one stem at 0.0, so a candidate whose stem
-two rows share is searched as usual.
-
-Each admitted instance immediately updates the marking, so vocabulary
-discovered early in a corpus pass is available to later documents. The
-index remembers each phrase whose lookup found no row and answers its
-repeats without a search until it gains a row: until then the answer
-cannot change.
+Every lookup goes through :class:`_MarkedIndex`. Its docstring gives the
+checks that leave a marked object unscored, the exact-hit rule and the
+remembered misses; none of them changes the output.
 """
 
 from __future__ import annotations
@@ -136,17 +109,6 @@ def _moments(phrase: str) -> tuple[Sequence[int], int, float]:
     return points, total, math.sqrt(spread) / (CODE_SCALE * n)
 
 
-class _Bucket:
-    """The marked rows of one length, in parallel lists sorted by stddev key."""
-
-    __slots__ = ("sigmas", "sums", "rows")
-
-    def __init__(self) -> None:
-        self.sigmas: list[float] = []
-        self.sums: list[int] = []  # each row's exact code-point sum
-        self.rows: list[int] = []  # row ids, in the order of ``sigmas``
-
-
 class _MarkedIndex:
     """Marked-object vectors, scored only where they can beat a bound.
 
@@ -216,7 +178,9 @@ class _MarkedIndex:
         # the own length's stddev window (derived beside _KEY_SLACK)
         self._own = math.sqrt(1.0 + self._limit) - 1.0
         self._rows: list[ObjectVector] = []
-        self._buckets: dict[int, _Bucket] = {}
+        # per length, parallel lists sorted by stddev key: the keys, each
+        # row's exact code-point sum, and row ids in ``sigmas`` order
+        self._buckets: dict[int, tuple[list[float], list[int], list[int]]] = {}
         self._longer: dict[int, list[int]] = {}  # see the length cut above
         self._stems: dict[str, str | None] = {}
         self._missed: set[str] = set()
@@ -232,11 +196,11 @@ class _MarkedIndex:
         self._stems[stem] = None if stem in self._stems else phrase
         self._missed.clear()  # a new row can turn any miss into a hit
 
-        bucket = self._buckets.setdefault(length, _Bucket())
-        at = bisect_right(bucket.sigmas, sigma)
-        bucket.sigmas.insert(at, sigma)
-        bucket.sums.insert(at, total)
-        bucket.rows.insert(at, row)
+        sigmas, sums, rows = self._buckets.setdefault(length, ([], [], []))
+        at = bisect_right(sigmas, sigma)
+        sigmas.insert(at, sigma)
+        sums.insert(at, total)
+        rows.insert(at, row)
         tail, most = 0, length * self._cut
         for n in range(length - 1, 0, -1):  # the row's tail past n
             tail += points[n] * points[n]
@@ -279,7 +243,7 @@ class _MarkedIndex:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
-            sigmas, sums, rows = bucket.sigmas, bucket.sums, bucket.rows
+            sigmas, sums, rows = bucket
             # the variance floor v is g**2 at the candidate's length, else 0
             half, floor = (self._own, 1.0) if length == n else (bound, 0.0)
             size = max(n, length)

@@ -43,11 +43,8 @@ class Taxonomy:
     tokens of each phrase :func:`phrase_score` has read.
     """
 
-    def __init__(
-        self, depths: dict[str, int], root: str, parents: dict[str, list[str]]
-    ) -> None:
+    def __init__(self, depths: dict[str, int], parents: dict[str, list[str]]) -> None:
         self._depths = depths
-        self.root = root
         self._parents = parents
         self._ancestors: dict[str, frozenset[str]] = {}
         self._wup: dict[tuple[str, str], float] = {}
@@ -94,12 +91,11 @@ class Taxonomy:
             raise TaxonomyError("taxonomy has no root concept")
         if len(roots) > 1:
             raise TaxonomyError(f"taxonomy has multiple roots: {roots}")
-        root = roots[0]
 
         depth: dict[str, int] = {}
         for c in order:  # parents always precede children
             depth[c] = 1 + max((depth[p] for p in graph[c]), default=0)
-        return cls(depths=depth, root=root, parents=graph)
+        return cls(depths=depth, parents=graph)
 
     def depth(self, concept_id: str) -> int:
         if concept_id not in self._depths:
@@ -127,9 +123,6 @@ class Taxonomy:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._depths)
-
-    def __len__(self) -> int:
-        return len(self._depths)
 
 
 def load_taxonomy(path: Path | str) -> Taxonomy:

@@ -16,7 +16,7 @@ import math
 import re
 from functools import cached_property
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -36,20 +36,11 @@ class ObjectVector:
     A vector made by :func:`encode` keeps only its ``phrase``: ``codes``
     (each code point / 127) and ``stddev`` (two ``math.fsum`` passes) are
     computed on first read, so a vector that is never scored costs one
-    small object. :meth:`from_codes` makes a vector of given codes.
+    small object.
     """
 
     def __init__(self, phrase: str) -> None:
         self.phrase = phrase
-
-    @classmethod
-    def from_codes(cls, codes: Iterable[float]) -> "ObjectVector":
-        values = tuple(map(float, codes))
-        if not values:
-            raise ValueError("object vector needs at least one element")
-        vec = cls.__new__(cls)
-        vec.codes = values
-        return vec
 
     @cached_property
     def codes(self) -> tuple[float, ...]:

@@ -4,7 +4,8 @@ They share no code with what they check: text is tokenized afresh from the
 documented contract, relatedness is evaluated term by term, LCS comes from
 a brute-force ancestor closure, and every phrase pair is scored through
 ``lcs`` and the taxonomy's depths with no memo. From ``vendormatch`` come
-only the result dataclasses, the stopword list and ``lcs``.
+only the result dataclasses, the stopword list, ``lcs`` and
+``ObjectVector``, which :func:`vector_from_codes` fills with given codes.
 """
 
 import math
@@ -13,8 +14,16 @@ from collections import Counter, defaultdict
 from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult
 from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import lcs
+from vendormatch.textstats import ObjectVector
 
 # ------------------------------------------------------------- extraction
+
+
+def vector_from_codes(codes):
+    """An ``ObjectVector`` of the given codes, with no phrase behind them."""
+    vec = ObjectVector.__new__(ObjectVector)
+    vec.codes = tuple(map(float, codes))
+    return vec
 
 
 def direct_var(xs):

@@ -9,7 +9,13 @@ import random
 import time
 from dataclasses import replace
 
-from reference import direct_var, oracle_lcs_and_depth, random_rooted_dag, random_rooted_tree
+from reference import (
+    direct_var,
+    oracle_lcs_and_depth,
+    random_rooted_dag,
+    random_rooted_tree,
+    vector_from_codes,
+)
 from repo_paths import DATA_DIR
 from synth_corpus import fresh_marking, make_corpus
 from vendormatch.cli import emit_report, run
@@ -18,7 +24,7 @@ from vendormatch.extraction import InstanceSet, extract_corpus
 from vendormatch.marking import load_marking, save_marking
 from vendormatch.matchmaker import rank_vendors
 from vendormatch.taxonomy import Taxonomy, lcs, phrase_score, wup_score
-from vendormatch.textstats import ObjectVector, encode, relatedness_terms
+from vendormatch.textstats import encode, relatedness_terms
 
 DEFAULTS = Thresholds()
 
@@ -121,16 +127,14 @@ def test_statistics_against_direct_summation():
     for _ in range(1000):
         codes = [rng.random() for _ in range(rng.randint(1, 64))]
         vectors.append(codes)
-        v = ObjectVector.from_codes(codes)
+        v = vector_from_codes(codes)
         assert abs(v.stddev - math.sqrt(direct_var(codes))) <= 1e-12
     for first, second in zip(vectors, vectors[1:]):
         length = max(len(first), len(second))
         pa = first + [0.0] * (length - len(first))
         pb = second + [0.0] * (length - len(second))
         diff = [y - x for x, y in zip(pa, pb)]
-        got = relatedness_terms(
-            ObjectVector.from_codes(first), ObjectVector.from_codes(second)
-        )[2]
+        got = relatedness_terms(vector_from_codes(first), vector_from_codes(second))[2]
         assert abs(got - direct_var(diff)) <= 1e-12
 
     alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 "
@@ -152,10 +156,7 @@ def test_metric_symmetry_and_triangle_inequality():
     rng = random.Random(555)
     for _ in range(1000):
         n = rng.randint(1, 32)
-        u, v, w = (
-            ObjectVector.from_codes([rng.random() for _ in range(n)])
-            for _ in range(3)
-        )
+        u, v, w = (vector_from_codes([rng.random() for _ in range(n)]) for _ in range(3))
         uv, vu, uw, vw = (
             relatedness_terms(x, y)[0] for x, y in ((u, v), (v, u), (u, w), (v, w))
         )

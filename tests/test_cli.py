@@ -29,6 +29,7 @@ from vendormatch.marking import load_marking, save_marking
 from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult, rank_vendors
 
 GOLDEN_REPORT = GOLDEN_DIR / "bundled_report.json"
+GOLDEN_TEXT = GOLDEN_DIR / "bundled_report.txt"
 
 
 def bundled_config(marking_path=None, **kwargs):
@@ -292,9 +293,10 @@ def test_main_success_writes_report(tmp_marking, capsys):
 
 
 def test_main_text_output(tmp_marking, capsys):
+    # text is the default format
     code = main(cli_args(tmp_marking, "--no-update-marking"))
     assert code == EXIT_OK
-    assert "winner:" in capsys.readouterr().out
+    assert capsys.readouterr().out == GOLDEN_TEXT.read_text(encoding="utf-8")
 
 
 def test_main_missing_vendors_dir(tmp_path, tmp_marking, capsys):

@@ -76,12 +76,6 @@ def test_load_duplicate_phrase_rejected(tmp_path):
         load_marking(path)
 
 
-def test_constructor_rejects_duplicates(tmp_path):
-    # load_marking is the only way a marking is built from records
-    with pytest.raises(ValueError):
-        load_marking(write_marking(tmp_path, "sun\t1\nSUN\t2\n"))
-
-
 def test_update_appends_new_phrase():
     marking = {"sun": 37}
     update_marking(marking, "Turbine", 3)
