@@ -18,7 +18,6 @@ from .matchmaker import (
     rank_vendors,
     semantic_match,
 )
-from .stopwords import DEFAULT_STOPWORDS
 from .taxonomy import (
     Taxonomy,
     TaxonomyError,
@@ -27,7 +26,7 @@ from .taxonomy import (
     phrase_score,
     wup_score,
 )
-from .textstats import ObjectVector, candidates, encode, tokenize
+from .textstats import DEFAULT_STOPWORDS, ObjectVector, candidates, encode, tokenize
 
 __version__ = "0.1.0"
 

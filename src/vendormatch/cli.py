@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+_SCALARS = (str, int, float, type(None))  # JSON scalars; a bool is an int
+
 
 class ConfigError(Exception):
     """A run configuration that cannot work: missing or unreadable paths."""
@@ -88,22 +90,22 @@ def _json_encoder(depth: int):
 def _write_json(value: object, depth: int = 0) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
-    An indent sends json.dumps to its pure-Python encoder. Here a container
-    that holds no container is one call to json's C encoder, whose item
-    separator carries the newline and indent; other containers recurse.
-    Keys are str, as every report key is.
+    A dataclass instance is written as ``vars()`` of it. An indent sends
+    json.dumps to its pure-Python encoder; here a container of JSON scalars
+    only is one call to json's C encoder, whose item separator carries the
+    newline and indent, and other containers recurse. Keys are str.
     """
     encode = _json_encoder(depth)
-    if isinstance(value, dict):
-        brackets, values = "{}", value.values()
-    elif isinstance(value, (list, tuple)):
-        brackets, values = "[]", value
-    else:
+    if isinstance(value, _SCALARS):
         return encode(value)
+    if not isinstance(value, (dict, list, tuple)):
+        value = vars(value)  # a dataclass instance
+    brackets = "{}" if isinstance(value, dict) else "[]"
     if not value:
         return brackets
     indent = "  " * depth
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+    values = value.values() if brackets == "{}" else value
+    if all(isinstance(v, _SCALARS) for v in values):
         body = encode(value)[1:-1]
     elif brackets == "{}":
         body = f",\n{indent}  ".join(
@@ -118,20 +120,13 @@ def _write_json(value: object, depth: int = 0) -> str:
 def emit_report(report: MatchReport, output_format: str = "text") -> str:
     """Serialize a report.
 
-    The json bytes are ``json.dumps(doc, indent=2, sort_keys=True)``'s,
-    plus a final newline: key-sorted and byte-stable.
+    The json bytes are ``json.dumps(dataclasses.asdict(report), indent=2,
+    sort_keys=True)``'s, plus a final newline: key-sorted and byte-stable.
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format: {output_format!r}")
     if output_format == "json":
-        doc = {
-            **vars(report),
-            "results": [
-                {**vars(r), "pairs": [vars(p) for p in r.pairs]}
-                for r in report.results
-            ],
-        }
-        return _write_json(doc) + "\n"
+        return _write_json(report) + "\n"
 
     lines = [f"{'rank':<6}{'vendor':<16}{'match %':>10}{'pairs':>8}"]
     for rank, r in enumerate(report.results, start=1):

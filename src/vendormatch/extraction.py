@@ -55,9 +55,6 @@ class InstanceSet:
         return len(self.instances)
 
 
-#: Relative slack on the length cut and the row bound, which the kernel's
-#: float sums, taken left to right, can undercut by ~1e-15.
-_LENGTH_SLACK = 1.0 - 1e-9
 #: Absolute widening of the stddev window and the row bound, whose keys are
 #: exact integer moments (:func:`_moments`), not the float codes the kernel
 #: reads. With M the largest scaled code (1 for ASCII, < 8,774 for any code
@@ -79,8 +76,8 @@ _KEY_SLACK = 1e-9
 # _KEY_SLACK / 2 of the kernel's values. The bound's slope is at most
 # 2 + 2 gap in gap and 1 in m, so the keys move it by at most 1.5 _KEY_SLACK
 # plus gap _KEY_SLACK, and the bound is at least 2 gap: a widening of
-# 2 _KEY_SLACK and a relative 5e-10, which _LENGTH_SLACK covers beside the
-# kernel's own rounding. One more loss is not relative to the bound: the
+# 2 _KEY_SLACK and a relative 5e-10, which :func:`_slack` covers beside
+# the kernel's own rounding. One more loss is not relative to the bound: the
 # variance term s2 / n - (s1 / n)**2 cancels, and its float value can fall
 # (3 n + 8) u s2 / n short of var. With s2 / n >= q, and sqrt(s2 / n) minus
 # that loss growing with s2 / n at any realistic n, the bound drops
@@ -88,8 +85,21 @@ _KEY_SLACK = 1e-9
 # the own length relatedness is also at least 2 gap + gap**2, under
 # ``bound`` only while gap < sqrt(1 + bound) - 1: that stddev window,
 # widened by _KEY_SLACK (which also covers its rounding), is about half the
-# ``bound`` other lengths keep. The relative slack holds for phrases of
-# under a million characters.
+# ``bound`` other lengths keep.
+
+
+def _slack(size: int) -> float:
+    """One less the relative slack of a pair of longer length ``size``.
+
+    Taken left to right, the kernel's sum of ``size`` squares can fall a
+    relative ``size * u`` (u = 2**-53) short of the exact one, its distance
+    term half that. The own stddev window leaves the variance term's loss,
+    (3 n + 8) u s2 / n, to this slack too: at the window's edge the
+    least-scoring pair has s2 / n = gap**2, under the bound 2 gap + gap**2.
+    Hence ``3 * size * u``, beside 1e-9 for the keys' relative 5e-10 and a
+    fixed count of roundings. The slack only grows with ``size``.
+    """
+    return 1.0 - 1e-9 - 3 * size * 2.0**-53
 
 
 def _moments(phrase: str) -> tuple[Sequence[int], int, float]:
@@ -129,8 +139,8 @@ class _MarkedIndex:
     - the length cut: the distance term is at least ``sqrt(T / L)``, where
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
-      with zeros. A whole bucket is skipped when this bound, less a 1e-9
-      relative slack for summation order, reaches ``bound``. For shorter
+      with zeros. A whole bucket is skipped when this bound, less the
+      relative slack of :func:`_slack`, reaches ``bound``. For shorter
       rows T is the candidate's own tail, summed in each lookup. For longer
       rows it is the row's tail past the candidate's length n, which
       :meth:`append` works out for every n: ``_longer[n]`` lists, in
@@ -150,7 +160,7 @@ class _MarkedIndex:
     every row would give, and keeps the smallest ``(relatedness, row)``.
     The kernel abandons a row once its running sum of squares shows
     ``dist`` above the best score less the pair's stddev gap, widened by
-    the 1e-9 slack. A skipped or abandoned row scores at least ``bound``
+    the same slack. A skipped or abandoned row scores at least ``bound``
     or more than a row already scored, so pruning changes no output. A row
     tied with the best score has a bound below its score, or within the
     slacks of 0.0 at a score of 0.0, so it is still scored in full and ties
@@ -166,17 +176,7 @@ class _MarkedIndex:
 
     def __init__(self, marking: dict[str, int], bound: float) -> None:
         self._bound = bound
-        # the length bound sqrt(T / L) / 127, less the slack, of a pair with
-        # longer length L and squared code points T in the longer side's
-        # tail reaches ``bound`` exactly when T >= L * cut
-        scaled = CODE_SCALE * bound / _LENGTH_SLACK
-        # ``**`` raises OverflowError at a huge bound; below ~1e-164 the square
-        # underflows to 0.0, which would cut a tail of NULs only (T = 0); the
-        # smallest float still cuts every positive (integer) tail
-        self._cut = scaled * scaled or 5e-324
-        self._limit = bound / _LENGTH_SLACK
-        # the own length's stddev window (derived beside _KEY_SLACK)
-        self._own = math.sqrt(1.0 + self._limit) - 1.0
+        self._reach(1)
         self._rows: list[ObjectVector] = []
         # per length, parallel lists sorted by stddev key: the keys, each
         # row's exact code-point sum, and row ids in ``sigmas`` order
@@ -187,10 +187,31 @@ class _MarkedIndex:
         for phrase in marking:
             self.append(encode(phrase))
 
+    def _reach(self, size: int) -> None:
+        """Take the slack of ``size`` characters, the longest phrase yet seen.
+
+        That slack covers every pair of phrases the index has seen.
+        """
+        self._size = size
+        self._slack = _slack(size)
+        # the length bound sqrt(T / L) / 127, less the slack, of a pair with
+        # longer length L and squared code points T in the longer side's
+        # tail reaches ``bound`` exactly when T >= L * cut
+        scaled = CODE_SCALE * self._bound / self._slack
+        # ``**`` raises OverflowError at a huge bound; below ~1e-164 the square
+        # underflows to 0.0, which would cut a tail of NULs only (T = 0); the
+        # smallest float still cuts every positive (integer) tail
+        self._cut = scaled * scaled or 5e-324
+        self._limit = self._bound / self._slack
+        # the own length's stddev window (derived beside _KEY_SLACK)
+        self._own = math.sqrt(1.0 + self._limit) - 1.0
+
     def append(self, vec: ObjectVector) -> None:
         phrase = vec.phrase
         points, total, sigma = _moments(phrase)
         row, length = len(self._rows), len(points)
+        if length > self._size:
+            self._reach(length)
         self._rows.append(vec)
         stem = phrase.rstrip("\x00")
         self._stems[stem] = None if stem in self._stems else phrase
@@ -223,6 +244,8 @@ class _MarkedIndex:
             return 0.0, phrase
         points, total, sigma = _moments(phrase)
         n = len(points)
+        if n > self._size:
+            self._reach(n)
         bound = self._bound
         kept = [n]  # lengths of the buckets the length bound leaves in play
         tail, most = 0, n * self._cut
@@ -237,7 +260,7 @@ class _MarkedIndex:
         # _KEY_SLACK)
         cancel = (3 * n + 8) * 2.0**-53
         best = (bound, -1)  # beaten only by a row scoring under ``bound``
-        limit = self._limit
+        limit, slack = self._limit, self._slack
         edge = limit + 2 * _KEY_SLACK  # a row bound above it skips the row
         for length in kept:
             bucket = self._buckets.get(length)
@@ -258,7 +281,7 @@ class _MarkedIndex:
                 if math.sqrt(q) + g + v - cancel * q > edge:
                     continue
                 # past the cap, dist exceeds limit - gap: dist + gap is above
-                # the best score by a relative 1e-9, which rounding cannot
+                # the best score by the relative slack, which rounding cannot
                 # undo, so abandoning the row keeps every tie scored. A gap
                 # over limit (only within the key slack) caps s2 below any
                 # nonzero squared code step, and its score loses anyway.
@@ -273,7 +296,7 @@ class _MarkedIndex:
                 scored = (dist + gap + variance, rows[i])
                 if scored < best:
                     best = scored
-                    limit = best[0] / _LENGTH_SLACK
+                    limit = best[0] / slack
                     edge = limit + 2 * _KEY_SLACK
         r, row = best
         if row < 0:

@@ -20,8 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .marking import read_records
-from .stopwords import DEFAULT_STOPWORDS
-from .textstats import _TOKEN_RE
+from .textstats import DEFAULT_STOPWORDS, _TOKEN_RE
 
 log = logging.getLogger(__name__)
 

@@ -1,12 +1,13 @@
 """Character-statistics text machinery.
 
-Tokenization, n-gram candidate enumeration, and the composite relatedness
-metric that drives instance extraction: a length-normalized Euclidean
-distance over scaled character codes, plus a standard-deviation gap, plus
-the variance of the difference vector. Smaller relatedness means more
-related; identical phrases score exactly zero. The metric has one
-implementation, :func:`relatedness_terms`, which scores one pair of vectors
-in plain Python; the relatedness is the sum of its three terms.
+Tokenization, the stopword list ``DEFAULT_STOPWORDS``, n-gram candidate
+enumeration, and the composite relatedness metric that drives instance
+extraction: a length-normalized Euclidean distance over scaled character
+codes, plus a standard-deviation gap, plus the variance of the difference
+vector. Smaller relatedness means more related; identical phrases score
+exactly zero. The metric has one implementation, :func:`relatedness_terms`,
+which scores one pair of vectors in plain Python; the relatedness is the
+sum of its three terms.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Sequence
 
-from .stopwords import DEFAULT_STOPWORDS
-
 log = logging.getLogger(__name__)
 
 # Character codes are divided by this so every element lies in [0, 1];
@@ -28,6 +27,23 @@ CODE_SCALE = 127.0
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+#: A candidate n-gram may not start or end with one; phrase similarity drops them.
+DEFAULT_STOPWORDS = frozenset(
+    """
+    a an the
+    and or but nor so yet both either neither
+    of in on at to for with by from into onto over under between among
+    through during before after above below up down off out near per
+    is are was were be been being am
+    do does did has have had
+    can could will would shall should may might must
+    it its this that these those
+    i me my we us our you your he him his she her they them their
+    as if then than not no
+    also any all each such own same more most other some only very just
+    about against
+    """.split()
+)
 
 
 class ObjectVector:

@@ -1,0 +1,18 @@
+"""Reports that no golden file covers, pinned by sha256.
+
+Each pin is written once, here. ``test_pinned_reports.py`` checks them, and
+the CI workflow's steps read them from this module too.
+"""
+
+#: The JSON report's sha256 and the marking's row count after one run, with
+#: marking updates on, over ``benchmark/workloads.py``'s corpus at seed 1.
+SYNTH_PINS = {
+    "rank_dense": ("2ea26fc3f0c671c97d79b21df68d7b61a73626904753ef9f6e4160dc207a486e", 33),
+    "extract_growth": ("d944f513abbc7ee41e3067255d1e5a7efe87c71df0715ea6320a30ad71c9929c", 394),
+}
+
+#: The bundled corpus's JSON report at ``--r-threshold 0.3
+#: --fallback-threshold 0.5`` without a marking update. At this bound the
+#: gazetteer index's length cut keeps longer rows, which the default
+#: thresholds never do.
+LOOSE_BUNDLED_SHA256 = "1cf71b21d8966c45959372092325afdb90c57f3d761bc10368e43b8e292dd7fb"

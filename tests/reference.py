@@ -12,9 +12,8 @@ import math
 from collections import Counter, defaultdict
 
 from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult
-from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import lcs
-from vendormatch.textstats import ObjectVector
+from vendormatch.textstats import DEFAULT_STOPWORDS, ObjectVector
 
 # ------------------------------------------------------------- extraction
 

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
@@ -226,23 +226,38 @@ _SCALARS = st.one_of(
 )
 
 
-def json_trees(depth):
-    """JSON documents nested up to ``depth`` containers deep."""
+@dataclasses.dataclass(frozen=True)
+class _Node:
+    """A dataclass node of a tree, as the report's dataclasses are."""
+
+    name: str
+    tree: object
+
+
+def json_trees(depth, nodes=False):
+    """JSON documents nested up to ``depth`` containers deep; with ``nodes``,
+    a container may also be a :class:`_Node`."""
     if depth == 0:
         return _SCALARS
-    child = json_trees(depth - 1)
-    return st.one_of(
-        _SCALARS,
+    child = json_trees(depth - 1, nodes)
+    containers = [
         st.lists(child, max_size=4),
         st.lists(child, max_size=3).map(tuple),
         st.dictionaries(_TEXT, child, max_size=4),
-    )
+    ]
+    if nodes:
+        containers.append(st.builds(_Node, _TEXT, child))
+    return st.one_of(_SCALARS, *containers)
 
 
 @settings(max_examples=300, deadline=None)
-@given(json_trees(5))
-def test_json_writer_equals_indented_json_dumps(doc):
+@given(json_trees(5), json_trees(4, nodes=True))
+@example(None, VendorResult("v1", pairs=(), match_percentage=0.0, per_query={}))
+def test_json_writer_equals_indented_json_dumps(doc, tree):
     assert _write_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    # a dataclass is written as its fields, wherever it sits in the tree
+    node = _Node("root", tree)
+    assert _write_json(node) == json.dumps(dataclasses.asdict(node), indent=2, sort_keys=True)
 
 
 def test_json_report_of_a_synth_ranking_is_indented_json_dumps(bundled_taxonomy):

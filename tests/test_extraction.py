@@ -14,8 +14,13 @@ from vendormatch import extraction
 from vendormatch.config import Thresholds
 from vendormatch.extraction import _MarkedIndex, extract_corpus
 from vendormatch.marking import load_marking
-from vendormatch.stopwords import DEFAULT_STOPWORDS
-from vendormatch.textstats import candidates, encode, relatedness_terms, tokenize
+from vendormatch.textstats import (
+    DEFAULT_STOPWORDS,
+    candidates,
+    encode,
+    relatedness_terms,
+    tokenize,
+)
 
 DEFAULTS = Thresholds()
 #: The lookup bound, max(r_threshold, fallback_threshold), at the defaults,
@@ -412,7 +417,8 @@ def test_length_cut_at_the_edges_of_bound(monkeypatch):
     # The length bound sqrt(T / L) / 127 is never a real pair's whole score:
     # padding makes the difference vector uneven, and the variance term adds
     # about 1 / (127 L) of it even for one code-1 character against L of
-    # them, far outside the 1e-9 slack for any phrase of practical length.
+    # them, far outside the slack (1e-9 plus 3 * L * 2**-53) for any phrase
+    # of practical length.
     # So a kernel whose float sums undercut that bound by half the slack
     # stands in: the cut must still leave the row in play, whichever side
     # is the longer one
@@ -675,6 +681,28 @@ def test_pruned_lookup_equals_full_scan_on_hostile_rows():
                 row = hostile_phrase(rng, rng.choice([2, 400]))
                 if row not in rows:
                     append_row(rows, indexes, row)
+
+
+def test_pruned_lookup_equals_full_scan_past_a_million_characters():
+    # the relative slack of the length cut, the row bound and the kernel cap
+    # grows with the pair's length, so pruning stays exact on a row of over
+    # a million characters. Each character of the own-length probe is one
+    # code above the row's: the difference vector is constant, so in exact
+    # arithmetic the stddev gap and variance vanish, and the row bound, the
+    # mean term 1 / 127, comes within 2e-11 of the score. The probes one
+    # character longer and shorter bring the length cut in. At a bound just
+    # above each score the row must answer, and at the score itself nothing
+    rng = random.Random(11)
+    row = encode("".join(rng.choices("aelnrst", k=1_000_003)))
+    shifted = row.phrase.translate({c: c + 1 for c in range(ord("a"), ord("z"))})
+    for probe in (shifted, shifted + "s", shifted[:-1]):
+        vec = encode(probe)
+        dist, gap, variance = relatedness_terms(row, vec)
+        r = dist + gap + variance
+        for bound, expected in ((math.nextafter(r, math.inf), (r, row.phrase)), (r, None)):
+            index = _MarkedIndex({}, bound)
+            index.append(row)  # shares the row's codes with the scan above
+            assert index.best(vec) == expected
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():

@@ -15,7 +15,6 @@ from reference import oracle_lcs_and_depth, plain_phrase_score
 from reference import random_rooted_dag, random_rooted_tree
 from repo_paths import DATA_DIR, REPO_ROOT
 from vendormatch import taxonomy
-from vendormatch.stopwords import DEFAULT_STOPWORDS
 from vendormatch.taxonomy import (
     Taxonomy,
     TaxonomyError,
@@ -24,6 +23,7 @@ from vendormatch.taxonomy import (
     phrase_score,
     wup_score,
 )
+from vendormatch.textstats import DEFAULT_STOPWORDS
 
 
 def tax(*edges):
