@@ -11,8 +11,9 @@ admitted instance immediately updates the marking, so vocabulary
 discovered early in a corpus pass is available to later documents.
 
 Every lookup goes through :class:`_MarkedIndex`. Its docstring gives the
-checks that leave a marked object unscored, the exact-hit rule and the
-remembered misses; none of them changes the output.
+checks that leave a marked object unscored, the exact-hit rule, the early
+miss that no row can answer and the remembered misses; none of them
+changes the output.
 """
 
 from __future__ import annotations
@@ -170,8 +171,13 @@ class _MarkedIndex:
     characters, to that row, or to None once two rows share it: zero
     padding lets such rows tie at exactly 0.0. A row alone with its stem is
     its own answer at 0.0, returned without a search while ``bound`` is
-    above 0. ``_missed`` holds the phrases whose search found no row since
-    the last :meth:`append`.
+    above 0. A candidate of n characters is a miss without a search, and
+    without its moments, when no row has length n, ``_longer`` has no entry
+    for n (a present entry is never empty) and the length cut already skips
+    length n - 1, whose tail T is the candidate's last code point squared:
+    T only grows as rows get shorter, so no bucket is left in play.
+    ``_missed`` holds the phrases whose lookup found no row since the last
+    :meth:`append`.
     """
 
     def __init__(self, marking: dict[str, int], bound: float) -> None:
@@ -242,10 +248,19 @@ class _MarkedIndex:
             return None
         if self._bound > 0 and self._stems.get(phrase.rstrip("\x00")) == phrase:
             return 0.0, phrase
-        points, total, sigma = _moments(phrase)
-        n = len(points)
+        n = len(phrase)  # the code-point count on both of _moments' paths
         if n > self._size:
             self._reach(n)
+        if (
+            n not in self._buckets
+            and n not in self._longer
+            and ord(phrase[-1]) ** 2 >= n * self._cut
+        ):
+            # no own-length row, no longer row, and the shorter-row loop
+            # below would break at its first step: no row is in play
+            self._missed.add(phrase)
+            return None
+        points, total, sigma = _moments(phrase)
         bound = self._bound
         kept = [n]  # lengths of the buckets the length bound leaves in play
         tail, most = 0, n * self._cut

@@ -99,12 +99,14 @@ def semantic_match(
 def match_percentage(query: Mapping[str, int], scores: Mapping[str, float]) -> float:
     """Frequency-weighted, score-weighted coverage of the query map, 0-100.
 
-    ``scores`` maps each matched phrase to its pair's score; it may hold
-    phrases of a pool that contains the query. 100 * sum(frequency * score
-    over matched phrases) divided by the total query frequency mass; 100
-    exactly only when every query phrase matched at score 1.0, and 0 for an
-    empty query. Products add left to right in ``query``'s order, since
-    builtin ``sum()`` of floats rounds differently from Python 3.12 on.
+    ``scores`` maps each matched phrase to its pair's score; phrases the
+    query lacks are ignored. 100 * sum(frequency * score over matched
+    phrases) divided by the total query frequency mass; 100 exactly only
+    when every query phrase matched at score 1.0, and 0 for an empty query.
+    Products add left to right in ``query``'s order, since builtin ``sum()``
+    of floats rounds differently from Python 3.12 on. :func:`rank_vendors`
+    calls it for the pooled percentage only; its per-query percentages
+    repeat this arithmetic without a ``scores`` map.
     """
     total = sum(query.values())
     if total == 0:
@@ -134,21 +136,37 @@ def rank_vendors(
 
     Each set is read into a phrase-sorted frequency map. The pooled phrases
     are ranked once against the union of the vendors' phrases. A query
-    phrase's best vendor phrase does not depend on its query, so each
-    per-query percentage reads the scores of the vendor's pooled pairs.
+    phrase's best vendor phrase does not depend on its query, so the
+    vendor's pooled pairs also give every per-query percentage: each pair's
+    score is added, times the phrase's frequency there, to each query that
+    holds the phrase, by :func:`match_percentage`'s arithmetic.
     """
     def frequencies(s: InstanceSet) -> dict[str, int]:
         return {p: rec.frequency for p, rec in sorted(s.instances.items())}
 
     query_freqs = {qid: frequencies(queries[qid]) for qid in sorted(queries)}
+    totals = {qid: sum(f.values()) for qid, f in query_freqs.items()}
+    holders: dict[str, list[tuple[str, int]]] = {}  # phrase -> (query id, frequency)
+    for qid, f in query_freqs.items():
+        for phrase, frequency in f.items():
+            holders.setdefault(phrase, []).append((qid, frequency))
     pooled = pool_queries(query_freqs)
     vendor_phrases = sorted({p for s in vendors.values() for p in s.instances})
     ranked = rank_phrases(pooled, vendor_phrases, t, cfg)
     results = []
     for vendor_id in sorted(vendors):
         pairs = semantic_match(pooled, frequencies(vendors[vendor_id]), ranked)
+        # pairs come in phrase order, so each query's products add left to
+        # right in its own phrase order, from 0.0, as in match_percentage
+        matched = dict.fromkeys(query_freqs, 0.0)
+        for p in pairs:
+            for qid, frequency in holders[p.query_phrase]:
+                matched[qid] += frequency * p.score
+        per_query = {
+            qid: 100.0 * matched[qid] / total if total else 0.0
+            for qid, total in totals.items()
+        }
         scores = {p.query_phrase: p.score for p in pairs}
-        per_query = {qid: match_percentage(f, scores) for qid, f in query_freqs.items()}
         results.append(
             VendorResult(
                 vendor_id=vendor_id,

@@ -1,4 +1,4 @@
-"""Reports that no golden file covers, pinned by sha256.
+"""Reports that no golden file covers, pinned by sha256, and their kernel calls.
 
 Each pin is written once, here. ``test_pinned_reports.py`` checks them, and
 the CI workflow's steps read them from this module too.
@@ -10,6 +10,11 @@ SYNTH_PINS = {
     "rank_dense": ("2ea26fc3f0c671c97d79b21df68d7b61a73626904753ef9f6e4160dc207a486e", 33),
     "extract_growth": ("d944f513abbc7ee41e3067255d1e5a7efe87c71df0715ea6320a30ad71c9929c", 394),
 }
+
+#: The relatedness kernel's calls in that same run, counted by wrapping
+#: ``vendormatch.extraction.relatedness_terms``. Equal bytes can hide more
+#: work; a change to these counts shows it.
+SYNTH_KERNEL_CALLS = {"rank_dense": 780, "extract_growth": 28_709}
 
 #: The bundled corpus's JSON report at ``--r-threshold 0.3
 #: --fallback-threshold 0.5`` without a marking update. At this bound the

@@ -130,21 +130,32 @@ def test_within_document_adaptive_chaining():
     assert "turbineu" in out2.instances
 
 
-def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
-    # a search reads the candidate's moments first; a remembered miss
-    # returns before that, and append reads only the new row's moments
-    looked_up = []
+def searched_phrases(monkeypatch):
+    """The phrases whose lookups reach a search, which reads their moments.
+
+    A remembered miss and an early miss return before that; append reads
+    only the new row's moments.
+    """
+    searched = []
     moments = extraction._moments
 
     def counted(phrase):
         if sys._getframe(1).f_code is _MarkedIndex.best.__code__:
-            looked_up.append(phrase)
+            searched.append(phrase)
         return moments(phrase)
 
     monkeypatch.setattr(extraction, "_moments", counted)
-    # nothing is admitted, so the second document makes no lookup
+    return searched
+
+
+def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
+    looked_up = searched_phrases(monkeypatch)
+    # nothing is admitted, so the second document makes no lookup. A far row
+    # of each candidate's own length takes every first lookup past the
+    # early miss, so each one is searched
     text = "solau wind solau and turbinew"
     marking = {"solar": 1}
+    marking.update((" " * len(phrase), 1) for phrase in candidates(tokenize(text)))
     out = extract_corpus({"a": text, "b": text}, marking, DEFAULTS)
     assert not out["a"].instances and not out["b"].instances
     assert looked_up == list(candidates(tokenize(text)))
@@ -156,6 +167,34 @@ def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
     assert not out["a"].instances
     assert out["b"].instances["solat"].matched_marked_phrase == "solar"
     assert out["c"].instances["solau"].matched_marked_phrase == "solat"
+
+
+@pytest.mark.parametrize(
+    ("row", "candidate", "searched", "hit"),
+    [
+        ("a", "ba", False, False),
+        ("a", "aba", True, False),
+        ("sun\x00", "sun", True, True),
+        ("sun", "sun\x01", True, True),
+    ],
+)
+def test_a_lookup_no_row_can_answer_returns_before_its_moments(
+    monkeypatch, row, candidate, searched, hit
+):
+    # At 0.5 the length cut of n characters is n * (127 * 0.5)**2, about
+    # 4,032 n. No candidate here has a row of its own length. 'ba' ends in
+    # 'a', whose square, 9,409, reaches the cut at n = 2, so the shorter rows
+    # are cut. 'aba' ends in the same 'a', inside [2, 3) cuts: its search
+    # reaches length 2, which has no row. 'sun' has no shorter row in play
+    # ('n' squared is 12,100), but 'sun\x00' is a longer row with no tail
+    # past 3; 'sun\x01' ends low enough to keep 'sun' in play. Those two are
+    # the answers, at 0.37
+    looked_up = searched_phrases(monkeypatch)
+    vec = encode(candidate)
+    got = _MarkedIndex({row: 1}, 0.5).best(vec)
+    assert got == scan_best([row], vec, 0.5)
+    assert (got is not None) == hit
+    assert looked_up == [candidate] * searched
 
 
 def test_tied_marked_objects_match_the_earlier_entry():

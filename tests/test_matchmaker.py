@@ -339,6 +339,24 @@ def test_rank_vendors_equals_reference_with_tied_vendor_phrases(little_taxonomy)
     )
 
 
+def test_rank_vendors_equals_reference_where_a_query_matches_nothing(little_taxonomy):
+    # q0 holds no instance, a total of 0. v1 pairs only with q1's phrase
+    # (sun -> solar at 10/11), so q2 shares no phrase with its pairs; v2
+    # pairs with nothing. Each of those per-query percentages stays 0.0
+    queries = {
+        "q0": instance_set(),
+        "q1": instance_set(solar=2),
+        "q2": instance_set(wind=1),
+    }
+    vendors = {"v1": instance_set(sun=1), "v2": instance_set(quartz=1)}
+    report = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
+    assert report == reference_rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
+    assert {r.vendor_id: r.per_query for r in report.results} == {
+        "v1": {"q0": 0.0, "q1": 100.0 * (2 * (10 / 11)) / 2, "q2": 0.0},
+        "v2": {"q0": 0.0, "q1": 0.0, "q2": 0.0},
+    }
+
+
 _WORDS = ["solar", "sun", "wind", "speed", "radiant", "energy", "of", "quartz"]
 _PHRASES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
 _INSTANCE_SETS = st.dictionaries(_PHRASES, st.integers(1, 5), max_size=6)

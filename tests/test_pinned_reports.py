@@ -1,4 +1,4 @@
-"""The reports pinned in ``pinned_reports.py``, checked in-process."""
+"""The reports and counts pinned in ``pinned_reports.py``, checked in-process."""
 
 import hashlib
 import importlib.util
@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from pinned_reports import LOOSE_BUNDLED_SHA256, SYNTH_PINS
+from pinned_reports import LOOSE_BUNDLED_SHA256, SYNTH_KERNEL_CALLS, SYNTH_PINS
 from repo_paths import DATA_DIR, REPO_ROOT
+from vendormatch import extraction
 from vendormatch.cli import emit_report, run
 from vendormatch.config import RunConfig, Thresholds
 
@@ -29,7 +30,18 @@ def workloads():
 
 
 @pytest.mark.parametrize("name", sorted(SYNTH_PINS))
-def test_synthetic_report_and_grown_marking_are_pinned(workloads, name, tmp_path, tmp_marking):
+def test_synthetic_report_and_grown_marking_are_pinned(
+    workloads, name, tmp_path, tmp_marking, monkeypatch
+):
+    kernel_calls = 0
+    kernel = extraction.relatedness_terms
+
+    def counted(*args):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(extraction, "relatedness_terms", counted)
     vendors_dir, queries_dir = workloads.write_corpus(
         workloads.WORKLOADS[name].corpus, 1, workloads.corpus_words(DATA_DIR), tmp_path
     )
@@ -42,6 +54,7 @@ def test_synthetic_report_and_grown_marking_are_pinned(workloads, name, tmp_path
     report = sha256_of_json_report(cfg)
     rows = tmp_marking.read_bytes().count(b"\n")
     assert (report, rows) == SYNTH_PINS[name]
+    assert kernel_calls == SYNTH_KERNEL_CALLS[name]
 
 
 def test_loose_bundled_report_is_pinned(tmp_marking):
