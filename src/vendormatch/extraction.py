@@ -56,16 +56,17 @@ class InstanceSet:
         return len(self.instances)
 
 
-#: Absolute widening of the stddev window and the row bound, whose keys are
-#: exact integer moments (:func:`_moments`), not the float codes the kernel
-#: reads. With M the largest scaled code (1 for ASCII, < 8,774 for any code
-#: point) and u = 2**-53: each float code is within u M of the exact one, and
-#: a population stddev moves by at most the largest change of an element;
-#: the two ``math.fsum`` passes add under 4 u M, and the key (``n * Q - S * S``
-#: rounded once, then a sqrt and a division) under 2 u M. So a key is within
-#: 7 u M < 7e-12 of the kernel's stddev, and ``|S_row - S_cand| / (127 L)``
-#: within 2 u M of ``|s1| / L``. Measured on phrases of up to 4,000
-#: characters, the gaps stay under 2e-16 for ASCII and 1e-12 up to U+10FFFF.
+#: Absolute widening of the stddev check, the code-sum window, the row bound
+#: and the kernel cap, whose keys are exact integer moments (:func:`_points`,
+#: :func:`_sigma`), not the float codes the kernel reads. With M the largest
+#: scaled code (1 for ASCII, < 8,774 for any code point) and u = 2**-53: each
+#: float code is within u M of the exact one, and a population stddev moves
+#: by at most the largest change of an element; the two ``math.fsum`` passes
+#: add under 4 u M, and the key (``n * Q - S * S`` rounded once, then a sqrt
+#: and a division) under 2 u M. So a key is within 7 u M < 7e-12 of the
+#: kernel's stddev, and ``|S_row - S_cand| / (127 L)`` within 2 u M of
+#: ``|s1| / L``. Measured on phrases of up to 4,000 characters, the gaps stay
+#: under 2e-16 for ASCII and 1e-12 up to U+10FFFF.
 _KEY_SLACK = 1e-9
 # The row bound. For a pair of longer length L, s2 / L = var + m**2, with
 # var the variance of b - a and m = |s1| / L the gap between the zero-padded
@@ -87,6 +88,23 @@ _KEY_SLACK = 1e-9
 # ``bound`` only while gap < sqrt(1 + bound) - 1: that stddev window,
 # widened by _KEY_SLACK (which also covers its rounding), is about half the
 # ``bound`` other lengths keep.
+# The code-sum window. Every term is non-negative, so a kernel score is at
+# least its distance term, which is at least the absolute mean of the L
+# differences (Cauchy-Schwarz), short only by the kernel's relative
+# rounding: L u / 2 in its sum of squares and 3 u in its sqrt and division.
+# Each float difference is within 3 u M of the exact one, so that mean is
+# within 3 u M of m = |S_row - S_cand| / (127 L). A row that ties or beats
+# the best score, best = limit * _slack(size), therefore has m under limit *
+# (1 - 5e-10) + 3 u M, since _slack's 3 size u outweighs the kernel's
+# rounding. The window keeps |S_row - S_cand| <= 127 L edge, with edge =
+# limit + 2 _KEY_SLACK: 2 _KEY_SLACK covers the 3 u M, and the relative
+# 5e-10 the two roundings of ``edge`` and of the product. The ends S_cand -+
+# 127 L edge round monotonically, so past no integer inside the window, and
+# are infinite at an infinite bound. This is the mean bound at v = 0, with
+# no variance term: it loses nothing to the cancellation and needs no
+# widening for it, at the own length too, where the floor v only adds. The
+# row bound, which subtracts that loss, would keep a few rows more, each
+# scoring above the best.
 
 
 def _slack(size: int) -> float:
@@ -103,40 +121,44 @@ def _slack(size: int) -> float:
     return 1.0 - 1e-9 - 3 * size * 2.0**-53
 
 
-def _moments(phrase: str) -> tuple[Sequence[int], int, float]:
-    """A phrase's code points, their exact sum and their stddev over 127.
+def _points(phrase: str) -> tuple[Sequence[int], int]:
+    """A phrase's code points and their exact sum S.
 
-    The stddev is ``sqrt(n * Q - S * S) / (127 * n)`` from the exact integer
-    sum S and sum of squares Q of the n code points; it stands in for the
-    ``math.fsum`` stddev of :func:`encode` within ``_KEY_SLACK``. An ASCII
-    phrase's UTF-8 bytes are its code points, and ``str.encode`` makes them
-    in one C call where ``map(ord, ...)`` makes one call per character. The
-    tokenizer makes every candidate ASCII; only a marking row can take the
-    slower path, and the integers are the same either way.
+    An ASCII phrase's UTF-8 bytes are its code points, and ``str.encode``
+    makes them in one C call where ``map(ord, ...)`` makes one call per
+    character. The tokenizer makes every candidate ASCII; only a marking row
+    can take the slower path, and the integers are the same either way.
     """
     points = phrase.encode() if phrase.isascii() else list(map(ord, phrase))
-    n, total = len(points), sum(points)
+    return points, sum(points)
+
+
+def _sigma(points: Sequence[int], total: int) -> float:
+    """The stddev key of code points summing to ``total``.
+
+    ``sqrt(n * Q - S * S) / (127 * n)`` from the exact integer sum S and sum
+    of squares Q of the n code points; it stands in for the ``math.fsum``
+    stddev of :func:`encode` within ``_KEY_SLACK``.
+    """
+    n = len(points)
     spread = n * sum(map(mul, points, points)) - total * total
-    return points, total, math.sqrt(spread) / (CODE_SCALE * n)
+    return math.sqrt(spread) / (CODE_SCALE * n)
 
 
 class _MarkedIndex:
     """Marked-object vectors, scored only where they can beat a bound.
 
     The bound is fixed when the index is built. Rows are the vectors in the
-    marking's key order, also bucketed by length, each bucket sorted by
-    stddev key. Every key comes from a phrase's exact integer code moments
-    (:func:`_moments`), never from its float codes, so a lookup that no row
-    survives never builds the candidate's codes
-    (:class:`~vendormatch.textstats.ObjectVector` builds them on first
-    read). Relatedness is ``dist + gap + variance`` with every
-    term non-negative, so three checks leave a row out:
+    marking's key order, also bucketed by length, each bucket sorted by its
+    rows' exact integer code sums S (:func:`_points`) beside their stddev
+    keys (:func:`_sigma`). Every bound is read from these integers, never
+    from float codes, and a vector builds its codes
+    (:class:`~vendormatch.textstats.ObjectVector` builds them on first read)
+    only when the kernel scores it, its fsum stddev only when the kernel
+    scores the pair in full. A candidate's key is computed only once a
+    bucket's code-sum window holds a row. Relatedness is ``dist + gap +
+    variance`` with every term non-negative, so four checks leave a row out:
 
-    - the stddev window: relatedness is at least the stddev gap, so only
-      rows whose stddev key lies within ``bound`` of the candidate's,
-      widened by ``_KEY_SLACK`` for the keys' distance from the kernel's
-      stddevs, can score under ``bound``; at the candidate's own length the
-      row bound narrows it to ``sqrt(1 + bound) - 1``, about half as wide;
     - the length cut: the distance term is at least ``sqrt(T / L)``, where
       L is the longer length of the pair and T the sum of squared codes of
       the longer side past the shorter one's end, which the other side pads
@@ -147,35 +169,46 @@ class _MarkedIndex:
       :meth:`append` works out for every n: ``_longer[n]`` lists, in
       ascending order, each length L > n of a row whose tail past n is
       under the cut, the only longer buckets a lookup visits;
+    - the code-sum window: the distance term is at least the mean term
+      ``m = |S_row - S_cand| / (127 L)``, so a search bisects each bucket
+      it visits for the rows whose S lies within ``127 L`` times the best
+      score so far (it starts at ``bound``), widened as derived beside
+      ``_KEY_SLACK``;
+    - the stddev check: relatedness is at least the stddev gap, so only
+      a row whose key lies within ``bound`` of the candidate's, widened by
+      ``_KEY_SLACK`` for the keys' distance from the kernel's stddevs, can
+      score under ``bound``; at the candidate's own length the row bound
+      narrows it to ``sqrt(1 + bound) - 1``, about half as wide;
     - the row bound: with zero padding ``dist**2`` is the variance of the
-      difference vector plus ``m**2``, ``m = |S_row - S_cand| / L`` for code
-      sums S. That variance is at least the variance floor v, ``gap**2`` at
-      the candidate's own length, where population stddev is a seminorm,
-      and 0 at others, so relatedness is at least ``sqrt(v + m**2) + gap +
-      v``. A row in the window is skipped when this bound, widened as
-      derived beside ``_KEY_SLACK``, exceeds the best score so far, which
-      starts at ``bound``.
+      difference vector plus ``m**2``. That variance is at least the
+      variance floor v, ``gap**2`` at the candidate's own length, where
+      population stddev is a seminorm, and 0 at others, so relatedness is
+      at least ``sqrt(v + m**2) + gap + v``. A row is skipped when this
+      bound, widened as derived beside ``_KEY_SLACK``, exceeds the best
+      score so far.
 
     :meth:`best` scores each remaining row with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
     every row would give, and keeps the smallest ``(relatedness, row)``.
     The kernel abandons a row once its running sum of squares shows
-    ``dist`` above the best score less the pair's stddev gap, widened by
-    the same slack. A skipped or abandoned row scores at least ``bound``
-    or more than a row already scored, so pruning changes no output. A row
-    tied with the best score has a bound below its score, or within the
-    slacks of 0.0 at a score of 0.0, so it is still scored in full and ties
-    still go to the earliest row.
+    ``dist`` above the best score less the pair's key gap, both widened by
+    the slacks. The cap never reads a stddev, so an abandoned pair builds
+    none. A skipped or abandoned row scores at least ``bound`` or more than
+    a row already scored, so pruning changes no output. A row tied with the
+    best score has a bound below its score, or within the slacks of 0.0 at
+    a score of 0.0, so it is still scored in full and ties still go to the
+    earliest row, whatever the code-sum order walks first.
 
     ``_stems`` maps each row's stem, its phrase less trailing NUL
     characters, to that row, or to None once two rows share it: zero
     padding lets such rows tie at exactly 0.0. A row alone with its stem is
     its own answer at 0.0, returned without a search while ``bound`` is
     above 0. A candidate of n characters is a miss without a search, and
-    without its moments, when no row has length n, ``_longer`` has no entry
+    without S or its key, when no row has length n, ``_longer`` has no entry
     for n (a present entry is never empty) and the length cut already skips
     length n - 1, whose tail T is the candidate's last code point squared:
-    T only grows as rows get shorter, so no bucket is left in play.
+    T only grows as rows get shorter, so no bucket is left in play. That
+    last-character test also spares a search the shorter-row walk.
     ``_missed`` holds the phrases whose lookup found no row since the last
     :meth:`append`.
     """
@@ -184,9 +217,9 @@ class _MarkedIndex:
         self._bound = bound
         self._reach(1)
         self._rows: list[ObjectVector] = []
-        # per length, parallel lists sorted by stddev key: the keys, each
-        # row's exact code-point sum, and row ids in ``sigmas`` order
-        self._buckets: dict[int, tuple[list[float], list[int], list[int]]] = {}
+        # per length, parallel lists sorted by code sum: the sums, each
+        # row's stddev key, and row ids in ``sums`` order
+        self._buckets: dict[int, tuple[list[int], list[float], list[int]]] = {}
         self._longer: dict[int, list[int]] = {}  # see the length cut above
         self._stems: dict[str, str | None] = {}
         self._missed: set[str] = set()
@@ -214,7 +247,7 @@ class _MarkedIndex:
 
     def append(self, vec: ObjectVector) -> None:
         phrase = vec.phrase
-        points, total, sigma = _moments(phrase)
+        points, total = _points(phrase)
         row, length = len(self._rows), len(points)
         if length > self._size:
             self._reach(length)
@@ -223,10 +256,10 @@ class _MarkedIndex:
         self._stems[stem] = None if stem in self._stems else phrase
         self._missed.clear()  # a new row can turn any miss into a hit
 
-        sigmas, sums, rows = self._buckets.setdefault(length, ([], [], []))
-        at = bisect_right(sigmas, sigma)
-        sigmas.insert(at, sigma)
+        sums, sigmas, rows = self._buckets.setdefault(length, ([], [], []))
+        at = bisect_right(sums, total)
         sums.insert(at, total)
+        sigmas.insert(at, _sigma(points, total))
         rows.insert(at, row)
         tail, most = 0, length * self._cut
         for n in range(length - 1, 0, -1):  # the row's tail past n
@@ -248,63 +281,67 @@ class _MarkedIndex:
             return None
         if self._bound > 0 and self._stems.get(phrase.rstrip("\x00")) == phrase:
             return 0.0, phrase
-        n = len(phrase)  # the code-point count on both of _moments' paths
+        n = len(phrase)  # the code-point count on both of _points' paths
         if n > self._size:
             self._reach(n)
-        if (
-            n not in self._buckets
-            and n not in self._longer
-            and ord(phrase[-1]) ** 2 >= n * self._cut
-        ):
-            # no own-length row, no longer row, and the shorter-row loop
-            # below would break at its first step: no row is in play
+        tail, most = ord(phrase[-1]) ** 2, n * self._cut  # the tail past n - 1
+        if tail >= most and n not in self._buckets and n not in self._longer:
+            # no own-length row, no longer row, and the length cut skips
+            # every shorter row: no row is in play
             self._missed.add(phrase)
             return None
-        points, total, sigma = _moments(phrase)
-        bound = self._bound
+        points, total = _points(phrase)
         kept = [n]  # lengths of the buckets the length bound leaves in play
-        tail, most = 0, n * self._cut
         for length in range(n - 1, 0, -1):  # shorter rows: the candidate's tail
-            tail += points[length] * points[length]
             if tail >= most:
                 break  # the tail only grows as rows get shorter
             kept.append(length)
+            tail += points[length - 1] * points[length - 1]
         kept += self._longer.get(n, ())  # longer rows: their own tails
 
         # the variance term's float error per unit of s2 / n (derived beside
         # _KEY_SLACK)
         cancel = (3 * n + 8) * 2.0**-53
-        best = (bound, -1)  # beaten only by a row scoring under ``bound``
+        best = (self._bound, -1)  # beaten only by a row scoring under ``bound``
         limit, slack = self._limit, self._slack
         edge = limit + 2 * _KEY_SLACK  # a row bound above it skips the row
+        sigma = None  # the candidate's key, once a window holds a row
         for length in kept:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
-            sigmas, sums, rows = bucket
-            # the variance floor v is g**2 at the candidate's length, else 0
-            half, floor = (self._own, 1.0) if length == n else (bound, 0.0)
+            sums, sigmas, rows = bucket
             size = max(n, length)
             scale = CODE_SCALE * size
-            lo = sigma - half - _KEY_SLACK
-            hi = sigma + half + _KEY_SLACK
-            for i in range(bisect_left(sigmas, lo), bisect_right(sigmas, hi)):
+            width = scale * edge  # the code-sum window (derived beside _KEY_SLACK)
+            lo = bisect_left(sums, total - width)
+            hi = bisect_right(sums, total + width, lo)
+            if lo == hi:
+                continue
+            if sigma is None:
+                sigma = _sigma(points, total)
+            # the variance floor v is g**2 at the candidate's length, else 0
+            half, floor = (self._own, 1.0) if length == n else (self._bound, 0.0)
+            half += _KEY_SLACK
+            for i in range(lo, hi):
                 g = abs(sigmas[i] - sigma)
+                if g > half:
+                    continue
                 m = abs(sums[i] - total) / scale
                 v = floor * g * g
                 q = v + m * m
                 if math.sqrt(q) + g + v - cancel * q > edge:
                     continue
-                # past the cap, dist exceeds limit - gap: dist + gap is above
-                # the best score by the relative slack, which rounding cannot
-                # undo, so abandoning the row keeps every tie scored. A gap
-                # over limit (only within the key slack) caps s2 below any
-                # nonzero squared code step, and its score loses anyway.
-                # Squared by ``*``, which gives inf where ``**`` would raise
-                row = self._rows[rows[i]]
-                gap = abs(row.stddev - vec.stddev)
-                room = limit - gap
-                terms = relatedness_terms(row, vec, size * (room * room))
+                # the key gap g is within 14 u M < _KEY_SLACK of the
+                # kernel's, so room is at least limit less the kernel's gap,
+                # and past the cap dist exceeds that: dist + gap is above the
+                # best score by the relative slack, which rounding cannot
+                # undo, so abandoning the row keeps every tie scored. A
+                # negative room means a gap over limit, and its score loses
+                # anyway. Squared by ``*``, which gives inf where ``**``
+                # would raise
+                room = limit - g + _KEY_SLACK
+                terms = relatedness_terms(self._rows[rows[i]], vec, size * (room * room))
                 if terms is None:
                     continue
                 dist, gap, variance = terms

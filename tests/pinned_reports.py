@@ -14,10 +14,21 @@ SYNTH_PINS = {
 #: The relatedness kernel's calls in that same run, counted by wrapping
 #: ``vendormatch.extraction.relatedness_terms``. Equal bytes can hide more
 #: work; a change to these counts shows it.
-SYNTH_KERNEL_CALLS = {"rank_dense": 780, "extract_growth": 28_709}
+SYNTH_KERNEL_CALLS = {"rank_dense": 780, "extract_growth": 28_706}
+
+#: The vectors that compute their ``math.fsum`` stddev in that same run, and
+#: in the bundled corpus's run at the default thresholds with marking
+#: updates on, counted over the vectors ``vendormatch.extraction.encode``
+#: makes. Only a pair the kernel scores in full reads one.
+STDDEV_VECTORS = {"bundled": 4, "rank_dense": 0, "extract_growth": 393}
 
 #: The bundled corpus's JSON report at ``--r-threshold 0.3
 #: --fallback-threshold 0.5`` without a marking update. At this bound the
 #: gazetteer index's length cut keeps longer rows, which the default
 #: thresholds never do.
 LOOSE_BUNDLED_SHA256 = "1cf71b21d8966c45959372092325afdb90c57f3d761bc10368e43b8e292dd7fb"
+
+#: The bundled corpus's JSON report at ``--fallback-threshold 0.05`` without a
+#: marking update. The lookup bound is then five times the default's, and so
+#: is the code-sum window of the candidate's own length.
+FALLBACK_BUNDLED_SHA256 = "1d232fb549cc880b3e1e1c26b37d40cc2434f3f372807f1828a9dcfa9696d2d6"

@@ -131,39 +131,51 @@ def test_within_document_adaptive_chaining():
 
 
 def searched_phrases(monkeypatch):
-    """The phrases whose lookups reach a search, which reads their moments.
+    """The phrases whose lookups reach a search, and those that build a key.
 
-    A remembered miss and an early miss return before that; append reads
-    only the new row's moments.
+    A search reads the candidate's code points and their sum S
+    (``_points``); a remembered miss and an early miss return before that.
+    It builds the candidate's stddev key (``_sigma``) only once a code-sum
+    window holds a row. Calls from append, for the new row, are not counted.
     """
-    searched = []
-    moments = extraction._moments
+    searched, keyed = [], []
+    points, sigma = extraction._points, extraction._sigma
 
-    def counted(phrase):
+    def counted_points(phrase):
         if sys._getframe(1).f_code is _MarkedIndex.best.__code__:
             searched.append(phrase)
-        return moments(phrase)
+        return points(phrase)
 
-    monkeypatch.setattr(extraction, "_moments", counted)
-    return searched
+    def counted_sigma(codes, total):
+        if sys._getframe(1).f_code is _MarkedIndex.best.__code__:
+            keyed.append("".join(map(chr, codes)))
+        return sigma(codes, total)
+
+    monkeypatch.setattr(extraction, "_points", counted_points)
+    monkeypatch.setattr(extraction, "_sigma", counted_sigma)
+    return searched, keyed
 
 
 def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
-    looked_up = searched_phrases(monkeypatch)
+    looked_up, keyed = searched_phrases(monkeypatch)
     # nothing is admitted, so the second document makes no lookup. A far row
     # of each candidate's own length takes every first lookup past the
-    # early miss, so each one is searched
+    # early miss, so each one is searched. Spaces sum to far less than
+    # letters: only 'solar' lies in a code-sum window, that of 'solau', so
+    # only 'solau' builds its key
     text = "solau wind solau and turbinew"
     marking = {"solar": 1}
     marking.update((" " * len(phrase), 1) for phrase in candidates(tokenize(text)))
     out = extract_corpus({"a": text, "b": text}, marking, DEFAULTS)
     assert not out["a"].instances and not out["b"].instances
     assert looked_up == list(candidates(tokenize(text)))
+    assert keyed == ["solau"]
 
     # 'b' admits 'solat', a new row that brings 'solau' under the bound
     looked_up.clear()
+    keyed.clear()
     out = extract_corpus({"a": "solau", "b": "solat", "c": "solau"}, marking, DEFAULTS)
-    assert looked_up == ["solau", "solat", "solau"]
+    assert looked_up == keyed == ["solau", "solat", "solau"]
     assert not out["a"].instances
     assert out["b"].instances["solat"].matched_marked_phrase == "solar"
     assert out["c"].instances["solau"].matched_marked_phrase == "solat"
@@ -185,16 +197,17 @@ def test_a_lookup_no_row_can_answer_returns_before_its_moments(
     # 4,032 n. No candidate here has a row of its own length. 'ba' ends in
     # 'a', whose square, 9,409, reaches the cut at n = 2, so the shorter rows
     # are cut. 'aba' ends in the same 'a', inside [2, 3) cuts: its search
-    # reaches length 2, which has no row. 'sun' has no shorter row in play
-    # ('n' squared is 12,100), but 'sun\x00' is a longer row with no tail
-    # past 3; 'sun\x01' ends low enough to keep 'sun' in play. Those two are
-    # the answers, at 0.37
-    looked_up = searched_phrases(monkeypatch)
+    # reaches length 2, which has no row, and builds no key. 'sun' has no
+    # shorter row in play ('n' squared is 12,100), but 'sun\x00' is a longer
+    # row with no tail past 3; 'sun\x01' ends low enough to keep 'sun' in
+    # play. Those two are the answers, at 0.37, and lie in the code-sum window
+    looked_up, keyed = searched_phrases(monkeypatch)
     vec = encode(candidate)
     got = _MarkedIndex({row: 1}, 0.5).best(vec)
     assert got == scan_best([row], vec, 0.5)
     assert (got is not None) == hit
     assert looked_up == [candidate] * searched
+    assert keyed == [candidate] * hit
 
 
 def test_tied_marked_objects_match_the_earlier_entry():
@@ -202,12 +215,18 @@ def test_tied_marked_objects_match_the_earlier_entry():
     assert oracle_relatedness("ab", "aa") == oracle_relatedness("ba", "aa")
     assert oracle_relatedness("ab", "aa") < DEFAULTS.r_threshold
     # exact kernel ties also between rows of one length but different
-    # stddevs (a stddev-sorted bucket lists them the other way round) and
-    # between rows of different lengths (in different buckets)
+    # stddevs and code sums (a bucket sorted by code sum lists them the other
+    # way round) and between rows of different lengths (in different
+    # buckets). The non-ASCII rows differ from the candidate by one code
+    # point, up and down; the earlier one's stddev key is 4.4e-16 off its
+    # fsum stddev, which the kernel cap must not turn into an abandoned tie
+    row = "\u06bc\u030d"
+    assert extraction._sigma(*extraction._points(row)) != encode(row).stddev
     for phrase, tied in (
         ("aa", ("ab", "ba")),
         ("ab", ("ac", "aa")),
         ("\x02\x01", ("\x02", "\x01\x01")),
+        ("\u06bb\u030d", ("\u06bc\u030d", "\u06ba\u030d")),
     ):
         r = scan(list(tied), encode(phrase))
         assert r[0] == r[1] < DEFAULTS.r_threshold
@@ -452,6 +471,64 @@ def test_row_bound_alone_keeps_a_row_from_the_kernel(monkeypatch, row, candidate
     assert calls == 1
 
 
+@pytest.mark.parametrize(
+    ("candidate", "rows"),
+    [
+        ("#&'", ["%()", "!$%", "%(*", "!$$"]),
+        ("\u033e\u043d", ["\u033f\u043e", "\u033d\u043c", "\u033f\u043f", "\u033c\u043c"]),
+        ("\x00", ["\x01\x01", "\x02\x01"]),
+    ],
+    ids=["own-length", "own-length-non-ascii", "other-length"],
+)
+def test_code_sum_window_at_the_edges_of_bound(candidate, rows):
+    # rows[0] is the candidate a few codes up everywhere, padded with that
+    # code at another length: a constant difference vector, so its score is
+    # the mean term m = |S_row - S_cand| / (127 L) alone, which the kernel's
+    # rounding puts a few ulps under m. At a bound just above that score the
+    # row lies just inside its code-sum window, and the rows whose code sums
+    # lie one further off lie just outside it; at the edge bound the window
+    # ends at rows[0]. In the first case the window's float ends, near S,
+    # are fine enough that an unwidened window would leave rows[0] out. At
+    # the own length rows[1] is the mirror of rows[0], and ties with it in
+    # the non-ASCII case
+    vec = encode(candidate)
+    size = max(len(candidate), len(rows[0]))
+    m = abs(sum(map(ord, rows[0])) - sum(map(ord, candidate))) / (127 * size)
+    r = scan(rows, vec)[0]
+    assert m * (1 - 1e-14) < r < m
+    edge = extraction._slack(size) * (m - 2 * extraction._KEY_SLACK)
+    for bound in (r, math.nextafter(r, math.inf), edge, math.nextafter(edge, math.inf), 0.5):
+        for order in (rows, rows[::-1]):
+            got = _MarkedIndex(dict.fromkeys(order, 1), bound).best(vec)
+            assert got == scan_best(order, vec, bound)
+            assert (got is None) == (bound <= r)
+
+
+@pytest.mark.parametrize("slack", [extraction._KEY_SLACK, 0.01], ids=["slack", "wide-slack"])
+@pytest.mark.parametrize(
+    ("candidate", "row"), [("de", "ef"), ("\x00", "\x01\x01")], ids=["own-length", "other-length"]
+)
+def test_code_sums_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candidate, row):
+    # the row's score is its mean term alone (above). Code sums moved apart
+    # until that term, read from them, is half the slack over the kernel's
+    # must still leave the row in its code-sum window and under its row bound
+    monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
+    points, sigma = extraction._points, extraction._sigma
+    shift = 127 * max(len(candidate), len(row)) * slack / 4
+
+    def apart(phrase):
+        codes, total = points(phrase)
+        return codes, total + (shift if phrase == row else -shift)
+
+    monkeypatch.setattr(extraction, "_points", apart)
+    # the stddev keys stay those of the true sums
+    monkeypatch.setattr(extraction, "_sigma", lambda codes, total: sigma(codes, sum(codes)))
+    vec = encode(candidate)
+    r = scan([row], vec)[0]
+    for bound in (math.nextafter(r, math.inf), r * (1 + 1e-12), r, 0.5, math.inf, *SETTING_BOUNDS):
+        assert _MarkedIndex({row: 1}, bound).best(vec) == scan_best([row], vec, bound)
+
+
 def test_length_cut_at_the_edges_of_bound(monkeypatch):
     # The length bound sqrt(T / L) / 127 is never a real pair's whole score:
     # padding makes the difference vector uneven, and the variance term adds
@@ -551,17 +628,18 @@ def test_bundled_extraction_scores_few_rows(
 
 
 @pytest.mark.parametrize(
-    ("thresholds", "most"),
-    [(DEFAULTS, 220), (Thresholds(fallback_threshold=0.05), 700)],
+    ("thresholds", "most", "most_stddevs"),
+    [(DEFAULTS, 220, 10), (Thresholds(fallback_threshold=0.05), 700, 170)],
     ids=["defaults", "fb0.05"],
 )
 def test_bundled_extraction_builds_few_codes(
-    monkeypatch, tmp_marking, bundled_corpus, thresholds, most
+    monkeypatch, tmp_marking, bundled_corpus, thresholds, most, most_stddevs
 ):
     # every candidate and marked phrase is encoded (1,412 vectors at the
     # defaults, 1,463 at fallback 0.05), but a vector builds its codes, which
     # it then keeps in its __dict__, only when a row survives the bounds:
-    # 188 and 649 of them do
+    # 188 and 649 of them do. Its fsum stddev waits for a pair scored in
+    # full: 4 and 145 vectors compute one
     vectors = []
 
     def kept(phrase):
@@ -574,6 +652,7 @@ def test_bundled_extraction_builds_few_codes(
         assert extract_corpus(docs, marking, thresholds)
     assert len(vectors) > 1_400
     assert 0 < sum("codes" in vars(v) for v in vectors) <= most
+    assert 0 < sum("stddev" in vars(v) for v in vectors) <= most_stddevs
 
 
 def hostile_phrase(rng, length):
@@ -600,7 +679,8 @@ def test_integer_moment_keys_stay_far_inside_the_slack():
     ]
     worst_sigma = worst_mean = 0.0
     for phrase in phrases:
-        _, total, sigma = extraction._moments(phrase)
+        points, total = extraction._points(phrase)
+        sigma = extraction._sigma(points, total)
         vec = encode(phrase)
         worst_sigma = max(worst_sigma, abs(sigma - vec.stddev))
         worst_mean = max(worst_mean, abs(total / 127 - math.fsum(vec.codes)) / len(phrase))
@@ -618,7 +698,8 @@ def test_moments_equal_the_exact_integer_moments():
         "\x01\x1f\x7f", "\x7f\x80", "\u00e9nergie", chr(0x10FFFF), "z" + chr(0x10FFFF) * 3,
     ]
     for phrase in phrases:
-        points, total, sigma = extraction._moments(phrase)
+        points, total = extraction._points(phrase)
+        sigma = extraction._sigma(points, total)
         want_points, want_total, want_sigma = exact_moments(phrase)
         assert list(points) == want_points
         assert total == want_total
@@ -672,13 +753,13 @@ def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candida
     # the own-length bound and of its stddev window; code points 1000 and
     # 3000 against 0 and 4000 put the same edge at a gap of 7.9
     monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
-    moments = extraction._moments
+    sigma = extraction._sigma
 
-    def apart(phrase):
-        points, total, sigma = moments(phrase)
-        return points, total, sigma + slack / 4 * (1 if phrase == rows[0] else -1)
+    def apart(points, total):
+        phrase = "".join(map(chr, points))
+        return sigma(points, total) + slack / 4 * (1 if phrase == rows[0] else -1)
 
-    monkeypatch.setattr(extraction, "_moments", apart)
+    monkeypatch.setattr(extraction, "_sigma", apart)
     vec = encode(candidate)
     r = scan(rows, vec)
     gap = encode(rows[0]).stddev - vec.stddev
