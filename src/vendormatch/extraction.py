@@ -11,9 +11,12 @@ admitted instance immediately updates the marking, so vocabulary
 discovered early in a corpus pass is available to later documents.
 
 Every lookup goes through :class:`_MarkedIndex`. Its docstring gives the
-checks that leave a marked object unscored, the exact-hit rule, the early
-miss that no row can answer and the remembered misses; none of them
-changes the output.
+checks that leave a marked object unscored (the length cut, the code-sum
+window, the stddev check and the exact code-point distance check, all read
+from integer code points), the exact-hit rule, the early miss that no row
+can answer and the remembered misses; none of them changes the output.
+Only a pair that passes every check reaches the kernel, which scores it in
+full.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ class InstanceSet:
         return len(self.instances)
 
 
-#: Absolute widening of the stddev check, the code-sum window, the row bound
-#: and the kernel cap, whose keys are exact integer moments (:func:`_points`,
+#: Absolute widening of the stddev check, the code-sum window and the
+#: distance check, whose keys are exact integer moments (:func:`_points`,
 #: :func:`_sigma`), not the float codes the kernel reads. With M the largest
 #: scaled code (1 for ASCII, < 8,774 for any code point) and u = 2**-53: each
 #: float code is within u M of the exact one, and a population stddev moves
@@ -68,24 +71,32 @@ class InstanceSet:
 #: ``|s1| / L``. Measured on phrases of up to 4,000 characters, the gaps stay
 #: under 2e-16 for ASCII and 1e-12 up to U+10FFFF.
 _KEY_SLACK = 1e-9
-# The row bound. For a pair of longer length L, s2 / L = var + m**2, with
-# var the variance of b - a and m = |s1| / L the gap between the zero-padded
-# code sums over L. At the candidate's own length n, var >= gap**2, since
-# population stddev is a seminorm; padding breaks that at other lengths,
-# where the floor is 0. With v that floor and q = v + m**2, relatedness is
-# at least sqrt(q) + gap + v (at v = 0, the mean bound m + gap). Its
-# widening: read from the keys, gap and m are each within 15 u M <
-# _KEY_SLACK / 2 of the kernel's values. The bound's slope is at most
-# 2 + 2 gap in gap and 1 in m, so the keys move it by at most 1.5 _KEY_SLACK
-# plus gap _KEY_SLACK, and the bound is at least 2 gap: a widening of
-# 2 _KEY_SLACK and a relative 5e-10, which :func:`_slack` covers beside
-# the kernel's own rounding. One more loss is not relative to the bound: the
-# variance term s2 / n - (s1 / n)**2 cancels, and its float value can fall
-# (3 n + 8) u s2 / n short of var. With s2 / n >= q, and sqrt(s2 / n) minus
-# that loss growing with s2 / n at any realistic n, the bound drops
-# (3 n + 8) u q, which at v = 0 only loosens it. Since sqrt(q) >= gap, at
-# the own length relatedness is also at least 2 gap + gap**2, under
-# ``bound`` only while gap < sqrt(1 + bound) - 1: that stddev window,
+#: The Euclidean distance of two code-point sequences of one length, in one C
+#: call; on integers it stays within 4 u of the exact value (measured under
+#: 1 u on Python 3.10-3.13).
+_distance = math.dist
+# The distance check. For a pair of longer length L, with the shorter side
+# zero-padded to L as the kernel pads its codes, D = _distance(row, cand) is
+# the Euclidean distance of the integer code points, so d = D / (127
+# sqrt(L)), three roundings later, is within 7 u of the exact distance term.
+# The kernel's distance term falls short of that exact term by its relative
+# rounding, L u / 2 + 3 u, and by its float codes' error, under 3 u M. Its
+# gap term is within 15 u M < _KEY_SLACK / 2 of the key gap g. Its variance
+# term is at least the variance floor v less the cancellation: v is g**2 at
+# the candidate's own length n, where population stddev is a seminorm, and 0
+# at others; g**2 is within g _KEY_SLACK of the kernel's gap squared, where
+# d >= g makes that a relative 5e-10 of the check; and the float value of
+# s2 / n - (s1 / n)**2 can fall (3 n + 8) u s2 / n = cancel d**2 short of the
+# exact variance (at other lengths the kernel clamps it at 0, so there the
+# term only loosens the check). So relatedness is at least d + g + v - cancel
+# d**2, less _KEY_SLACK and a relative L u / 2 + 10 u + 5e-10, which _slack
+# covers beside a fixed count of roundings. A row is skipped when that value
+# exceeds edge = limit + 2 _KEY_SLACK, the code-sum window's edge below,
+# with limit = best / _slack(size): its score is then above the best score
+# so far. The same errors bound the check from above, so a row tied with
+# the best score has a check under edge and is scored, also at 0.0.
+# Since d >= g at the own length, relatedness is also at least 2 g + g**2,
+# under ``bound`` only while g < sqrt(1 + bound) - 1: that stddev window,
 # widened by _KEY_SLACK (which also covers its rounding), is about half the
 # ``bound`` other lengths keep.
 # The code-sum window. Every term is non-negative, so a kernel score is at
@@ -96,15 +107,11 @@ _KEY_SLACK = 1e-9
 # within 3 u M of m = |S_row - S_cand| / (127 L). A row that ties or beats
 # the best score, best = limit * _slack(size), therefore has m under limit *
 # (1 - 5e-10) + 3 u M, since _slack's 3 size u outweighs the kernel's
-# rounding. The window keeps |S_row - S_cand| <= 127 L edge, with edge =
-# limit + 2 _KEY_SLACK: 2 _KEY_SLACK covers the 3 u M, and the relative
-# 5e-10 the two roundings of ``edge`` and of the product. The ends S_cand -+
-# 127 L edge round monotonically, so past no integer inside the window, and
-# are infinite at an infinite bound. This is the mean bound at v = 0, with
-# no variance term: it loses nothing to the cancellation and needs no
-# widening for it, at the own length too, where the floor v only adds. The
-# row bound, which subtracts that loss, would keep a few rows more, each
-# scoring above the best.
+# rounding. The window keeps |S_row - S_cand| <= 127 L edge: 2 _KEY_SLACK
+# covers the 3 u M, and the relative 5e-10 the two roundings of ``edge`` and
+# of the product. The ends S_cand -+ 127 L edge round monotonically, so past
+# no integer inside the window, and are infinite at an infinite bound. The
+# window has no variance term, so it loses nothing to the cancellation.
 
 
 def _slack(size: int) -> float:
@@ -151,13 +158,13 @@ class _MarkedIndex:
     The bound is fixed when the index is built. Rows are the vectors in the
     marking's key order, also bucketed by length, each bucket sorted by its
     rows' exact integer code sums S (:func:`_points`) beside their stddev
-    keys (:func:`_sigma`). Every bound is read from these integers, never
-    from float codes, and a vector builds its codes
-    (:class:`~vendormatch.textstats.ObjectVector` builds them on first read)
-    only when the kernel scores it, its fsum stddev only when the kernel
-    scores the pair in full. A candidate's key is computed only once a
-    bucket's code-sum window holds a row. Relatedness is ``dist + gap +
-    variance`` with every term non-negative, so four checks leave a row out:
+    keys (:func:`_sigma`) and their code points. Every check is read from
+    these integers, never from float codes, so a vector builds its codes and
+    its fsum stddev (:class:`~vendormatch.textstats.ObjectVector` builds
+    them on first read) only when the kernel scores it. A candidate's key is
+    computed only once a bucket's code-sum window holds a row. Relatedness
+    is ``dist + gap + variance`` with every term non-negative, so four
+    checks leave a row out:
 
     - the length cut: the distance term is at least ``sqrt(T / L)``, where
       L is the longer length of the pair and T the sum of squared codes of
@@ -177,27 +184,26 @@ class _MarkedIndex:
     - the stddev check: relatedness is at least the stddev gap, so only
       a row whose key lies within ``bound`` of the candidate's, widened by
       ``_KEY_SLACK`` for the keys' distance from the kernel's stddevs, can
-      score under ``bound``; at the candidate's own length the row bound
-      narrows it to ``sqrt(1 + bound) - 1``, about half as wide;
-    - the row bound: with zero padding ``dist**2`` is the variance of the
-      difference vector plus ``m**2``. That variance is at least the
-      variance floor v, ``gap**2`` at the candidate's own length, where
-      population stddev is a seminorm, and 0 at others, so relatedness is
-      at least ``sqrt(v + m**2) + gap + v``. A row is skipped when this
-      bound, widened as derived beside ``_KEY_SLACK``, exceeds the best
-      score so far.
+      score under ``bound``; at the candidate's own length the distance
+      check narrows it to ``sqrt(1 + bound) - 1``, about half as wide;
+    - the distance check: the distance term ``d`` comes from the exact
+      Euclidean distance of the integer code points, the shorter side
+      zero-padded, in one :data:`_distance` call. The variance of the
+      difference vector is at least the variance floor v, ``gap**2`` at the
+      candidate's own length, where population stddev is a seminorm, and 0
+      at others, so relatedness is at least ``d + gap + v``. A row is
+      skipped when this bound, less the variance term's rounding loss and
+      widened as derived beside ``_KEY_SLACK``, exceeds the best score so
+      far.
 
-    :meth:`best` scores each remaining row with
+    :meth:`best` scores each remaining row in full with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
-    every row would give, and keeps the smallest ``(relatedness, row)``.
-    The kernel abandons a row once its running sum of squares shows
-    ``dist`` above the best score less the pair's key gap, both widened by
-    the slacks. The cap never reads a stddev, so an abandoned pair builds
-    none. A skipped or abandoned row scores at least ``bound`` or more than
-    a row already scored, so pruning changes no output. A row tied with the
-    best score has a bound below its score, or within the slacks of 0.0 at
-    a score of 0.0, so it is still scored in full and ties still go to the
-    earliest row, whatever the code-sum order walks first.
+    every row would give, and keeps the smallest ``(relatedness, row)``. A
+    skipped row scores at least ``bound`` or more than a row already
+    scored, so pruning changes no output. A row tied with the best score
+    passes every check, also at a score of 0.0, so it is still scored and
+    ties still go to the earliest row, whatever the code-sum order walks
+    first.
 
     ``_stems`` maps each row's stem, its phrase less trailing NUL
     characters, to that row, or to None once two rows share it: zero
@@ -218,8 +224,10 @@ class _MarkedIndex:
         self._reach(1)
         self._rows: list[ObjectVector] = []
         # per length, parallel lists sorted by code sum: the sums, each
-        # row's stddev key, and row ids in ``sums`` order
-        self._buckets: dict[int, tuple[list[int], list[float], list[int]]] = {}
+        # row's stddev key, its code points and its id
+        self._buckets: dict[
+            int, tuple[list[int], list[float], list[tuple[int, ...]], list[int]]
+        ] = {}
         self._longer: dict[int, list[int]] = {}  # see the length cut above
         self._stems: dict[str, str | None] = {}
         self._missed: set[str] = set()
@@ -256,10 +264,11 @@ class _MarkedIndex:
         self._stems[stem] = None if stem in self._stems else phrase
         self._missed.clear()  # a new row can turn any miss into a hit
 
-        sums, sigmas, rows = self._buckets.setdefault(length, ([], [], []))
+        sums, sigmas, codes, rows = self._buckets.setdefault(length, ([], [], [], []))
         at = bisect_right(sums, total)
         sums.insert(at, total)
         sigmas.insert(at, _sigma(points, total))
+        codes.insert(at, tuple(points))
         rows.insert(at, row)
         tail, most = 0, length * self._cut
         for n in range(length - 1, 0, -1):  # the row's tail past n
@@ -299,27 +308,30 @@ class _MarkedIndex:
             tail += points[length - 1] * points[length - 1]
         kept += self._longer.get(n, ())  # longer rows: their own tails
 
-        # the variance term's float error per unit of s2 / n (derived beside
+        # the variance term's float error per unit of d**2 (derived beside
         # _KEY_SLACK)
         cancel = (3 * n + 8) * 2.0**-53
         best = (self._bound, -1)  # beaten only by a row scoring under ``bound``
-        limit, slack = self._limit, self._slack
-        edge = limit + 2 * _KEY_SLACK  # a row bound above it skips the row
+        slack = self._slack
+        edge = self._limit + 2 * _KEY_SLACK  # a distance check above it skips the row
         sigma = None  # the candidate's key, once a window holds a row
         for length in kept:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
-            sums, sigmas, rows = bucket
+            sums, sigmas, codes, rows = bucket
             size = max(n, length)
-            scale = CODE_SCALE * size
-            width = scale * edge  # the code-sum window (derived beside _KEY_SLACK)
+            width = CODE_SCALE * size * edge  # the code-sum window (derived beside _KEY_SLACK)
             lo = bisect_left(sums, total - width)
             hi = bisect_right(sums, total + width, lo)
             if lo == hi:
                 continue
             if sigma is None:
                 sigma = _sigma(points, total)
+                points = tuple(points)
+            # the shorter side is zero-padded to the pair's length
+            probe, pad = points + (0,) * (size - n), (0,) * (size - length)
+            root = CODE_SCALE * math.sqrt(size)
             # the variance floor v is g**2 at the candidate's length, else 0
             half, floor = (self._own, 1.0) if length == n else (self._bound, 0.0)
             half += _KEY_SLACK
@@ -327,29 +339,14 @@ class _MarkedIndex:
                 g = abs(sigmas[i] - sigma)
                 if g > half:
                     continue
-                m = abs(sums[i] - total) / scale
-                v = floor * g * g
-                q = v + m * m
-                if math.sqrt(q) + g + v - cancel * q > edge:
+                d = _distance(codes[i] + pad, probe) / root
+                if d + g + floor * g * g - cancel * d * d > edge:
                     continue
-                # the key gap g is within 14 u M < _KEY_SLACK of the
-                # kernel's, so room is at least limit less the kernel's gap,
-                # and past the cap dist exceeds that: dist + gap is above the
-                # best score by the relative slack, which rounding cannot
-                # undo, so abandoning the row keeps every tie scored. A
-                # negative room means a gap over limit, and its score loses
-                # anyway. Squared by ``*``, which gives inf where ``**``
-                # would raise
-                room = limit - g + _KEY_SLACK
-                terms = relatedness_terms(self._rows[rows[i]], vec, size * (room * room))
-                if terms is None:
-                    continue
-                dist, gap, variance = terms
+                dist, gap, variance = relatedness_terms(self._rows[rows[i]], vec)
                 scored = (dist + gap + variance, rows[i])
                 if scored < best:
                     best = scored
-                    limit = best[0] / slack
-                    edge = limit + 2 * _KEY_SLACK
+                    edge = best[0] / slack + 2 * _KEY_SLACK
         r, row = best
         if row < 0:
             self._missed.add(phrase)

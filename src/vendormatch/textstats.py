@@ -113,10 +113,8 @@ def encode(phrase: str) -> ObjectVector:
     return ObjectVector(phrase)
 
 
-def relatedness_terms(
-    a: ObjectVector, b: ObjectVector, cap: float = math.inf
-) -> tuple[float, float, float] | None:
-    """The three relatedness terms of a pair of vectors, or None past ``cap``.
+def relatedness_terms(a: ObjectVector, b: ObjectVector) -> tuple[float, float, float]:
+    """The three relatedness terms of a pair of vectors.
 
     The pair is compared at its common length L, the shorter side padded
     with zeros. Returns the Euclidean distance divided by sqrt(L), the gap
@@ -126,20 +124,12 @@ def relatedness_terms(
     so every supported interpreter returns the same bits: ``sum()`` over
     floats rounds differently since Python 3.12, and ``math.sumprod`` is
     missing before it.
-
-    The loop stops and returns None as soon as the running ``s2``, the sum
-    of squared differences, exceeds ``cap``. Each step adds a non-negative
-    square, so ``s2`` only grows and an abandoned pair's full ``s2`` exceeds
-    ``cap`` too; a pair whose ``s2`` equals ``cap`` is scored. With the
-    default cap every pair is scored.
     """
     s1 = s2 = 0.0
     for x, y in zip_longest(a.codes, b.codes, fillvalue=0.0):
         d = y - x
         s1 += d
         s2 += d * d
-        if s2 > cap:
-            return None
     n = max(len(a.codes), len(b.codes))
     dist = math.sqrt(s2) / math.sqrt(n)
     gap = abs(a.stddev - b.stddev)

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,8 @@ from vendormatch.textstats import (
 
 DEFAULTS = Thresholds()
 #: The lookup bound, max(r_threshold, fallback_threshold), at the defaults,
-#: at fallback 0.05, at r 0.2 and at fallback 0.5, where the row bound of
-#: rows of another length, its mean term, prunes rows
+#: at fallback 0.05, at r 0.2 and at fallback 0.5, where the code-sum window
+#: and the distance check prune rows of another length
 SETTING_BOUNDS = [
     max(t.r_threshold, t.fallback_threshold)
     for t in (
@@ -219,7 +220,7 @@ def test_tied_marked_objects_match_the_earlier_entry():
     # way round) and between rows of different lengths (in different
     # buckets). The non-ASCII rows differ from the candidate by one code
     # point, up and down; the earlier one's stddev key is 4.4e-16 off its
-    # fsum stddev, which the kernel cap must not turn into an abandoned tie
+    # fsum stddev, which the distance check must not turn into a skipped tie
     row = "\u06bc\u030d"
     assert extraction._sigma(*extraction._points(row)) != encode(row).stddev
     for phrase, tied in (
@@ -424,15 +425,15 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
 def test_mean_bound_at_the_edges_of_bound():
     # one code shift keeps the stddev: 'de' and 'bc' share a bucket and a
     # stddev, tie exactly against 'cd' and differ only in their code sums.
-    # With a gap of 0 their own-length bound is the mean term alone
+    # With a gap of 0 their distance check is their mean term alone
     vec = encode("cd")
     rows = ["de", "bc"]
     assert encode("de").stddev == encode("bc").stddev
     r = scan(rows, vec)[0]
     assert scan(rows, vec) == [r, r]
-    # summed in another order than the kernel's, the row bound of 'de', its
-    # mean term at a gap of 0, lands 33 ulps above its score: only the
-    # slack keeps it in play
+    # summed in another order than the kernel's, the mean term of 'de',
+    # which at a gap of 0 is also its exact distance term, lands 33 ulps
+    # above its score: only the slack keeps it in play
     row = encode("de")
     mean = abs(math.fsum(row.codes) - math.fsum(vec.codes)) / 2
     assert mean + abs(row.stddev - vec.stddev) > math.nextafter(r, math.inf)
@@ -446,26 +447,31 @@ def test_mean_bound_at_the_edges_of_bound():
 
 
 @pytest.mark.parametrize(
-    ("row", "candidate"), [("0000", "zzzzz"), ("c0", "cc")], ids=["other-length", "own-length"]
+    ("row", "candidate", "bound"),
+    [("0000", "zzzzz", 0.66), ("c0", "cc", 0.5)],
+    ids=["other-length", "own-length"],
 )
-def test_row_bound_alone_keeps_a_row_from_the_kernel(monkeypatch, row, candidate):
+def test_row_bound_alone_keeps_a_row_from_the_kernel(monkeypatch, row, candidate, bound):
     # other length: both stddev keys are 0, so '0000' is inside the stddev
-    # window, and the tail of 'zzzzz', 122**2 = 14,884, is under the length
-    # cut of 5 * (127 * 0.5)**2 = 20,161.25: only the row bound, here its
-    # mean term (5 * 122 - 4 * 48) / (127 * 5) = 0.658, prunes the row.
+    # window, the tail of 'zzzzz', 122**2 = 14,884, is under the length cut
+    # of 5 * (127 * 0.66)**2 = 35,131, and the mean term (5 * 122 - 4 * 48)
+    # / (127 * 5) = 0.658 puts it inside the code-sum window at 0.66: only
+    # the distance check, its exact distance term sqrt(4 * 74**2 + 122**2) /
+    # (127 sqrt(5)) = 0.675, prunes the row.
     # Own length: 'c0' and 'cc' differ by 51 / 127 in one place, so their
     # stddev gap and mean term are both 51 / 254 = 0.201, inside the own
-    # window sqrt(1.5) - 1 = 0.225, and their mean bound is 0.402: only the
-    # variance floor lifts the row bound to 0.525, the pair's exact score
+    # window sqrt(1.5) - 1 = 0.225, and their distance term is 0.284, so d
+    # + g is 0.485: only the variance floor lifts the check to 0.525, the
+    # pair's exact score
     calls = 0
 
-    def counted(a, b, cap):
+    def counted(a, b):
         nonlocal calls
         calls += 1
-        return relatedness_terms(a, b, cap)
+        return relatedness_terms(a, b)
 
     monkeypatch.setattr(extraction, "relatedness_terms", counted)
-    assert _MarkedIndex({row: 1}, 0.5).best(encode(candidate)) is None
+    assert _MarkedIndex({row: 1}, bound).best(encode(candidate)) is None
     assert calls == 0
     assert _MarkedIndex({row: 1}, 0.7).best(encode(candidate)) is not None
     assert calls == 1
@@ -511,7 +517,7 @@ def test_code_sum_window_at_the_edges_of_bound(candidate, rows):
 def test_code_sums_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candidate, row):
     # the row's score is its mean term alone (above). Code sums moved apart
     # until that term, read from them, is half the slack over the kernel's
-    # must still leave the row in its code-sum window and under its row bound
+    # must still leave the row in its code-sum window
     monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
     points, sigma = extraction._points, extraction._sigma
     shift = 127 * max(len(candidate), len(row)) * slack / 4
@@ -535,20 +541,119 @@ def test_length_cut_at_the_edges_of_bound(monkeypatch):
     # about 1 / (127 L) of it even for one code-1 character against L of
     # them, far outside the slack (1e-9 plus 3 * L * 2**-53) for any phrase
     # of practical length.
-    # So a kernel whose float sums undercut that bound by half the slack
-    # stands in: the cut must still leave the row in play, whichever side
-    # is the longer one
+    # So a kernel and a code-point distance whose float sums undercut that
+    # bound by half the slack stand in (here the distance term is the length
+    # bound): the cut must still leave the row in play, whichever side is
+    # the longer one
     short, long = "\x01", "\x01" * 40
     edge = math.sqrt(39 / 40) / 127
     assert scan([long], encode(short))[0] > edge * (1 + 1e-4)
     r = edge * (1 - 5e-10)
-    monkeypatch.setattr(extraction, "relatedness_terms", lambda a, b, cap: (r, 0.0, 0.0))
+    monkeypatch.setattr(extraction, "relatedness_terms", lambda a, b: (r, 0.0, 0.0))
+    monkeypatch.setattr(extraction, "_distance", lambda p, q: math.dist(p, q) * (1 - 5e-10))
     just_in = (math.nextafter(r, math.inf), r * (1 + 1e-12), edge, math.inf)
     just_out = (r, math.nextafter(r, 0.0), r * (1 - 1e-9))
     for candidate, row in ((short, long), (long, short)):
         for bound in just_in + just_out:
             got = _MarkedIndex({row: 1}, bound).best(encode(candidate))
             assert got == (None if bound in just_out else (r, row))
+
+
+def counted_kernel(monkeypatch):
+    """A list that grows by one entry per kernel call made from now on."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.phrase, b.phrase))
+        return relatedness_terms(a, b)
+
+    monkeypatch.setattr(extraction, "relatedness_terms", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("candidate", "row"),
+    [
+        ("ac", "hl"),
+        ("\u03e8\u044c", "\u044c\u0514"),
+        ("\x00", "\x01\x01"),
+        ("\x01\x01", "\x00"),
+    ],
+    ids=[
+        "own-length",
+        "own-length-non-ascii",
+        "other-length-padded-candidate",
+        "other-length-padded-row",
+    ],
+)
+def test_distance_check_at_the_edges_of_bound(monkeypatch, candidate, row):
+    # Each row's distance check, d + g + v, is its score to a few ulps. At
+    # the own length the row is twice the candidate less a constant, so the
+    # difference vector is the candidate shifted and its variance is the
+    # floor v = g**2. At other lengths the zero-padded difference vector is
+    # constant: no gap and no variance. So the check alone decides at a
+    # bound whose edge, bound / _slack + 2 _KEY_SLACK, is near the score:
+    # just inside that widening the row is scored, just outside it is not.
+    # At the score and one ulp above it the answers are the scan's
+    calls = counted_kernel(monkeypatch)
+    vec = encode(candidate)
+    r = scan([row], vec)[0]
+    widened = extraction._slack(max(len(candidate), len(row))) * (r - 2 * extraction._KEY_SLACK)
+    for bound, scored in (
+        (r, 1),
+        (math.nextafter(r, math.inf), 1),
+        (widened * (1 + 1e-12), 1),
+        (widened * (1 - 1e-12), 0),
+    ):
+        calls.clear()
+        assert _MarkedIndex({row: 1}, bound).best(vec) == scan_best([row], vec, bound)
+        assert len(calls) == scored
+
+
+def test_distance_check_keeps_a_row_exactly_at_its_edge(monkeypatch):
+    # 'de' is 'cd' one code up: no gap, no variance, a distance term of
+    # 1 / 127 and a score under 0.01. A distance read as exactly the edge,
+    # 0.01 / _slack + 2 _KEY_SLACK, keeps the row (the check skips only
+    # above it), and one read a step past the edge does not. d is D / (127
+    # sqrt(2)); at d near 0.01 the check's cancel term is under half an ulp
+    vec = encode("cd")
+    index = _MarkedIndex({"de": 1}, 0.01)
+    edge = index._limit + 2 * extraction._KEY_SLACK
+    root = 127 * math.sqrt(2)
+    at = edge * root
+    while at / root > edge:
+        at = math.nextafter(at, 0.0)
+    while at / root < edge:
+        at = math.nextafter(at, math.inf)
+    past = math.nextafter(at, math.inf)
+    while past / root == edge:
+        past = math.nextafter(past, math.inf)
+    assert at / root == edge < past / root
+    for distance, expected in ((at, scan_best(["de"], vec, 0.01)), (past, None)):
+        monkeypatch.setattr(extraction, "_distance", lambda p, q: distance)
+        assert index.best(vec) == expected
+
+
+def test_distance_check_leaves_room_for_the_variance_loss(monkeypatch):
+    # The kernel's variance s2 / n - (s1 / n)**2 cancels, and its float
+    # value may fall cancel d**2 = (3 n + 8) u s2 / n short of the exact one
+    # (derived beside _KEY_SLACK). 100,000 code points alternating 1000 and
+    # 1002, against their doubles plus 11,700, make that loss larger than the
+    # slack: the difference vector is the candidate shifted by 11,700, so its
+    # variance is the floor g**2 = (1 / 127)**2, and d is about 100. A
+    # kernel whose variance falls short by the whole loss stands in: the
+    # row must still answer at one ulp above that score
+    n = 100_000
+    candidate = "\u03e8\u03ea" * (n // 2)
+    row = "".join(chr(2 * ord(ch) + 11_700) for ch in candidate)
+    vec = encode(candidate)
+    dist, gap, variance = relatedness_terms(encode(row), vec)
+    loss = (3 * n + 8) * 2.0**-53 * dist * dist
+    r = dist + gap + (variance - loss)
+    assert loss > (1 - extraction._slack(n)) * r + 2 * extraction._KEY_SLACK
+    monkeypatch.setattr(extraction, "relatedness_terms", lambda a, b: (dist, gap, variance - loss))
+    for bound, expected in ((math.nextafter(r, math.inf), (r, row)), (r, None)):
+        assert _MarkedIndex({row: 1}, bound).best(vec) == expected
 
 
 def test_marked_candidate_after_rows_of_its_length_matches_itself():
@@ -594,28 +699,27 @@ def test_nul_padded_row_before_the_candidate_row():
 
 
 @pytest.mark.parametrize(
-    ("thresholds", "most", "most_scored"),
+    ("thresholds", "most"),
     [
-        (DEFAULTS, 180, 10),
-        (Thresholds(fallback_threshold=0.05), 2_900, 180),
-        (Thresholds(r_threshold=0.3, fallback_threshold=0.5), 75_000, 7_500),
+        (DEFAULTS, 4),
+        (Thresholds(fallback_threshold=0.05), 170),
+        (Thresholds(r_threshold=0.3, fallback_threshold=0.5), 7_000),
     ],
     ids=["defaults", "fb0.05", "loose"],
 )
 def test_bundled_extraction_scores_few_rows(
-    monkeypatch, tmp_marking, bundled_corpus, thresholds, most, most_scored
+    monkeypatch, tmp_marking, bundled_corpus, thresholds, most
 ):
     # a full scan of the bundled corpus makes 1,326 kernel calls at the
-    # defaults and 6,429 at fallback 0.05; pruning keeps 151 and 2,625, and
-    # the cap abandons all but 2 and 152 of them before their last element.
-    # At r 0.3 / fallback 0.5 the length cut keeps longer rows, each bucket
-    # visited once per lookup: 69,397 calls, 6,769 scored in full
+    # defaults and 6,429 at fallback 0.05; pruning keeps 2 and 156, and the
+    # kernel scores each of them in full. At r 0.3 / fallback 0.5 the length
+    # cut keeps longer rows, each bucket visited once per lookup: 6,581 calls
     calls = scored = 0
 
-    def counted(a, b, cap):
+    def counted(a, b):
         nonlocal calls, scored
         calls += 1
-        terms = relatedness_terms(a, b, cap)
+        terms = relatedness_terms(a, b)
         scored += terms is not None
         return terms
 
@@ -624,22 +728,21 @@ def test_bundled_extraction_scores_few_rows(
     for docs in bundled_corpus.values():
         assert extract_corpus(docs, marking, thresholds)
     assert 0 < calls <= most
-    assert 0 < scored <= most_scored
+    assert scored == calls  # no pair is abandoned part way
 
 
 @pytest.mark.parametrize(
     ("thresholds", "most", "most_stddevs"),
-    [(DEFAULTS, 220, 10), (Thresholds(fallback_threshold=0.05), 700, 170)],
+    [(DEFAULTS, 10, 10), (Thresholds(fallback_threshold=0.05), 170, 170)],
     ids=["defaults", "fb0.05"],
 )
 def test_bundled_extraction_builds_few_codes(
     monkeypatch, tmp_marking, bundled_corpus, thresholds, most, most_stddevs
 ):
     # every candidate and marked phrase is encoded (1,412 vectors at the
-    # defaults, 1,463 at fallback 0.05), but a vector builds its codes, which
-    # it then keeps in its __dict__, only when a row survives the bounds:
-    # 188 and 649 of them do. Its fsum stddev waits for a pair scored in
-    # full: 4 and 145 vectors compute one
+    # defaults, 1,463 at fallback 0.05), but a vector builds its codes and
+    # its fsum stddev, which it then keeps in its __dict__, only when the
+    # kernel scores it: 4 and 144 vectors do
     vectors = []
 
     def kept(phrase):
@@ -686,6 +789,28 @@ def test_integer_moment_keys_stay_far_inside_the_slack():
         worst_mean = max(worst_mean, abs(total / 127 - math.fsum(vec.codes)) / len(phrase))
     assert worst_sigma * 100 <= extraction._KEY_SLACK
     assert worst_mean * 100 <= extraction._KEY_SLACK
+
+
+def test_code_point_distance_stays_within_its_assumed_error():
+    # the distance check takes _distance on integer code points to be within
+    # 4 u (u = 2**-53) of the exact Euclidean distance, here the square root
+    # of the integer sum of squares to 80 bits, from math.isqrt. ASCII, any
+    # code point and NUL-padded sides, up to past a million characters
+    rng = random.Random(1994)
+    for length in (1, 2, 3, 7, 40, 401, 4_000, 1_000_003):
+        for top in (127, 0x10FFFF):
+            for _ in range(40 if length < 1_000 else 1):
+                a = rng.choices(range(top + 1), k=length)
+                b = rng.choices(range(top + 1), k=length)
+                cut = rng.randint(0, length)
+                padded = b[:cut] + [0] * (length - cut)
+                near = [min(top, x + (i & 1)) for i, x in enumerate(a)]
+                for other in (b, padded, near):
+                    got = extraction._distance(a, other)
+                    squares = sum((x - y) * (x - y) for x, y in zip(a, other))
+                    exact = Fraction(math.isqrt(squares << 160), 1 << 80)
+                    err = abs(Fraction(got) - exact)
+                    assert err <= Fraction(2**-51) * exact + Fraction(1, 1 << 80)
 
 
 def test_moments_equal_the_exact_integer_moments():
@@ -745,13 +870,14 @@ def test_longer_rows_are_walked_once_a_row_ends_low(tail):
 )
 def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candidate, rows):
     # 'sun\x00' pads to the codes of 'sun': its score is the stddev gap alone,
-    # the one term the stddev window and the row bound read from the keys.
-    # Keys moved apart by half the slack must still leave the row in play,
-    # also once 'snC', in the bucket of the candidate's length and so scored
-    # first, has set the best score a little above it. '`d' is 'ac' spread
-    # about the same mean: its score is exactly 2 gap + gap**2, the edge of
-    # the own-length bound and of its stddev window; code points 1000 and
-    # 3000 against 0 and 4000 put the same edge at a gap of 7.9
+    # the one term the stddev window and the distance check read from the
+    # keys. Keys moved apart by half the slack must still leave the row in
+    # play, also once 'snC', in the bucket of the candidate's length and so
+    # scored first, has set the best score a little above it. '`d' is 'ac'
+    # spread about the same mean: its score is exactly 2 gap + gap**2, the
+    # edge of the own-length distance check and of its stddev window; code
+    # points 1000 and 3000 against 0 and 4000 put the same edge at a gap of
+    # 7.9
     monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
     sigma = extraction._sigma
 
@@ -804,12 +930,12 @@ def test_pruned_lookup_equals_full_scan_on_hostile_rows():
 
 
 def test_pruned_lookup_equals_full_scan_past_a_million_characters():
-    # the relative slack of the length cut, the row bound and the kernel cap
-    # grows with the pair's length, so pruning stays exact on a row of over
-    # a million characters. Each character of the own-length probe is one
+    # the relative slack of the length cut and the distance check grows
+    # with the pair's length, so pruning stays exact on a row of over a
+    # million characters. Each character of the own-length probe is one
     # code above the row's: the difference vector is constant, so in exact
-    # arithmetic the stddev gap and variance vanish, and the row bound, the
-    # mean term 1 / 127, comes within 2e-11 of the score. The probes one
+    # arithmetic the stddev gap and variance vanish, and the distance check,
+    # the exact distance term 1 / 127, comes within 2e-11 of the score. The probes one
     # character longer and shorter bring the length cut in. At a bound just
     # above each score the row must answer, and at the score itself nothing
     rng = random.Random(11)

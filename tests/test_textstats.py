@@ -17,7 +17,6 @@ from reference import (
     vector_from_codes,
 )
 from vendormatch.textstats import (
-    ObjectVector,
     candidates,
     encode,
     relatedness_terms,
@@ -194,10 +193,19 @@ def test_encode_empty_phrase_rejected():
 
 
 @given(phrases)
+@example("666")
+@example("sss")
 def test_encode_codes_in_unit_interval(phrase):
     v = encode(phrase)
     assert all(0.0 <= c <= 1.0 for c in v.codes)
-    assert (v.stddev == 0.0) == (len(set(v.codes)) == 1)
+    if len(set(v.codes)) > 1:
+        assert v.stddev > 0.0
+    else:
+        # n equal codes c < 1: fsum(n c) / n rounds twice, so the mean is
+        # within c (2 u + u**2) < 2**-52 of c (u = 2**-53), and the stddev,
+        # the deviations' size rounded a few times more, stays under 2**-52.
+        # It need not be 0.0: encode("666").stddev is 2**-54
+        assert v.stddev <= 2.0**-52
 
 
 @given(st.text(alphabet=st.characters(max_codepoint=127), min_size=1, max_size=40))
@@ -346,8 +354,8 @@ def test_relatedness_nonnegative_on_thousand_random_pairs():
         assert sum(relatedness_terms(encode(a or "x"), encode(b or "x"))) >= 0.0
 
 
-# the terms of pinned pairs before the kernel took a cap: zero padding,
-# NUL-padded rows, non-ASCII and code points up to U+10FFFF
+# the terms of pinned pairs, bit for bit, which every reported best_r rests
+# on: zero padding, NUL-padded rows, non-ASCII and code points up to U+10FFFF
 PINNED_TERMS = [
     (("sun", "son"), ("0x1.bee5797875b66p-6", "0x1.946670544b338p-8", "0x1.040c2050c1c46p-11")),
     (("sun", "sunny"), ("0x1.26d433229e269p-1", "0x1.4a36d9fac09b0p-7", "0x1.98123a8cce241p-3")),
@@ -368,27 +376,4 @@ PINNED_TERMS = [
 @pytest.mark.parametrize(("pair", "hexes"), PINNED_TERMS, ids=[repr(p) for p, _ in PINNED_TERMS])
 def test_relatedness_terms_default_cap_keeps_the_pinned_bits(pair, hexes):
     a, b = map(encode, pair)
-    for got in (relatedness_terms(a, b), relatedness_terms(a, b, math.inf)):
-        assert tuple(x.hex() for x in got) == hexes
-
-
-def running_s2(a: ObjectVector, b: ObjectVector) -> float:
-    """The kernel's sum of squared differences, accumulated left to right."""
-    s2 = 0.0
-    for i in range(max(len(a.codes), len(b.codes))):
-        x = a.codes[i] if i < len(a.codes) else 0.0
-        y = b.codes[i] if i < len(b.codes) else 0.0
-        s2 += (y - x) * (y - x)
-    return s2
-
-
-@pytest.mark.parametrize(("pair", "hexes"), PINNED_TERMS, ids=[repr(p) for p, _ in PINNED_TERMS])
-def test_relatedness_terms_abandons_only_past_the_cap(pair, hexes):
-    a, b = map(encode, pair)
-    s2 = running_s2(a, b)
-    # a pair whose s2 equals the cap is scored, with the same bits
-    assert tuple(x.hex() for x in relatedness_terms(a, b, s2)) == hexes
-    if s2 > 0.0:
-        assert relatedness_terms(a, b, math.nextafter(s2, 0.0)) is None
-        assert relatedness_terms(a, b, 0.0) is None
-    assert relatedness_terms(a, b, -1.0) is None
+    assert tuple(x.hex() for x in relatedness_terms(a, b)) == hexes
