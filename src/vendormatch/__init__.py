@@ -12,7 +12,6 @@ from .matchmaker import (
     MatchPair,
     MatchReport,
     VendorResult,
-    match_percentage,
     pool_queries,
     rank_phrases,
     rank_vendors,
@@ -49,7 +48,6 @@ __all__ = [
     "lcs",
     "load_marking",
     "load_taxonomy",
-    "match_percentage",
     "phrase_score",
     "pool_queries",
     "rank_phrases",

@@ -24,6 +24,9 @@ import tempfile
 from pathlib import Path
 
 _FREQ_RE = re.compile(r"[0-9]+\Z")
+# A loaded count stays below 10**18, so what a run adds to it (at most its
+# corpus's token count) still prints under any interpreter's digit limit
+_MAX_FREQ_DIGITS = 18
 _SEPARATOR_RE = re.compile("[\t\n\r]")
 
 
@@ -66,7 +69,8 @@ def load_marking(path: Path | str) -> dict[str, int]:
 
     Records are read by :func:`read_records`. Raises FileNotFoundError for
     a missing file and MarkingFormatError for a file that is not UTF-8 or a
-    malformed or duplicate line (the message names the line number).
+    malformed or duplicate line (the message names the line number). A
+    frequency of more than 18 digits is malformed.
     """
     path = Path(path)
     marking: dict[str, int] = {}
@@ -82,6 +86,10 @@ def load_marking(path: Path | str) -> dict[str, int]:
         if not _FREQ_RE.match(parts[1]):
             raise MarkingFormatError(
                 f"{path}: line {lineno}: frequency is not an integer: {parts[1]!r}"
+            )
+        if len(parts[1]) > _MAX_FREQ_DIGITS:
+            raise MarkingFormatError(
+                f"{path}: line {lineno}: frequency has more than {_MAX_FREQ_DIGITS} digits"
             )
         frequency = int(parts[1])
         if frequency < 1:

@@ -6,7 +6,8 @@ score-weighted match percentage. Ranking reads ``{phrase: frequency}``
 maps; the queries are pooled into one, with a per-query breakdown kept for
 the report. Each pooled query phrase is scored once against every vendor
 phrase of the run and its vendor phrases are ranked once; a vendor's best
-match is the first ranked phrase it holds. All tie-breaks are
+match is the first ranked phrase it holds. One loop over a vendor's pairs
+adds up its pooled and its per-query percentages. All tie-breaks are
 lexicographic so reports are reproducible.
 """
 
@@ -96,26 +97,9 @@ def semantic_match(
     return pairs
 
 
-def match_percentage(query: Mapping[str, int], scores: Mapping[str, float]) -> float:
-    """Frequency-weighted, score-weighted coverage of the query map, 0-100.
-
-    ``scores`` maps each matched phrase to its pair's score; phrases the
-    query lacks are ignored. 100 * sum(frequency * score over matched
-    phrases) divided by the total query frequency mass; 100 exactly only
-    when every query phrase matched at score 1.0, and 0 for an empty query.
-    Products add left to right in ``query``'s order, since builtin ``sum()``
-    of floats rounds differently from Python 3.12 on. :func:`rank_vendors`
-    calls it for the pooled percentage only; its per-query percentages
-    repeat this arithmetic without a ``scores`` map.
-    """
-    total = sum(query.values())
-    if total == 0:
-        return 0.0
-    matched = 0.0
-    for phrase, frequency in query.items():
-        if phrase in scores:
-            matched += frequency * scores[phrase]
-    return 100.0 * matched / total
+def _percentage(matched: float, total: int) -> float:
+    """100 * matched / total, and 0.0 for a map with no frequency mass."""
+    return 100.0 * matched / total if total else 0.0
 
 
 def pool_queries(queries: Mapping[str, Mapping[str, int]]) -> dict[str, int]:
@@ -136,10 +120,13 @@ def rank_vendors(
 
     Each set is read into a phrase-sorted frequency map. The pooled phrases
     are ranked once against the union of the vendors' phrases. A query
-    phrase's best vendor phrase does not depend on its query, so the
-    vendor's pooled pairs also give every per-query percentage: each pair's
-    score is added, times the phrase's frequency there, to each query that
-    holds the phrase, by :func:`match_percentage`'s arithmetic.
+    phrase's best vendor phrase does not depend on its query, so one loop
+    over the vendor's pooled pairs gives both percentages: each pair adds
+    its score, times the phrase's frequency, to the pooled sum and to each
+    query that holds the phrase. A percentage is 100 exactly only when
+    every phrase matched at score 1.0. Products add left to right in phrase
+    order, from 0.0, since builtin ``sum()`` of floats rounds differently
+    from Python 3.12 on.
     """
     def frequencies(s: InstanceSet) -> dict[str, int]:
         return {p: rec.frequency for p, rec in sorted(s.instances.items())}
@@ -151,28 +138,28 @@ def rank_vendors(
         for phrase, frequency in f.items():
             holders.setdefault(phrase, []).append((qid, frequency))
     pooled = pool_queries(query_freqs)
+    pooled_total = sum(pooled.values())
     vendor_phrases = sorted({p for s in vendors.values() for p in s.instances})
     ranked = rank_phrases(pooled, vendor_phrases, t, cfg)
     results = []
     for vendor_id in sorted(vendors):
         pairs = semantic_match(pooled, frequencies(vendors[vendor_id]), ranked)
-        # pairs come in phrase order, so each query's products add left to
-        # right in its own phrase order, from 0.0, as in match_percentage
+        # pairs come in pooled phrase order, which is each query's own order
+        pooled_matched = 0.0
         matched = dict.fromkeys(query_freqs, 0.0)
         for p in pairs:
+            pooled_matched += p.query_freq * p.score
             for qid, frequency in holders[p.query_phrase]:
                 matched[qid] += frequency * p.score
-        per_query = {
-            qid: 100.0 * matched[qid] / total if total else 0.0
-            for qid, total in totals.items()
-        }
-        scores = {p.query_phrase: p.score for p in pairs}
         results.append(
             VendorResult(
                 vendor_id=vendor_id,
                 pairs=tuple(pairs),
-                match_percentage=match_percentage(pooled, scores),
-                per_query=per_query,
+                match_percentage=_percentage(pooled_matched, pooled_total),
+                per_query={
+                    qid: _percentage(matched[qid], total)
+                    for qid, total in totals.items()
+                },
             )
         )
     results.sort(key=lambda r: (-r.match_percentage, r.vendor_id))

@@ -1,19 +1,23 @@
 """End-to-end CLI behavior: orchestration, serialization, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
-from synth_corpus import fresh_marking, make_corpus
+from synth_corpus import POOL, fresh_marking, make_corpus
 from vendormatch.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -25,7 +29,7 @@ from vendormatch.cli import (
 )
 from vendormatch.config import RunConfig, Thresholds
 from vendormatch.extraction import extract_corpus
-from vendormatch.marking import load_marking, save_marking
+from vendormatch.marking import MarkingFormatError, load_marking, save_marking
 from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult, rank_vendors
 
 GOLDEN_REPORT = GOLDEN_DIR / "bundled_report.json"
@@ -350,6 +354,29 @@ def test_main_malformed_marking(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "phrase, freq",
+    [
+        ("solar", "1" * 5000),  # too long for int() to parse
+        ("energy", "9" * 4300),  # parses, but the run's sum would not print
+    ],
+    ids=["unparsable", "unprintable"],
+)
+def test_main_frequency_too_long_is_a_data_error(tmp_marking, capsys, phrase, freq):
+    rows = tmp_marking.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, row in enumerate(rows, 1) if row.startswith(phrase + "\t"))
+    rows[lineno - 1] = f"{phrase}\t{freq}"
+    tmp_marking.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    before = tmp_marking.read_bytes()
+    code = main(cli_args(tmp_marking))
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"vendormatch: error: {tmp_marking}: line {lineno}: "
+        "frequency has more than 18 digits\n"
+    )
+    assert tmp_marking.read_bytes() == before
+
+
 def test_main_invalid_threshold(tmp_marking, capsys):
     code = main(cli_args(tmp_marking, "--r-threshold", "-1"))
     assert code == EXIT_USAGE
@@ -456,3 +483,107 @@ def test_main_huge_threshold_exits_zero(tmp_path, tmp_marking, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["winner"] is not None
+
+
+# --------------------------------------------------------- hostile inputs
+
+_ROW_TEXT = st.text(
+    st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1, max_size=12
+)
+_ROWS = st.lists(st.tuples(_ROW_TEXT, st.integers(1, 10**18 - 1).map(str)), max_size=4)
+_DOCS = st.lists(
+    st.one_of(
+        st.binary(max_size=40),
+        st.text(max_size=40).map(str.encode),
+        st.lists(st.sampled_from(POOL), max_size=20).map(" ".join).map(str.encode),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_THRESHOLD = st.sampled_from([None, "5e-324", "1e300"])
+
+
+def main_output(args):
+    """main(args)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=_ROWS,
+    vendor_docs=_DOCS,
+    query_docs=_DOCS,
+    r=_THRESHOLD,
+    fallback=_THRESHOLD,
+    wup=_THRESHOLD,
+)
+@example(
+    rows=[("zebra", "1" * 5000)],  # too long for int() to parse
+    vendor_docs=[b"solar panels"],
+    query_docs=[b"solar"],
+    r=None,
+    fallback=None,
+    wup=None,
+)
+def test_main_keeps_its_exit_codes_and_percentages_on_hostile_inputs(
+    rows, vendor_docs, query_docs, r, fallback, wup
+):
+    """main() on any marking rows, corpus bytes and extreme thresholds.
+
+    Exit 0 reports percentages in [0, 100]; exit 1 or 2 prints one error
+    line and leaves the marking alone. A second run on the marking the
+    first left exits the same way.
+    """
+    with tempfile.TemporaryDirectory() as workdir:
+        directory = Path(workdir)
+        for kind, docs in (("vendors", vendor_docs), ("queries", query_docs)):
+            (directory / kind).mkdir()
+            for i, data in enumerate(docs):
+                (directory / kind / f"d{i}.txt").write_bytes(data)
+        marking = directory / "marking.tsv"
+        marking.write_bytes(
+            (DATA_DIR / "marking.tsv").read_bytes()
+            + "".join(f"{phrase}\t{freq}\n" for phrase, freq in rows).encode("utf-8")
+        )
+        try:
+            load_marking(marking)
+            expected = EXIT_OK if all(map(is_utf8, vendor_docs + query_docs)) else EXIT_DATA
+        except MarkingFormatError:  # a duplicate phrase once lowercased
+            expected = EXIT_DATA
+        if wup == "1e300":  # the only drawn value outside a threshold's range
+            expected = EXIT_USAGE
+        thresholds = {
+            "--r-threshold": r, "--fallback-threshold": fallback, "--wup-threshold": wup
+        }
+        args = [
+            "--vendors-dir", str(directory / "vendors"),
+            "--queries-dir", str(directory / "queries"),
+            "--marking", str(marking),
+            "--taxonomy", str(DATA_DIR / "taxonomy.tsv"),
+            "--output", "json",
+            *(arg for flag, value in thresholds.items() if value for arg in (flag, value)),
+        ]
+        event(f"exit {expected}")
+        before = marking.read_bytes()
+        for _ in range(2):  # the second run reads the marking the first grew
+            code, out, err = main_output(args)
+            assert code == expected, err
+            if code == EXIT_OK:
+                for result in json.loads(out)["results"]:
+                    assert 0.0 <= result["match_percentage"] <= 100.0
+                    assert all(0.0 <= p <= 100.0 for p in result["per_query"].values())
+            else:
+                assert out == ""
+                assert err.startswith("vendormatch: error: ") and err.count("\n") == 1
+                assert marking.read_bytes() == before

@@ -69,6 +69,19 @@ def test_load_malformed_line_names_line_number(tmp_path, content, lineno):
         load_marking(path)
 
 
+def test_load_bounds_frequency_digits(tmp_path):
+    # int() of more than 4,300 digits raises a plain ValueError, and a count
+    # a run grows past that limit would not print on save
+    ok = "9" * 18
+    assert load_marking(write_marking(tmp_path, f"sun\t{ok}\n")) == {"sun": int(ok)}
+    for freq in ("1" + "0" * 18, "0" * 19 + "1", "1" * 5000, "9" * 4300):
+        path = write_marking(tmp_path, f"energy\t165\nsun\t{freq}\n")
+        with pytest.raises(
+            MarkingFormatError, match="line 2: frequency has more than 18 digits$"
+        ):
+            load_marking(path)
+
+
 def test_load_duplicate_phrase_rejected(tmp_path):
     # phrases are compared after lowercasing
     path = write_marking(tmp_path, "sun\t37\nwind\t5\nSun\t12\n")

@@ -1,4 +1,4 @@
-"""Pairing, match percentage, and vendor ranking."""
+"""Pairing, match percentages, and vendor ranking."""
 
 import itertools
 import math
@@ -16,7 +16,6 @@ from vendormatch.config import Thresholds
 from vendormatch.extraction import InstanceRecord, InstanceSet, extract_corpus
 from vendormatch.matchmaker import (
     MatchPair,
-    match_percentage,
     pool_queries,
     rank_phrases,
     rank_vendors,
@@ -138,41 +137,78 @@ def test_semantic_match_skips_ranked_phrases_the_vendor_lacks():
     assert pairs == [MatchPair("solar", "sun", 0.95, 2, 4)]
 
 
-# ------------------------------------------------------- match_percentage
+# ------------------------------------------------------------ percentages
 
 
-def test_percentage_no_pairs():
-    assert match_percentage({"solar": 3}, {}) == 0.0
+def percentages(queries, vendor, t, cfg=DEFAULTS):
+    """One vendor's pooled and per-query percentages from rank_vendors."""
+    (result,) = rank_vendors(queries, {"v1": vendor}, t, cfg).results
+    return result.match_percentage, result.per_query
+
+
+def test_percentage_no_pairs(little_taxonomy):
+    assert percentages(
+        {"q1": instance_set(solar=3)}, instance_set(quartz=1), little_taxonomy
+    ) == (0.0, {"q1": 0.0})
 
 
 def test_percentage_full_coverage(little_taxonomy):
-    query = {"solar": 3, "wind": 2}
-    pairs = match(query, {"solar": 1, "wind": 1}, little_taxonomy)
-    assert match_percentage(query, {p.query_phrase: p.score for p in pairs}) == 100.0
+    assert percentages(
+        {"q1": instance_set(solar=3, wind=2)},
+        instance_set(solar=1, wind=1),
+        little_taxonomy,
+    ) == (100.0, {"q1": 100.0})
 
 
-def test_percentage_weighted_partial_coverage():
-    # a: freq 3 matched at score 0.9; b: freq 1 unmatched -> 100*2.7/4
-    assert match_percentage({"a": 3, "b": 1}, {"a": 0.9}) == pytest.approx(
-        67.5, abs=1e-9
+def test_percentage_weighted_partial_coverage(little_taxonomy):
+    # sun: freq 3 matched to solar at 10/11; wind: freq 1 unmatched (0.6)
+    pooled, per_query = percentages(
+        {"q1": instance_set(sun=3, wind=1)}, instance_set(solar=1), little_taxonomy
     )
+    assert pooled == pytest.approx(100 * 3 * (10 / 11) / 4, abs=1e-9)
+    assert per_query == {"q1": pooled}
 
 
-def test_percentage_ignores_scores_of_other_phrases():
-    # scores of a pool that contains the query: only the query's phrases count
-    assert match_percentage({"a": 1}, {"a": 0.5, "z": 1.0}) == 50.0
+def test_percentage_ignores_scores_of_other_phrases(little_taxonomy):
+    # solar ranks v2's exact solar first, but v1 pairs with its own sun; a
+    # query counts only its own phrases' pairs, not the pool's
+    queries = {"q1": instance_set(solar=1), "q2": instance_set(wind=1)}
+    vendors = {"v1": instance_set(sun=1), "v2": instance_set(solar=1, wind=1)}
+    report = rank_vendors(queries, vendors, little_taxonomy, DEFAULTS)
+    v1 = next(r for r in report.results if r.vendor_id == "v1")
+    assert v1.pairs == (MatchPair("solar", "sun", 10 / 11, 1, 1),)
+    assert v1.match_percentage == 100.0 * (10 / 11) / 2
+    assert v1.per_query == {"q1": 100.0 * (10 / 11), "q2": 0.0}
 
 
 def test_percentage_adds_left_to_right_on_every_interpreter():
-    # ten 0.1 scores added in order give 0.9999999999999999; builtin sum()
+    # two 8-deep chains under root: each query leaf q0..q9 (depth 10, under
+    # a8) scores wup 2*1/(10+10) = 0.1 against the vendor leaf v under b8.
+    # Ten 0.1 products added in order give 0.9999999999999999; builtin sum()
     # on Python 3.12+ compensates and would give exactly 1.0
-    phrases = [f"p{i}" for i in range(10)]
-    query = dict.fromkeys(phrases, 1)
-    assert match_percentage(query, dict.fromkeys(phrases, 0.1)) == 9.999999999999998
+    chains = [
+        (f"{side}{i}", f"{side}{i - 1}" if i > 1 else "root")
+        for side in "ab"
+        for i in range(1, 9)
+    ]
+    leaves = [(f"q{i}", "a8") for i in range(10)] + [("v", "b8")]
+    t = Taxonomy.from_edges(chains + leaves)
+    phrases = {f"q{i}": 1 for i in range(10)}
+    assert {phrase_score(t, q, "v") for q in phrases} == {0.1}
+    assert percentages(
+        {"q1": instance_set(**phrases)},
+        instance_set(v=1),
+        t,
+        Thresholds(wup_threshold=0.1),
+    ) == (9.999999999999998, {"q1": 9.999999999999998})
 
 
-def test_percentage_empty_query_set():
-    assert match_percentage({}, {}) == 0.0
+def test_percentage_empty_query_set(little_taxonomy):
+    vendor = instance_set(solar=1)
+    assert percentages({}, vendor, little_taxonomy) == (0.0, {})
+    assert percentages({"q1": instance_set()}, vendor, little_taxonomy) == (
+        0.0, {"q1": 0.0}
+    )
 
 
 # ----------------------------------------------------------- pool_queries
