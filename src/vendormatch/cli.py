@@ -8,10 +8,13 @@ so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import logging
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .config import OUTPUT_FORMATS, RunConfig, Thresholds
 from .extraction import extract_corpus
@@ -140,6 +143,24 @@ def emit_report(report: MatchReport, output_format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def _warnings_to_stderr() -> Iterator[None]:
+    """Print the package's logged warnings as ``vendormatch: warning:`` lines.
+
+    The handler is attached only while the block runs, so library use keeps
+    its logging as it was and a second :func:`main` prints no line twice.
+    """
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("vendormatch: warning: %(message)s"))
+    logger = logging.getLogger(__package__)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this CLI reserves 2 for
     # data errors, so route usage problems to exit 1.
@@ -197,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        report = run(cfg)
+        with _warnings_to_stderr():
+            report = run(cfg)
     except ConfigError as exc:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,11 +4,14 @@ Each query instance is matched to its best-scoring vendor instance; pairs
 at or above the similarity threshold count toward a frequency- and
 score-weighted match percentage. Ranking reads ``{phrase: frequency}``
 maps; the queries are pooled into one, with a per-query breakdown kept for
-the report. Each pooled query phrase is scored once against every vendor
-phrase of the run and its vendor phrases are ranked once; a vendor's best
-match is the first ranked phrase it holds. One loop over a vendor's pairs
-adds up its pooled and its per-query percentages. All tie-breaks are
-lexicographic so reports are reproducible.
+the report. Each pooled query phrase is scored once against the vendor
+phrases of the run that can reach the threshold t: those sharing a token
+pair with it that scores above 0 and at least ``tau = 2t - 1``. When
+``tau <= 0`` this skips only pairs that score 0. Each query phrase's vendor
+phrases are ranked once; a vendor's best match is the first ranked phrase
+it holds. One loop over a vendor's pairs adds up its pooled and its
+per-query percentages. All tie-breaks are lexicographic so reports are
+reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Collection, Iterable, Mapping
 
 from .config import Thresholds
 from .extraction import InstanceSet
-from .taxonomy import Taxonomy, phrase_score
+from .taxonomy import Taxonomy, _tokens, phrase_score, wup_score
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,24 @@ class MatchReport:
     winner: str | None
 
 
+# A pair (q, v) scores t = wup_threshold only if its largest token-pair
+# score M reaches tau = 2t - 1, less this slack. Every token-pair score lies
+# in [0, 1]; let u = 2**-53 and n, m be the token counts of q and v.
+# phrase_score is fl(A + B) / 2, and the / 2 is exact:
+# - B = fsum(m best scores) / m <= 1 exactly: fsum and the division are
+#   correctly rounded, so neither rounds past m or 1;
+# - A = fsum(n best scores) / n: their exact sum is at most n M, so after
+#   two correctly rounded steps A <= M (1 + u)**2 <= M + 3u;
+# - fl(A + B) <= (M + 1 + 3u)(1 + u) < M + 1 + 6u.
+# A score of t or more needs fl(A + B) >= 2t, so M > 2t - 1 - 6u. For t in
+# [0.5, 1], 2t - 1 is exact (Sterbenz) and subtracting 8u rounds by at most
+# u / 4, so no pair that scores t is dropped; below 0.5 every Wu-Palmer
+# score reaches tau. In exact arithmetic the bound is tight only at t = 1.0:
+# a pair at t then has both means 1, so a token score of exactly 1. Below
+# that the slack covers rounding alone.
+_TAU_SLACK = 8 * 2.0**-53
+
+
 def rank_phrases(
     query_phrases: Iterable[str],
     vendor_phrases: Collection[str],
@@ -59,15 +80,52 @@ def rank_phrases(
 ) -> dict[str, list[tuple[float, str]]]:
     """Each query phrase's vendor phrases that clear the threshold, best first.
 
-    Every query phrase is scored once against every vendor phrase. Its
-    ``(-score, vendor phrase)`` entries with a score of at least
-    ``cfg.wup_threshold`` are sorted, so equal scores list the
-    lexicographically smallest vendor phrase first.
+    A query phrase is scored, once, only against the vendor phrases that
+    can reach ``t = cfg.wup_threshold``. Each side's best-match mean is at
+    most 1, so a pair reaches t > 0 only if one of its token pairs scores
+    above 0 and at least ``tau = 2t - 1``. An untaxonomized token scores
+    above 0 only against itself; a taxonomized one is compared by
+    :func:`wup_score` with the taxonomized vendor tokens alone. When
+    ``tau <= 0`` (t at most 0.5) every Wu-Palmer score reaches it, so only
+    pairs that score 0 are skipped. A phrase of stopwords only is scored
+    against those of the same lowercase form. The ``(-score, vendor
+    phrase)`` entries with a score of at least t are sorted, so equal scores
+    list the lexicographically smallest vendor phrase first.
     """
+    tau = 2.0 * cfg.wup_threshold - 1.0 - _TAU_SLACK
+    holders: dict[str, set[str]] = {}  # vendor token -> vendor phrases holding it
+    bare: dict[str, list[str]] = {}  # lowercase form -> vendor phrases of stopwords
+    for v in vendor_phrases:
+        tokens = _tokens(t, v)
+        for token in tokens:
+            holders.setdefault(token, set()).add(v)
+        if not tokens:
+            bare.setdefault(v.lower(), []).append(v)
+    concepts = [y for y in holders if y in t]
+    near: dict[str, set[str]] = {}  # query token -> vendor phrases within tau
+
+    def reach(x: str) -> set[str]:
+        if x in t:
+            ys = [y for y in concepts if wup_score(t, x, y) >= tau]
+        else:
+            ys = [x] if x in holders else []
+        return set().union(*(holders[y] for y in ys))
+
+    def candidates(q: str) -> Collection[str]:
+        tokens = _tokens(t, q)
+        if not tokens:
+            return bare.get(q.lower(), [])
+        found: set[str] = set()
+        for x in tokens:
+            if x not in near:
+                near[x] = reach(x)
+            found |= near[x]
+        return found
+
     return {
         q: sorted(
             (-score, v)
-            for v in vendor_phrases
+            for v in candidates(q)
             if (score := phrase_score(t, q, v)) >= cfg.wup_threshold
         )
         for q in query_phrases

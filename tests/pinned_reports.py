@@ -32,3 +32,10 @@ LOOSE_BUNDLED_SHA256 = "1cf71b21d8966c45959372092325afdb90c57f3d761bc10368e43b8e
 #: marking update. The lookup bound is then five times the default's, and so
 #: is the code-sum window of the candidate's own length.
 FALLBACK_BUNDLED_SHA256 = "1d232fb549cc880b3e1e1c26b37d40cc2434f3f372807f1828a9dcfa9696d2d6"
+
+#: The bundled corpus's JSON report at ``--wup-threshold 0.6`` and ``1.0``
+#: without a marking update. Ranking then scores the phrase pairs whose token
+#: pairs reach 0.2 and 1.0, not the default's 0.8, and at 1.0 only pairs at
+#: exactly the threshold are kept.
+WUP_0_6_BUNDLED_SHA256 = "80102f481e8afdd944d654ef28b08d247128fb17cbe5784e66d3c4dcd8f4ce1a"
+WUP_1_0_BUNDLED_SHA256 = "fd05315471ecda82633e9ad609ab70acc55c83b490479c95ec0d07b0eecbfcdd"

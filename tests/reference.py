@@ -189,6 +189,18 @@ def plain_phrase_score(t, a, b):
     return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
 
 
+def reference_rank_phrases(query_phrases, vendor_phrases, t, cfg):
+    """rank_phrases as a full scan: every query phrase against every vendor phrase."""
+    return {
+        q: sorted(
+            (-score, v)
+            for v in vendor_phrases
+            if (score := plain_phrase_score(t, q, v)) >= cfg.wup_threshold
+        )
+        for q in query_phrases
+    }
+
+
 def reference_rank_vendors(queries, vendors, t, cfg):
     """Ranking as V x (Q+1) independent best-match scans.
 

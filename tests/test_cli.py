@@ -485,6 +485,35 @@ def test_main_huge_threshold_exits_zero(tmp_path, tmp_marking, capsys):
     assert json.loads(capsys.readouterr().out)["winner"] is not None
 
 
+def test_main_prints_a_non_ascii_warning_once_with_its_prefix(tmp_path, tmp_marking):
+    vendors = tmp_path / "vendors"
+    vendors.mkdir()
+    (vendors / "v1.txt").write_text("solar énergie and wind turbines", encoding="utf-8")
+    args = [
+        "--vendors-dir", str(vendors),
+        *cli_args(tmp_marking, "--output", "json", "--no-update-marking")[2:],
+    ]
+    warning = "vendormatch: warning: replaced 1 non-ascii character(s) with '?'\n"
+    cfg = dataclasses.replace(
+        bundled_config(tmp_marking, update_marking=False), vendors_dir=vendors
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        expected = emit_report(run(cfg), "json")
+    assert err.getvalue() == ""  # run() adds no handler of its own
+    for _ in range(2):  # the second main() in one process prints it once too
+        assert main_output(args) == (EXIT_OK, expected, warning)
+    proc = subprocess.run(  # with no logging set up, and no last-resort line
+        [sys.executable, "-m", "vendormatch.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, expected.encode(), warning.encode()
+    )
+
+
 # --------------------------------------------------------- hostile inputs
 
 _ROW_TEXT = st.text(
@@ -501,6 +530,8 @@ _DOCS = st.lists(
     max_size=3,
 )
 _THRESHOLD = st.sampled_from([None, "5e-324", "1e300"])
+# "0.5" and "1" put the ranking filter's tau = 2 wup - 1 at 0 and at 1
+_WUP = st.sampled_from([None, "5e-324", "1e300", "0.5", "1"])
 
 
 def main_output(args):
@@ -526,7 +557,7 @@ def is_utf8(data):
     query_docs=_DOCS,
     r=_THRESHOLD,
     fallback=_THRESHOLD,
-    wup=_THRESHOLD,
+    wup=_WUP,
 )
 @example(
     rows=[("zebra", "1" * 5000)],  # too long for int() to parse

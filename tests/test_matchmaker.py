@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_rank_vendors
+from reference import (
+    random_rooted_dag,
+    random_rooted_tree,
+    reference_rank_phrases,
+    reference_rank_vendors,
+)
 from synth_corpus import fresh_marking, make_corpus
 from vendormatch import matchmaker
 from vendormatch.config import Thresholds
@@ -60,7 +65,12 @@ def little_taxonomy():
 # ----------------------------------------------------------- rank_phrases
 
 
-def test_rank_phrases_scores_each_pair_once_best_first(little_taxonomy, monkeypatch):
+_QUERY_PHRASES = ["solar", "wind speed"]
+_VENDOR_PHRASES = ["wind", "speed wind", "sun", "speed", "speed of wind", "solar"]
+
+
+def counted_rank_phrases(monkeypatch, t, wup):
+    """rank_phrases of the phrases above at ``wup``, and the pairs it scored."""
     calls = []
 
     def counted(t, a, b):
@@ -68,13 +78,26 @@ def test_rank_phrases_scores_each_pair_once_best_first(little_taxonomy, monkeypa
         return phrase_score(t, a, b)
 
     monkeypatch.setattr(matchmaker, "phrase_score", counted)
-    query_phrases = ["solar", "wind speed"]
-    vendor_phrases = ["wind", "speed wind", "sun", "speed", "speed of wind", "solar"]
-    ranked = rank_phrases(
-        query_phrases, vendor_phrases, little_taxonomy, Thresholds(wup_threshold=0.6)
+    cfg = Thresholds(wup_threshold=wup)
+    return rank_phrases(_QUERY_PHRASES, _VENDOR_PHRASES, t, cfg), calls
+
+
+def test_rank_phrases_scores_each_pair_once_best_first(little_taxonomy, monkeypatch):
+    # at t = 0.5 every Wu-Palmer score reaches tau = 2t - 1 = 0, and every
+    # token here is taxonomized, so every pair is scored
+    ranked, calls = counted_rank_phrases(monkeypatch, little_taxonomy, 0.5)
+    assert len(calls) == len(_QUERY_PHRASES) * len(_VENDOR_PHRASES)
+    assert set(calls) == set(itertools.product(_QUERY_PHRASES, _VENDOR_PHRASES))
+    assert ranked == reference_rank_phrases(
+        _QUERY_PHRASES, _VENDOR_PHRASES, little_taxonomy, Thresholds(wup_threshold=0.5)
     )
-    assert len(calls) == len(query_phrases) * len(vendor_phrases)
-    assert set(calls) == set(itertools.product(query_phrases, vendor_phrases))
+
+
+def test_rank_phrases_ranks_best_first_and_keeps_a_pair_at_the_threshold(
+    little_taxonomy,
+):
+    cfg = Thresholds(wup_threshold=0.6)
+    ranked = rank_phrases(_QUERY_PHRASES, _VENDOR_PHRASES, little_taxonomy, cfg)
     # wup(solar, wind) = 2*3/(5+5) is exactly the threshold and is kept
     assert ranked["solar"] == [(-1.0, "solar"), (-10 / 11, "sun"), (-0.6, "wind")]
     # two ties: both permutations score 1.0, and speed and wind score alike
@@ -82,6 +105,85 @@ def test_rank_phrases_scores_each_pair_once_best_first(little_taxonomy, monkeypa
         "speed of wind", "speed wind", "speed", "wind"
     ]
     assert ranked["wind speed"][2][0] == ranked["wind speed"][3][0] > -1.0
+
+
+def test_rank_phrases_scores_only_pairs_sharing_a_token_pair_within_tau(
+    little_taxonomy, monkeypatch
+):
+    # tau = 0.8: solar reaches solar and sun (10/11), but not wind (0.6) or
+    # speed (1/3); wind and speed reach only themselves
+    ranked, calls = counted_rank_phrases(monkeypatch, little_taxonomy, 0.9)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {
+        ("solar", "solar"),
+        ("solar", "sun"),
+        *(("wind speed", v) for v in ["wind", "speed wind", "speed", "speed of wind"]),
+    }
+    assert ranked == reference_rank_phrases(
+        _QUERY_PHRASES, _VENDOR_PHRASES, little_taxonomy, Thresholds(wup_threshold=0.9)
+    )
+    assert ranked == {
+        "solar": [(-1.0, "solar"), (-10 / 11, "sun")],
+        "wind speed": [(-1.0, "speed of wind"), (-1.0, "speed wind")],
+    }
+
+
+def test_rank_phrases_keeps_permutations_exactly_at_one(little_taxonomy):
+    # at t = 1.0 tau is 1: a permuted phrase scores exactly 1 and keeps its place
+    cfg = Thresholds(wup_threshold=1.0)
+    vendor_phrases = ["speed of wind", "wind", "sun", "speed", "wind speed of"]
+    ranked = rank_phrases(["wind speed"], vendor_phrases, little_taxonomy, cfg)
+    assert ranked == {
+        "wind speed": [(-1.0, "speed of wind"), (-1.0, "wind speed of")]
+    }
+    assert ranked == reference_rank_phrases(
+        ["wind speed"], vendor_phrases, little_taxonomy, cfg
+    )
+
+
+# taxonomized on some drawn taxonomies, untaxonomized on others, never
+# taxonomized, and stopwords; capitals test the lowercase forms
+_TOKENS = st.sampled_from(
+    ["c00", "c01", "c02", "c03", "c05", "c08", "c13", "zz", "qq", "of", "the",
+     "C01", "ZZ", "Of", "THE"]
+)
+_RANDOM_PHRASES = st.lists(_TOKENS, min_size=1, max_size=3).map(" ".join)
+
+
+def as_hex(ranked):
+    return {q: [(score.hex(), v) for score, v in pairs] for q, pairs in ranked.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    tree=st.booleans(),
+    query_phrases=st.lists(_RANDOM_PHRASES, min_size=1, max_size=8, unique=True),
+    vendor_phrases=st.lists(_RANDOM_PHRASES, max_size=12, unique=True),
+)
+def test_rank_phrases_equals_a_full_scan_on_random_taxonomies(
+    rng, tree, query_phrases, vendor_phrases
+):
+    """The threshold filter drops no pair a full scan keeps, to the bit.
+
+    Besides fixed thresholds around tau = 0 and at 1, every score above 0.5
+    that the full scan gives is tried as the threshold, so some pair sits
+    exactly at it.
+    """
+    edges, _ = (random_rooted_tree if tree else random_rooted_dag)(rng, max_nodes=14)
+    t = Taxonomy.from_edges(edges)
+    scores = {
+        -score
+        for pairs in reference_rank_phrases(
+            query_phrases, vendor_phrases, t, Thresholds(wup_threshold=0.5)
+        ).values()
+        for score, _ in pairs
+    }
+    for wup in sorted({0.5, 0.5 + 1e-12, 0.6, 0.9, 1.0} | scores):
+        cfg = Thresholds(wup_threshold=wup)
+        assert as_hex(rank_phrases(query_phrases, vendor_phrases, t, cfg)) == as_hex(
+            reference_rank_phrases(query_phrases, vendor_phrases, t, cfg)
+        )
 
 
 def test_rank_phrases_of_no_vendor_phrases(little_taxonomy):

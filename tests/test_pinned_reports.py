@@ -12,6 +12,8 @@ from pinned_reports import (
     STDDEV_VECTORS,
     SYNTH_KERNEL_CALLS,
     SYNTH_PINS,
+    WUP_0_6_BUNDLED_SHA256,
+    WUP_1_0_BUNDLED_SHA256,
 )
 from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 from vendormatch import extraction
@@ -111,3 +113,11 @@ def test_loose_bundled_report_is_pinned(tmp_marking):
 def test_fallback_bundled_report_is_pinned(tmp_marking):
     thresholds = Thresholds(fallback_threshold=0.05)
     assert bundled_report_sha256(tmp_marking, thresholds) == FALLBACK_BUNDLED_SHA256
+
+
+@pytest.mark.parametrize(
+    "wup, pin", [(0.6, WUP_0_6_BUNDLED_SHA256), (1.0, WUP_1_0_BUNDLED_SHA256)]
+)
+def test_bundled_report_at_a_match_threshold_is_pinned(tmp_marking, wup, pin):
+    thresholds = Thresholds(wup_threshold=wup)
+    assert bundled_report_sha256(tmp_marking, thresholds) == pin
