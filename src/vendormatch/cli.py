@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -27,6 +28,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 _SCALARS = (str, int, float, type(None))  # JSON scalars; a bool is an int
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_JSON_TYPES = (*_SCALARS, dict, list, tuple)
 
 
 class ConfigError(Exception):
@@ -90,13 +93,41 @@ def _json_encoder(depth: int):
     return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
 
 
+def _flat_records(items: list | tuple) -> list[dict] | None:
+    """The dicts of ``items`` if each is a non-empty flat record, else None.
+
+    A flat record is a ``dict``, or a dataclass instance by ``vars()``, whose
+    values are all of an exact JSON scalar type.
+    """
+    records = []
+    for item in items:
+        if type(item) is dict:
+            record = item
+        elif isinstance(item, _JSON_TYPES):  # a scalar, list, tuple or dict subclass
+            return None
+        else:
+            record = vars(item)  # a dataclass instance
+        if not record or not _SCALAR_TYPES.issuperset(map(type, record.values())):
+            return None
+        records.append(record)
+    return records
+
+
 def _write_json(value: object, depth: int = 0) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
-    A dataclass instance is written as ``vars()`` of it. An indent sends
-    json.dumps to its pure-Python encoder; here a container of JSON scalars
-    only is one call to json's C encoder, whose item separator carries the
-    newline and indent, and other containers recurse. Keys are str.
+    A dataclass instance is written as ``vars()`` of it. On Python 3.10-3.12
+    an indent sends json.dumps to its pure-Python encoder; 3.13's C encoder
+    takes an indent, but this writer keeps one path for every interpreter.
+    A container whose values are all of an exact JSON scalar type is one
+    call to json's C encoder, whose item separator carries the newline and
+    indent. So is a list or tuple of non-empty flat records (see
+    :func:`_flat_records`): the records are encoded one level deeper, and
+    one ``str.replace`` of ``"},\n" + deeper + "{"`` puts in the lines
+    between them. That substring occurs only at record boundaries: json
+    escapes every control character inside a string, so a raw newline comes
+    only from a separator, and no scalar's encoding ends in ``}``. Other
+    containers, scalar subclasses among them, recurse. Keys are str.
     """
     encode = _json_encoder(depth)
     if isinstance(value, _SCALARS):
@@ -108,13 +139,19 @@ def _write_json(value: object, depth: int = 0) -> str:
         return brackets
     indent = "  " * depth
     values = value.values() if brackets == "{}" else value
-    if all(isinstance(v, _SCALARS) for v in values):
+    if _SCALAR_TYPES.issuperset(map(type, values)):
         body = encode(value)[1:-1]
     elif brackets == "{}":
         body = f",\n{indent}  ".join(
             f"{encode(k)}: {_write_json(v, depth + 1)}"
             for k, v in sorted(value.items())
         )
+    elif (records := _flat_records(value)) is not None:
+        inner, deeper = f"{indent}  ", f"{indent}    "
+        items = _json_encoder(depth + 1)(records)[2:-2].replace(
+            f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}"
+        )
+        body = f"{{\n{deeper}{items}\n{inner}}}"
     else:
         body = f",\n{indent}  ".join(_write_json(v, depth + 1) for v in value)
     return f"{brackets[0]}\n{indent}  {body}\n{indent}{brackets[1]}"
@@ -227,7 +264,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    sys.stdout.write(emit_report(report, cfg.output_format))
+    try:
+        sys.stdout.write(emit_report(report, cfg.output_format))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone; point fd 1 at devnull so that the interpreter's
+        # own flush of what is still buffered at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"vendormatch: error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: orchestration, serialization, exit codes."""
 
+import collections
 import contextlib
 import dataclasses
+import enum
 import io
 import json
 import math
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 from synth_corpus import POOL, fresh_marking, make_corpus
+from vendormatch import cli
 from vendormatch.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -264,7 +267,103 @@ def test_json_writer_equals_indented_json_dumps(doc, tree):
     assert _write_json(node) == json.dumps(dataclasses.asdict(node), indent=2, sort_keys=True)
 
 
-def test_json_report_of_a_synth_ranking_is_indented_json_dumps(bundled_taxonomy):
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Tagged(str):
+    """A str subclass with an attribute: ``vars()`` of it is not its text."""
+
+
+def _tagged(text):
+    tagged = _Tagged(text)
+    tagged.attr = "not the text"
+    return tagged
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    """A flat record, as MatchPair is, unless ``note`` holds a container."""
+
+    phrase: str
+    score: float
+    freq: int
+    flag: bool
+    note: object
+
+
+# "},\n" plus an indent and "{" is where the records writer splits records
+_TRAP_TEXT = st.lists(
+    st.sampled_from(["}", "},", "{", "[", "\n", " ", '"', "a"]), max_size=4
+).map("".join)
+_FLAT = st.one_of(_SCALARS, _TRAP_TEXT)
+_VALUE = st.one_of(
+    _FLAT,
+    st.sampled_from([_Level.LOW]),
+    _TRAP_TEXT.map(_tagged),
+    st.lists(_FLAT, max_size=2),
+)
+_RECORD = st.one_of(
+    st.dictionaries(_TRAP_TEXT, _FLAT, max_size=4),
+    st.dictionaries(_TRAP_TEXT, _VALUE, max_size=3),
+    st.builds(_Pair, _TRAP_TEXT, st.floats(), st.integers(), st.booleans(), _FLAT),
+    st.builds(_Pair, _TRAP_TEXT, st.floats(), st.integers(), st.booleans(), _VALUE),
+    st.dictionaries(_TRAP_TEXT, _FLAT, min_size=1, max_size=3).map(collections.OrderedDict),
+)
+_ITEMS = st.one_of(
+    st.lists(_RECORD, max_size=5),
+    st.lists(st.one_of(_RECORD, _VALUE), max_size=5),
+    st.lists(_RECORD, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ITEMS)
+@example([{"a": "},\n      {"}, {"b": None}])
+@example([{"a": 1}, {}, {"b": 2}])
+@example([_Pair("x", 1.0, 2, True, None), {"a": [1]}])
+@example([{"a": 1}, _tagged("text")])
+@example([collections.OrderedDict(b=1, a=2), {"c": 3}])
+@example([{"a": _Level.LOW}, {"b": _tagged("}")}])
+def test_json_writer_writes_lists_of_records_as_indented_json_dumps(items):
+    # at depth 0, inside a dict at depth 1 and inside two lists at depth 2
+    for doc in (items, {"pairs": items, "id": 1}, [[items]]):
+        expected = json.dumps(doc, indent=2, sort_keys=True, default=dataclasses.asdict)
+        assert _write_json(doc) == expected
+
+
+def counted_emit_report(monkeypatch, report):
+    """The json report, and how many calls it made to json's C encoder."""
+    calls = 0
+    encoder = cli._json_encoder
+
+    def counted_encoder(depth):
+        encode = encoder(depth)
+
+        def counted(value):
+            nonlocal calls
+            calls += 1
+            return encode(value)
+
+        return counted
+
+    monkeypatch.setattr(cli, "_json_encoder", counted_encoder)
+    return emit_report(report, "json"), calls
+
+
+def test_json_report_of_the_bundled_run_takes_eight_encoder_calls_a_vendor(monkeypatch):
+    # a vendor's four keys, vendor_id, match_percentage, per_query and its
+    # pairs list, then the report's two keys and winner
+    report = run(bundled_config(update_marking=False))
+    text, calls = counted_emit_report(monkeypatch, report)
+    assert text == GOLDEN_REPORT.read_text(encoding="utf-8")
+    assert len(report.results) == 10
+    assert calls == 8 * len(report.results) + 3 == 83
+
+
+def test_json_report_of_a_synth_ranking_is_indented_json_dumps(
+    bundled_taxonomy, monkeypatch
+):
     rng = random.Random(5)
     cfg = Thresholds()
     marking = fresh_marking()
@@ -272,8 +371,11 @@ def test_json_report_of_a_synth_ranking_is_indented_json_dumps(bundled_taxonomy)
     queries = extract_corpus(make_corpus(rng, 100, words_per_doc=12), marking, cfg)
     report = rank_vendors(queries, vendors, bundled_taxonomy, cfg)
     assert sum(len(r.pairs) for r in report.results) > 100
+    assert all(r.pairs for r in report.results)
     expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
-    assert emit_report(report, "json") == expected
+    text, calls = counted_emit_report(monkeypatch, report)
+    assert text == expected
+    assert calls == 8 * len(report.results) + 3
 
 
 def test_readme_schema_example_is_the_head_of_the_golden_report():
@@ -512,6 +614,36 @@ def test_main_prints_a_non_ascii_warning_once_with_its_prefix(tmp_path, tmp_mark
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_OK, expected.encode(), warning.encode()
     )
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_main_exits_two_quietly_when_the_reader_of_stdout_is_gone(
+    tmp_marking, output, unbuffered
+):
+    # buffered, the text report fits the stdout buffer and fails on the
+    # flush, the json report on the write; unbuffered, both fail on the write
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vendormatch.cli",
+             *cli_args(tmp_marking, "--output", output, "--no-update-marking")],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_DATA, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("vendormatch: error: ") and err.count("\n") == 1
 
 
 # --------------------------------------------------------- hostile inputs
