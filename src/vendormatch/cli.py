@@ -1,15 +1,15 @@
 """Command-line pipeline: ingest corpora, match, rank, emit the report.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data/parse error.
-The JSON report is schema-stable and free of timestamps or absolute paths,
-so identical inputs serialize to identical bytes.
+The JSON report is written from the fixed shape of :class:`MatchReport`,
+with no timestamps or absolute paths, so identical inputs serialize to
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import logging
 import os
@@ -20,16 +20,12 @@ from typing import Iterator
 from .config import OUTPUT_FORMATS, RunConfig, Thresholds
 from .extraction import extract_corpus
 from .marking import MarkingFormatError, load_marking, read_text, save_marking
-from .matchmaker import MatchReport, rank_vendors
+from .matchmaker import MatchReport, VendorResult, rank_vendors
 from .taxonomy import TaxonomyError, load_taxonomy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-_SCALARS = (str, int, float, type(None))  # JSON scalars; a bool is an int
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-_JSON_TYPES = (*_SCALARS, dict, list, tuple)
 
 
 class ConfigError(Exception):
@@ -86,75 +82,57 @@ def run(cfg: RunConfig) -> MatchReport:
     return report
 
 
-@functools.cache
-def _json_encoder(depth: int):
-    """json's C encoder, one item a line, for a container at ``depth``."""
-    separator = ",\n" + "  " * (depth + 1)
-    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+# json's C encoder for a scalar, and, one item a line, for a result's
+# per_query dict (depth 3) and the records of its pairs (depth 4)
+_encode = json.JSONEncoder().encode
+_encode_per_query = json.JSONEncoder(
+    sort_keys=True, separators=(",\n" + "  " * 4, ": ")
+).encode
+_encode_pairs = json.JSONEncoder(
+    sort_keys=True, separators=(",\n" + "  " * 5, ": ")
+).encode
 
 
-def _flat_records(items: list | tuple) -> list[dict] | None:
-    """The dicts of ``items`` if each is a non-empty flat record, else None.
-
-    A flat record is a ``dict``, or a dataclass instance by ``vars()``, whose
-    values are all of an exact JSON scalar type.
-    """
-    records = []
-    for item in items:
-        if type(item) is dict:
-            record = item
-        elif isinstance(item, _JSON_TYPES):  # a scalar, list, tuple or dict subclass
-            return None
-        else:
-            record = vars(item)  # a dataclass instance
-        if not record or not _SCALAR_TYPES.issuperset(map(type, record.values())):
-            return None
-        records.append(record)
-    return records
-
-
-def _write_json(value: object, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
-
-    A dataclass instance is written as ``vars()`` of it. On Python 3.10-3.12
-    an indent sends json.dumps to its pure-Python encoder; 3.13's C encoder
-    takes an indent, but this writer keeps one path for every interpreter.
-    A container whose values are all of an exact JSON scalar type is one
-    call to json's C encoder, whose item separator carries the newline and
-    indent. So is a list or tuple of non-empty flat records (see
-    :func:`_flat_records`): the records are encoded one level deeper, and
-    one ``str.replace`` of ``"},\n" + deeper + "{"`` puts in the lines
-    between them. That substring occurs only at record boundaries: json
-    escapes every control character inside a string, so a raw newline comes
-    only from a separator, and no scalar's encoding ends in ``}``. Other
-    containers, scalar subclasses among them, recurse. Keys are str.
-    """
-    encode = _json_encoder(depth)
-    if isinstance(value, _SCALARS):
-        return encode(value)
-    if not isinstance(value, (dict, list, tuple)):
-        value = vars(value)  # a dataclass instance
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not value:
+def _enclose(brackets: str, body: str, depth: int) -> str:
+    """``body``, its items indented for ``depth + 1``, in ``brackets`` at
+    ``depth``; just ``brackets`` when it is empty."""
+    if not body:
         return brackets
     indent = "  " * depth
-    values = value.values() if brackets == "{}" else value
-    if _SCALAR_TYPES.issuperset(map(type, values)):
-        body = encode(value)[1:-1]
-    elif brackets == "{}":
-        body = f",\n{indent}  ".join(
-            f"{encode(k)}: {_write_json(v, depth + 1)}"
-            for k, v in sorted(value.items())
-        )
-    elif (records := _flat_records(value)) is not None:
-        inner, deeper = f"{indent}  ", f"{indent}    "
-        items = _json_encoder(depth + 1)(records)[2:-2].replace(
-            f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}"
-        )
-        body = f"{{\n{deeper}{items}\n{inner}}}"
-    else:
-        body = f",\n{indent}  ".join(_write_json(v, depth + 1) for v in value)
     return f"{brackets[0]}\n{indent}  {body}\n{indent}{brackets[1]}"
+
+
+def _write_result(r: VendorResult) -> str:
+    """One result at depth 2: its four keys in sorted order."""
+    # The records are encoded one level deeper, then the lines between them
+    # put in. "},\n" + indent + "{" occurs only at record boundaries: json
+    # escapes every control character inside a string, so a raw newline
+    # comes only from a separator, and no scalar's encoding ends in "}".
+    records = _encode_pairs([vars(p) for p in r.pairs])[2:-2].replace(
+        "},\n          {", "\n        },\n        {\n          "
+    )
+    pairs = _enclose("[]", records and _enclose("{}", records, 4), 3)
+    per_query = _enclose("{}", _encode_per_query(r.per_query)[1:-1], 3)
+    fields = (
+        f'"match_percentage": {_encode(r.match_percentage)}',
+        f'"pairs": {pairs}',
+        f'"per_query": {per_query}',
+        f'"vendor_id": {_encode(r.vendor_id)}',
+    )
+    return _enclose("{}", ",\n      ".join(fields), 2)
+
+
+def _write_json(report: MatchReport) -> str:
+    """``json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)``.
+
+    Laid out from the report's fixed shape, keys in sorted order. A result's
+    ``per_query`` dict is one call to json's C encoder, whose item separator
+    carries the newline and indent, and so is the list of its ``pairs``.
+    At most two copies of the report's text are alive at once.
+    """
+    results = ",\n    ".join(map(_write_result, report.results))
+    results = _enclose("[]", results, 1)
+    return f'{{\n  "results": {results},\n  "winner": {_encode(report.winner)}\n}}'
 
 
 def emit_report(report: MatchReport, output_format: str = "text") -> str:
@@ -162,6 +140,8 @@ def emit_report(report: MatchReport, output_format: str = "text") -> str:
 
     The json bytes are ``json.dumps(dataclasses.asdict(report), indent=2,
     sort_keys=True)``'s, plus a final newline: key-sorted and byte-stable.
+    The writer names the six field keys of the report's dataclasses and
+    makes 4 encoder calls per vendor, plus 1.
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format: {output_format!r}")

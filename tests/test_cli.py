@@ -1,9 +1,7 @@
 """End-to-end CLI behavior: orchestration, serialization, exit codes."""
 
-import collections
 import contextlib
 import dataclasses
-import enum
 import io
 import json
 import math
@@ -25,7 +23,6 @@ from vendormatch.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
-    _write_json,
     emit_report,
     main,
     run,
@@ -218,147 +215,83 @@ def test_emit_text_for_empty_report():
     assert "winner: none" in text
 
 
-_TEXT = st.text(
-    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀'), st.characters()),
-    max_size=6,
-)
-_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(-(2**300), 2**300),
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]),
-    _TEXT,
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class _Node:
-    """A dataclass node of a tree, as the report's dataclasses are."""
-
-    name: str
-    tree: object
-
-
-def json_trees(depth, nodes=False):
-    """JSON documents nested up to ``depth`` containers deep; with ``nodes``,
-    a container may also be a :class:`_Node`."""
-    if depth == 0:
-        return _SCALARS
-    child = json_trees(depth - 1, nodes)
-    containers = [
-        st.lists(child, max_size=4),
-        st.lists(child, max_size=3).map(tuple),
-        st.dictionaries(_TEXT, child, max_size=4),
-    ]
-    if nodes:
-        containers.append(st.builds(_Node, _TEXT, child))
-    return st.one_of(_SCALARS, *containers)
-
-
-@settings(max_examples=300, deadline=None)
-@given(json_trees(5), json_trees(4, nodes=True))
-@example(None, VendorResult("v1", pairs=(), match_percentage=0.0, per_query={}))
-def test_json_writer_equals_indented_json_dumps(doc, tree):
-    assert _write_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
-    # a dataclass is written as its fields, wherever it sits in the tree
-    node = _Node("root", tree)
-    assert _write_json(node) == json.dumps(dataclasses.asdict(node), indent=2, sort_keys=True)
-
-
-class _Level(enum.IntEnum):
-    LOW = 1
-
-
-class _Tagged(str):
-    """A str subclass with an attribute: ``vars()`` of it is not its text."""
-
-
-def _tagged(text):
-    tagged = _Tagged(text)
-    tagged.attr = "not the text"
-    return tagged
-
-
-@dataclasses.dataclass(frozen=True)
-class _Pair:
-    """A flat record, as MatchPair is, unless ``note`` holds a container."""
-
-    phrase: str
-    score: float
-    freq: int
-    flag: bool
-    note: object
-
-
-# "},\n" plus an indent and "{" is where the records writer splits records
+# "},\n" plus an indent and "{" is where the writer splits a result's pairs
 _TRAP_TEXT = st.lists(
-    st.sampled_from(["}", "},", "{", "[", "\n", " ", '"', "a"]), max_size=4
+    st.one_of(
+        st.sampled_from(["}", "},", "{", "[", "\n", " ", '"', "a", "\\", "\x00"]),
+        st.sampled_from(["é", "€", "😀", "\u2028"]),
+        st.characters(),
+    ),
+    max_size=4,
 ).map("".join)
-_FLAT = st.one_of(_SCALARS, _TRAP_TEXT)
-_VALUE = st.one_of(
-    _FLAT,
-    st.sampled_from([_Level.LOW]),
-    _TRAP_TEXT.map(_tagged),
-    st.lists(_FLAT, max_size=2),
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, math.inf, -math.inf])
 )
-_RECORD = st.one_of(
-    st.dictionaries(_TRAP_TEXT, _FLAT, max_size=4),
-    st.dictionaries(_TRAP_TEXT, _VALUE, max_size=3),
-    st.builds(_Pair, _TRAP_TEXT, st.floats(), st.integers(), st.booleans(), _FLAT),
-    st.builds(_Pair, _TRAP_TEXT, st.floats(), st.integers(), st.booleans(), _VALUE),
-    st.dictionaries(_TRAP_TEXT, _FLAT, min_size=1, max_size=3).map(collections.OrderedDict),
+_FREQS = st.integers(-(2**63), 2**63)
+_PAIRS = st.builds(MatchPair, _TRAP_TEXT, _TRAP_TEXT, _FLOATS, _FREQS, _FREQS)
+_RESULTS = st.builds(
+    VendorResult,
+    vendor_id=_TRAP_TEXT,
+    pairs=st.lists(_PAIRS, max_size=4).map(tuple),
+    match_percentage=_FLOATS,
+    per_query=st.dictionaries(_TRAP_TEXT, _FLOATS, max_size=4),
 )
-_ITEMS = st.one_of(
-    st.lists(_RECORD, max_size=5),
-    st.lists(st.one_of(_RECORD, _VALUE), max_size=5),
-    st.lists(_RECORD, max_size=4).map(tuple),
+_REPORTS = st.builds(
+    MatchReport,
+    results=st.lists(_RESULTS, max_size=3).map(tuple),
+    winner=st.one_of(st.none(), _TRAP_TEXT),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ITEMS)
-@example([{"a": "},\n      {"}, {"b": None}])
-@example([{"a": 1}, {}, {"b": 2}])
-@example([_Pair("x", 1.0, 2, True, None), {"a": [1]}])
-@example([{"a": 1}, _tagged("text")])
-@example([collections.OrderedDict(b=1, a=2), {"c": 3}])
-@example([{"a": _Level.LOW}, {"b": _tagged("}")}])
-def test_json_writer_writes_lists_of_records_as_indented_json_dumps(items):
-    # at depth 0, inside a dict at depth 1 and inside two lists at depth 2
-    for doc in (items, {"pairs": items, "id": 1}, [[items]]):
-        expected = json.dumps(doc, indent=2, sort_keys=True, default=dataclasses.asdict)
-        assert _write_json(doc) == expected
+@given(_REPORTS)
+@example(MatchReport((VendorResult("v1", (), 0.0, {}),), None))
+@example(MatchReport((), None))
+@example(
+    MatchReport(
+        (
+            VendorResult(
+                "v1",
+                (
+                    MatchPair("q", "},\n          {", 1.0, 1, 2),
+                    MatchPair("r", "},\n          {", 0.5, 3, 4),
+                ),
+                62.5,
+                {"q": 62.5},
+            ),
+        ),
+        "v1",
+    )
+)
+def test_json_report_equals_indented_json_dumps(report):
+    expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    assert emit_report(report, "json") == expected
 
 
 def counted_emit_report(monkeypatch, report):
     """The json report, and how many calls it made to json's C encoder."""
     calls = 0
-    encoder = cli._json_encoder
 
-    def counted_encoder(depth):
-        encode = encoder(depth)
-
-        def counted(value):
+    def counted(encode):
+        def call(value):
             nonlocal calls
             calls += 1
             return encode(value)
 
-        return counted
+        return call
 
-    monkeypatch.setattr(cli, "_json_encoder", counted_encoder)
+    for name in ("_encode", "_encode_per_query", "_encode_pairs"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     return emit_report(report, "json"), calls
 
 
-def test_json_report_of_the_bundled_run_takes_eight_encoder_calls_a_vendor(monkeypatch):
-    # a vendor's four keys, vendor_id, match_percentage, per_query and its
-    # pairs list, then the report's two keys and winner
+def test_json_report_of_the_bundled_run_takes_four_encoder_calls_a_vendor(monkeypatch):
+    # a vendor's match_percentage, pairs, per_query and vendor_id, then winner
     report = run(bundled_config(update_marking=False))
     text, calls = counted_emit_report(monkeypatch, report)
     assert text == GOLDEN_REPORT.read_text(encoding="utf-8")
     assert len(report.results) == 10
-    assert calls == 8 * len(report.results) + 3 == 83
+    assert calls == 4 * len(report.results) + 1 == 41
 
 
 def test_json_report_of_a_synth_ranking_is_indented_json_dumps(
@@ -375,7 +308,7 @@ def test_json_report_of_a_synth_ranking_is_indented_json_dumps(
     expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
     text, calls = counted_emit_report(monkeypatch, report)
     assert text == expected
-    assert calls == 8 * len(report.results) + 3
+    assert calls == 4 * len(report.results) + 1 == 401
 
 
 def test_readme_schema_example_is_the_head_of_the_golden_report():
