@@ -29,7 +29,7 @@ EXIT_DATA = 2
 
 
 class ConfigError(Exception):
-    """A run configuration that cannot work: missing or unreadable paths."""
+    """A run configuration that cannot work: a path missing or of the wrong kind."""
 
 
 class CorpusError(Exception):
@@ -41,6 +41,7 @@ def _read_corpus(directory: Path) -> dict[str, str]:
     docs = {
         path.stem: read_text(path, CorpusError)
         for path in sorted(directory.glob("*.txt"))
+        if path.is_file()
     }
     if not docs:
         raise CorpusError(f"no .txt documents found in {directory}")
@@ -55,18 +56,15 @@ def run(cfg: RunConfig) -> MatchReport:
     grown marking is written back only when ``update_marking`` is set and
     extraction admitted at least one instance.
     """
-    for path, kind in (
-        (cfg.vendors_dir, "vendors directory"),
-        (cfg.queries_dir, "queries directory"),
+    for path, kind, has_kind, noun in (
+        (cfg.vendors_dir, "vendors directory", Path.is_dir, "a directory"),
+        (cfg.queries_dir, "queries directory", Path.is_dir, "a directory"),
+        (cfg.marking_path, "marking file", Path.is_file, "a regular file"),
+        (cfg.taxonomy_path, "taxonomy file", Path.is_file, "a regular file"),
     ):
-        if not path.is_dir():
-            raise ConfigError(f"{kind} does not exist: {path}")
-    for path, kind in (
-        (cfg.marking_path, "marking file"),
-        (cfg.taxonomy_path, "taxonomy file"),
-    ):
-        if not path.is_file():
-            raise ConfigError(f"{kind} does not exist: {path}")
+        if not has_kind(path):
+            fault = f"is not {noun}" if path.exists() else "does not exist"
+            raise ConfigError(f"{kind} {fault}: {path}")
 
     marking = load_marking(cfg.marking_path)
     taxonomy = load_taxonomy(cfg.taxonomy_path)
@@ -108,7 +106,7 @@ def _write_result(r: VendorResult) -> str:
     # put in. "},\n" + indent + "{" occurs only at record boundaries: json
     # escapes every control character inside a string, so a raw newline
     # comes only from a separator, and no scalar's encoding ends in "}".
-    records = _encode_pairs([vars(p) for p in r.pairs])[2:-2].replace(
+    records = _encode_pairs([p._asdict() for p in r.pairs])[2:-2].replace(
         "},\n          {", "\n        },\n        {\n          "
     )
     pairs = _enclose("[]", records and _enclose("{}", records, 4), 3)
@@ -123,7 +121,8 @@ def _write_result(r: VendorResult) -> str:
 
 
 def _write_json(report: MatchReport) -> str:
-    """``json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)``.
+    """``report`` as ``json.dumps`` writes its dict tree, ``indent=2`` and
+    ``sort_keys=True``: each record a dict of its fields by ``_asdict()``.
 
     Laid out from the report's fixed shape, keys in sorted order. A result's
     ``per_query`` dict is one call to json's C encoder, whose item separator
@@ -138,10 +137,11 @@ def _write_json(report: MatchReport) -> str:
 def emit_report(report: MatchReport, output_format: str = "text") -> str:
     """Serialize a report.
 
-    The json bytes are ``json.dumps(dataclasses.asdict(report), indent=2,
-    sort_keys=True)``'s, plus a final newline: key-sorted and byte-stable.
-    The writer names the six field keys of the report's dataclasses and
-    makes 4 encoder calls per vendor, plus 1.
+    The json bytes are those of ``json.dumps`` on the report's dict tree
+    (each record a dict of its fields), ``indent=2`` and ``sort_keys=True``,
+    plus a final newline: key-sorted and byte-stable. The writer names the
+    six field keys of the report's records and makes 4 encoder calls per
+    vendor, plus 1.
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValueError(f"unknown output format: {output_format!r}")

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .config import Thresholds
+from .config import Thresholds, _Fields
 from .marking import update_marking
 from .textstats import (
     CODE_SCALE,
@@ -39,8 +38,7 @@ from .textstats import (
 )
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     """One extracted instance with its provenance; its phrase is its key."""
 
     frequency: int
@@ -49,11 +47,13 @@ class InstanceRecord:
     via_fallback: bool
 
 
-@dataclass
-class InstanceSet:
+class InstanceSet(_Fields):
     """Instances extracted from one document, keyed by phrase."""
 
-    instances: dict[str, InstanceRecord] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("instances",)
+
+    def __init__(self, instances: dict[str, InstanceRecord] | None = None) -> None:
+        self.instances = {} if instances is None else instances
 
     def __len__(self) -> int:
         return len(self.instances)

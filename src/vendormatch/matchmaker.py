@@ -17,16 +17,14 @@ reproducible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .config import Thresholds
 from .extraction import InstanceSet
 from .taxonomy import Taxonomy, _tokens, phrase_score, wup_score
 
 
-@dataclass(frozen=True)
-class MatchPair:
+class MatchPair(NamedTuple):
     query_phrase: str
     vendor_phrase: str
     score: float
@@ -34,16 +32,14 @@ class MatchPair:
     vendor_freq: int
 
 
-@dataclass(frozen=True)
-class VendorResult:
+class VendorResult(NamedTuple):
     vendor_id: str
     pairs: tuple[MatchPair, ...]
     match_percentage: float
     per_query: dict[str, float]
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     """Vendors sorted by match percentage (desc), then id; winner first.
 
     ``winner`` is None when every vendor scored zero: electing an arbitrary

@@ -4,8 +4,10 @@ They share no code with what they check: text is tokenized afresh from the
 documented contract, relatedness is evaluated term by term, LCS comes from
 a brute-force ancestor closure, and every phrase pair is scored through
 ``lcs`` and the taxonomy's depths with no memo. From ``vendormatch`` come
-only the result dataclasses, the stopword list, ``lcs`` and
-``ObjectVector``, which :func:`vector_from_codes` fills with given codes.
+only the result records, the stopword list, ``lcs`` and ``ObjectVector``,
+which :func:`vector_from_codes` fills with given codes.
+:func:`as_dict_tree` turns a report into the dict tree the JSON report
+writes, read through the records' field names alone.
 """
 
 import math
@@ -268,3 +270,21 @@ def reference_rank_vendors(queries, vendors, t, cfg):
     if results and results[0].match_percentage > 0:
         winner = results[0].vendor_id
     return MatchReport(results=tuple(results), winner=winner)
+
+
+# ----------------------------------------------------------------- report
+
+
+def as_dict_tree(value):
+    """``value`` with each record a dict of its fields, all the way down.
+
+    Tuples and dicts keep their type and scalars stay as they are: the tree
+    ``json.dumps`` writes the JSON report from.
+    """
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: as_dict_tree(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, tuple):
+        return tuple(map(as_dict_tree, value))
+    if isinstance(value, dict):
+        return {key: as_dict_tree(item) for key, item in value.items()}
+    return value

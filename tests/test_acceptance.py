@@ -7,7 +7,6 @@ criterion. Tolerances are pinned here and nowhere else.
 import math
 import random
 import time
-from dataclasses import replace
 
 from reference import (
     direct_var,
@@ -305,7 +304,7 @@ def test_ranking_scale_invariance(bundled_taxonomy, bundled_instance_sets):
     scaled_queries = {
         qid: InstanceSet(
             instances={
-                p: replace(rec, frequency=rec.frequency * 7)
+                p: rec._replace(frequency=rec.frequency * 7)
                 for p, rec in qs.instances.items()
             },
         )

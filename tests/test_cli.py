@@ -1,12 +1,12 @@
 """End-to-end CLI behavior: orchestration, serialization, exit codes."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from reference import as_dict_tree
 from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 from synth_corpus import POOL, fresh_marking, make_corpus
 from vendormatch import cli
@@ -264,7 +265,7 @@ _REPORTS = st.builds(
     )
 )
 def test_json_report_equals_indented_json_dumps(report):
-    expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(as_dict_tree(report), indent=2, sort_keys=True) + "\n"
     assert emit_report(report, "json") == expected
 
 
@@ -305,7 +306,7 @@ def test_json_report_of_a_synth_ranking_is_indented_json_dumps(
     report = rank_vendors(queries, vendors, bundled_taxonomy, cfg)
     assert sum(len(r.pairs) for r in report.results) > 100
     assert all(r.pairs for r in report.results)
-    expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(as_dict_tree(report), indent=2, sort_keys=True) + "\n"
     text, calls = counted_emit_report(monkeypatch, report)
     assert text == expected
     assert calls == 4 * len(report.results) + 1 == 401
@@ -364,6 +365,45 @@ def test_main_missing_vendors_dir(tmp_path, tmp_marking, capsys):
     )
     assert code == EXIT_USAGE
     assert "vendors directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, kind, noun",
+    [
+        ("--vendors-dir", "vendors directory", "a directory"),
+        ("--queries-dir", "queries directory", "a directory"),
+        ("--marking", "marking file", "a regular file"),
+        ("--taxonomy", "taxonomy file", "a regular file"),
+    ],
+    ids=["vendors", "queries", "marking", "taxonomy"],
+)
+def test_main_names_a_path_that_is_missing_or_of_the_wrong_kind(
+    tmp_path, tmp_marking, capsys, option, kind, noun
+):
+    args = cli_args(tmp_marking, "--no-update-marking")
+    at = args.index(option) + 1
+    # a directory where a file belongs, and a file where a directory does
+    wrong_kind = tmp_path if noun == "a regular file" else tmp_marking
+    for path, fault in (
+        (tmp_path / "absent", "does not exist"),
+        (wrong_kind, f"is not {noun}"),
+    ):
+        args[at] = str(path)
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"vendormatch: error: {kind} {fault}: {path}\n"
+        assert captured.out == ""
+
+
+def test_main_reads_only_regular_files_of_a_corpus(tmp_path, tmp_marking, capsys):
+    args = cli_args(tmp_marking, "--no-update-marking", "--output", "json")
+    for option in ("--vendors-dir", "--queries-dir"):
+        at = args.index(option) + 1
+        corpus = shutil.copytree(args[at], tmp_path / option.strip("-"))
+        (corpus / "notes.txt").mkdir()
+        args[at] = str(corpus)
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == GOLDEN_REPORT.read_text(encoding="utf-8")
 
 
 def test_main_empty_queries_dir(tmp_path, tmp_marking, capsys):
@@ -529,8 +569,12 @@ def test_main_prints_a_non_ascii_warning_once_with_its_prefix(tmp_path, tmp_mark
         *cli_args(tmp_marking, "--output", "json", "--no-update-marking")[2:],
     ]
     warning = "vendormatch: warning: replaced 1 non-ascii character(s) with '?'\n"
-    cfg = dataclasses.replace(
-        bundled_config(tmp_marking, update_marking=False), vendors_dir=vendors
+    cfg = RunConfig(
+        vendors,
+        DATA_DIR / "queries",
+        tmp_marking,
+        DATA_DIR / "taxonomy.tsv",
+        update_marking=False,
     )
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

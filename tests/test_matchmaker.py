@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -400,7 +399,7 @@ def test_frequency_scale_invariance(little_taxonomy):
     scaled_queries = {
         qid: InstanceSet(
             instances={
-                p: replace(rec, frequency=rec.frequency * 7)
+                p: rec._replace(frequency=rec.frequency * 7)
                 for p, rec in qs.instances.items()
             },
         )
@@ -533,6 +532,8 @@ def test_rank_vendors_equals_reference_on_random_sets(
 def test_threshold_validation(kwargs):
     with pytest.raises(ValueError):
         Thresholds(**kwargs)
+    with pytest.raises(ValueError):
+        Thresholds(*positional_thresholds(**kwargs))
 
 
 @pytest.mark.parametrize(
@@ -542,6 +543,13 @@ def test_threshold_validation(kwargs):
 def test_threshold_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match="finite"):
         Thresholds(**{name: value})
+    with pytest.raises(ValueError, match="finite"):
+        Thresholds(*positional_thresholds(**{name: value}))
+
+
+def positional_thresholds(**kwargs):
+    """Thresholds' positional arguments: the class defaults, with ``kwargs``."""
+    return [kwargs.get(n, getattr(Thresholds, n)) for n in Thresholds.__match_args__]
 
 
 def test_threshold_defaults():
