@@ -9,12 +9,8 @@ the ranking usually stabilizes early because exact hits dominate.
 import argparse
 from pathlib import Path
 
-from vendormatch.cli import _read_corpus
-from vendormatch.config import Thresholds
-from vendormatch.extraction import extract_corpus
-from vendormatch.marking import load_marking
-from vendormatch.matchmaker import rank_vendors
-from vendormatch.taxonomy import load_taxonomy
+from vendormatch import RunConfig, RunStats, Thresholds
+from vendormatch.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,22 +29,26 @@ def main() -> None:
     except ValueError as exc:
         parser.error(str(exc))
 
-    taxonomy = load_taxonomy(ROOT / "data" / "taxonomy.tsv")
-    vendors = _read_corpus(ROOT / "data" / "vendors")
-    queries = _read_corpus(ROOT / "data" / "queries")
-
+    data = ROOT / "data"
     print(f"{'r_threshold':>12} {'vendor inst':>12} {'query inst':>11} "
           f"{'top %':>8}  winner")
-    for cfg in settings:
-        mf = load_marking(ROOT / "data" / "marking.tsv")
-        vendor_sets = extract_corpus(vendors, mf, cfg)
-        query_sets = extract_corpus(queries, mf, cfg)
-        report = rank_vendors(query_sets, vendor_sets, taxonomy, cfg)
-        n_vendor = sum(len(s) for s in vendor_sets.values())
-        n_query = sum(len(s) for s in query_sets.values())
-        top = report.results[0]
+    for thresholds in settings:
+        stats = RunStats()
+        report = run(
+            RunConfig(
+                data / "vendors",
+                data / "queries",
+                data / "marking.tsv",
+                data / "taxonomy.tsv",
+                thresholds,
+                update_marking=False,
+            ),
+            stats,
+        )
+        counts, top = stats.counts, report.results[0]
         print(
-            f"{cfg.r_threshold:>12.4f} {n_vendor:>12} {n_query:>11} "
+            f"{thresholds.r_threshold:>12.4f} {counts['vendor_instances']:>12} "
+            f"{counts['query_instances']:>11} "
             f"{top.match_percentage:>8.2f}  {report.winner}"
         )
 

@@ -1,6 +1,6 @@
 """Vendor-query matchmaking via instance extraction and taxonomy similarity."""
 
-from .config import RunConfig, Thresholds
+from .config import RunConfig, RunStats, Thresholds
 from .extraction import InstanceRecord, InstanceSet, extract_corpus
 from .marking import (
     MarkingFormatError,
@@ -38,6 +38,7 @@ __all__ = [
     "MatchReport",
     "ObjectVector",
     "RunConfig",
+    "RunStats",
     "Taxonomy",
     "TaxonomyError",
     "Thresholds",

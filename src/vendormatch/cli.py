@@ -9,19 +9,17 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
-from .config import OUTPUT_FORMATS, RunConfig, Thresholds
+from .config import OUTPUT_FORMATS, RunConfig, RunStats, Thresholds
 from .extraction import extract_corpus
 from .marking import MarkingFormatError, load_marking, read_text, save_marking
 from .matchmaker import MatchReport, VendorResult, rank_vendors
 from .taxonomy import TaxonomyError, load_taxonomy
+from .textstats import count_non_ascii
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,13 +46,15 @@ def _read_corpus(directory: Path) -> dict[str, str]:
     return docs
 
 
-def run(cfg: RunConfig) -> MatchReport:
+def run(cfg: RunConfig, stats: RunStats | None = None) -> MatchReport:
     """Execute the full pipeline and return the ranking report.
 
     Vendor documents are extracted before query documents, so vendor-domain
     vocabulary discovered adaptively is available to query extraction. The
     grown marking is written back only when ``update_marking`` is set and
-    extraction admitted at least one instance.
+    extraction admitted at least one instance. When ``stats`` is given, the
+    run adds its counts to it (see :class:`RunStats`); nothing is written to
+    stderr either way.
     """
     for path, kind, has_kind, noun in (
         (cfg.vendors_dir, "vendors directory", Path.is_dir, "a directory"),
@@ -74,6 +74,13 @@ def run(cfg: RunConfig) -> MatchReport:
     vendor_sets = extract_corpus(vendor_docs, marking, cfg.thresholds)
     query_sets = extract_corpus(query_docs, marking, cfg.thresholds)
     report = rank_vendors(query_sets, vendor_sets, taxonomy, cfg.thresholds)
+    if stats is not None:
+        counts = stats.counts
+        counts["non_ascii_replaced"] += sum(
+            map(count_non_ascii, [*vendor_docs.values(), *query_docs.values()])
+        )
+        counts["vendor_instances"] += sum(map(len, vendor_sets.values()))
+        counts["query_instances"] += sum(map(len, query_sets.values()))
 
     if cfg.update_marking and any([*vendor_sets.values(), *query_sets.values()]):
         save_marking(marking, cfg.marking_path)
@@ -160,24 +167,6 @@ def emit_report(report: MatchReport, output_format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-@contextlib.contextmanager
-def _warnings_to_stderr() -> Iterator[None]:
-    """Print the package's logged warnings as ``vendormatch: warning:`` lines.
-
-    The handler is attached only while the block runs, so library use keeps
-    its logging as it was and a second :func:`main` prints no line twice.
-    """
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("vendormatch: warning: %(message)s"))
-    logger = logging.getLogger(__package__)
-    logger.addHandler(handler)
-    try:
-        yield
-    finally:
-        logger.removeHandler(handler)
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this CLI reserves 2 for
     # data errors, so route usage problems to exit 1.
@@ -234,15 +223,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    stats = RunStats()
     try:
-        with _warnings_to_stderr():
-            report = run(cfg)
+        report = run(cfg, stats)
     except ConfigError as exc:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MarkingFormatError, TaxonomyError, CorpusError, OSError) as exc:
         print(f"vendormatch: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    if n := stats.counts["non_ascii_replaced"]:
+        print(
+            f"vendormatch: warning: replaced {n} non-ascii character(s) with '?'",
+            file=sys.stderr,
+        )
 
     try:
         sys.stdout.write(emit_report(report, cfg.output_format))

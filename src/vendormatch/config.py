@@ -9,6 +9,7 @@ module it imports.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 
 OUTPUT_FORMATS = ("text", "json")
@@ -112,3 +113,22 @@ class RunConfig(_Fields):
         self.thresholds = thresholds
         self.output_format = output_format
         self.update_marking = update_marking
+
+
+class RunStats(_Fields):
+    """Counts that :func:`vendormatch.cli.run` adds up when given one.
+
+    ``counts`` holds:
+
+    - ``non_ascii_replaced``: characters above code point 127 in the
+      documents read, each of which tokenizing replaced by ``?``;
+    - ``vendor_instances`` / ``query_instances``: instances admitted in the
+      vendor pass / the query pass.
+
+    One object given to several runs holds their sums.
+    """
+
+    __slots__ = __match_args__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts: Counter[str] = Counter()

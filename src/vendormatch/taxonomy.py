@@ -14,15 +14,12 @@ of each phrase scored.
 from __future__ import annotations
 
 import graphlib
-import logging
 import math
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .marking import read_records
 from .textstats import DEFAULT_STOPWORDS, _TOKEN_RE
-
-log = logging.getLogger(__name__)
 
 
 class TaxonomyError(ValueError):
@@ -182,7 +179,6 @@ def _token_pair_score(t: Taxonomy, x: str, y: str) -> float:
         return wup_score(t, x, y)
     if x not in t and y not in t and x == y:
         return 1.0
-    log.debug("untaxonomized token pair: %r / %r", x, y)
     return 0.0
 
 

@@ -12,14 +12,11 @@ sum of its three terms.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from functools import cached_property
 from itertools import zip_longest
 from typing import Sequence
-
-log = logging.getLogger(__name__)
 
 # Character codes are divided by this so every element lies in [0, 1];
 # 127 is the top of the 7-bit range the tokenizer guarantees.
@@ -73,13 +70,21 @@ def tokenize(text: str) -> list[str]:
     """Split raw text into lowercase tokens, in document order.
 
     Every character that is not a letter or digit separates tokens.
-    Characters above code point 127 are replaced by ``?`` before splitting
-    (and a warning is logged), so tokens stay within the 7-bit range.
+    Characters above code point 127 are replaced by ``?`` before lowercasing
+    (some, such as the Kelvin sign, lowercase to ASCII letters), so tokens
+    stay within the 7-bit range. Nothing is written to stderr: ``main()``
+    prints one warning per run with the count of replaced characters, and
+    library callers read that count from the ``RunStats`` they pass to
+    ``vendormatch.cli.run``. :func:`count_non_ascii` counts them in one text.
     """
-    replaced, n_replaced = _NON_ASCII_RE.subn("?", text)
-    if n_replaced:
-        log.warning("replaced %d non-ascii character(s) with '?'", n_replaced)
-    return _TOKEN_RE.findall(replaced.lower())
+    if not text.isascii():
+        text = _NON_ASCII_RE.sub("?", text)
+    return _TOKEN_RE.findall(text.lower())
+
+
+def count_non_ascii(text: str) -> int:
+    """How many characters of ``text`` :func:`tokenize` replaces by ``?``."""
+    return 0 if text.isascii() else len(_NON_ASCII_RE.findall(text))
 
 
 def candidates(words: Sequence[str]) -> dict[str, int]:

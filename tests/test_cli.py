@@ -28,7 +28,7 @@ from vendormatch.cli import (
     main,
     run,
 )
-from vendormatch.config import RunConfig, Thresholds
+from vendormatch.config import RunConfig, RunStats, Thresholds
 from vendormatch.extraction import extract_corpus
 from vendormatch.marking import MarkingFormatError, load_marking, save_marking
 from vendormatch.matchmaker import MatchPair, MatchReport, VendorResult, rank_vendors
@@ -593,6 +593,54 @@ def test_main_prints_a_non_ascii_warning_once_with_its_prefix(tmp_path, tmp_mark
     )
 
 
+def test_main_prints_one_warning_with_the_non_ascii_count_of_every_document(
+    tmp_path, tmp_marking
+):
+    corpus = {
+        "vendors": {
+            "v1": "solar énergie and wind turbines",  # 1
+            "v2": "wind power \u2014 über turbines",  # 2
+            "v3": "solar panels",
+        },
+        "queries": {"q1": "naïve solar \U0001f31e wind", "q2": "solar"},  # 2
+    }
+    for kind, docs in corpus.items():
+        (tmp_path / kind).mkdir()
+        for doc_id, text in docs.items():
+            (tmp_path / kind / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+    cfg = RunConfig(
+        tmp_path / "vendors",
+        tmp_path / "queries",
+        tmp_marking,
+        DATA_DIR / "taxonomy.tsv",
+        update_marking=False,
+    )
+    stats = RunStats()
+    expected = emit_report(run(cfg, stats), "json")
+    assert emit_report(run(cfg), "json") == expected
+    assert stats.counts["non_ascii_replaced"] == 5
+    args = [
+        "--vendors-dir", str(tmp_path / "vendors"),
+        "--queries-dir", str(tmp_path / "queries"),
+        *cli_args(tmp_marking, "--output", "json", "--no-update-marking")[4:],
+    ]
+    warning = "vendormatch: warning: replaced 5 non-ascii character(s) with '?'\n"
+    assert main_output(args) == (EXIT_OK, expected, warning)
+
+
+def test_run_stats_sum_the_instances_each_pass_admits(bundled_instance_sets):
+    vendor_sets, query_sets = bundled_instance_sets
+    stats = RunStats()
+    for _ in range(2):  # one RunStats given to two runs holds their sums
+        report = run(bundled_config(update_marking=False), stats)
+    assert emit_report(report, "json") == GOLDEN_REPORT.read_text(encoding="utf-8")
+    assert dict(stats.counts) == {
+        "non_ascii_replaced": 0,
+        "vendor_instances": 2 * sum(map(len, vendor_sets.values())),
+        "query_instances": 2 * sum(map(len, query_sets.values())),
+    }
+
+
 @pytest.mark.parametrize("output", ["text", "json"])
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_main_exits_two_quietly_when_the_reader_of_stdout_is_gone(
@@ -659,6 +707,12 @@ def is_utf8(data):
     return True
 
 
+def non_ascii_count(data):
+    """Characters above U+007F in a document's text; one leading BOM is not
+    part of it."""
+    return sum(ord(ch) > 127 for ch in data.decode("utf-8").removeprefix("\ufeff"))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=_ROWS,
@@ -681,9 +735,10 @@ def test_main_keeps_its_exit_codes_and_percentages_on_hostile_inputs(
 ):
     """main() on any marking rows, corpus bytes and extreme thresholds.
 
-    Exit 0 reports percentages in [0, 100]; exit 1 or 2 prints one error
-    line and leaves the marking alone. A second run on the marking the
-    first left exits the same way.
+    Exit 0 reports percentages in [0, 100] and prints at most the one
+    non-ASCII warning; exit 1 or 2 prints one error line and leaves the
+    marking alone. A second run on the marking the first left exits the
+    same way.
     """
     with tempfile.TemporaryDirectory() as workdir:
         directory = Path(workdir)
@@ -720,6 +775,10 @@ def test_main_keeps_its_exit_codes_and_percentages_on_hostile_inputs(
             code, out, err = main_output(args)
             assert code == expected, err
             if code == EXIT_OK:
+                n = sum(map(non_ascii_count, vendor_docs + query_docs))
+                event(f"non-ascii characters: {'some' if n else 'none'}")
+                warning = f"replaced {n} non-ascii character(s) with '?'"
+                assert err == (f"vendormatch: warning: {warning}\n" if n else "")
                 for result in json.loads(out)["results"]:
                     assert 0.0 <= result["match_percentage"] <= 100.0
                     assert all(0.0 <= p <= 100.0 for p in result["per_query"].values())

@@ -47,7 +47,7 @@ def test_import_loads_no_class_generator(module):
     )
     added = set(json.loads(proc.stdout))
     assert module in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "logging"}
 
 
 _RECORD = InstanceRecord(3, 0.0, "sun", False)
