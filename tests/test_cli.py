@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from reference import as_dict_tree
+from reference import as_dict_tree, random_rooted_dag, random_rooted_tree
 from repo_paths import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 from synth_corpus import POOL, fresh_marking, make_corpus
 from vendormatch import cli
@@ -579,10 +579,10 @@ def test_main_prints_a_non_ascii_warning_once_with_its_prefix(tmp_path, tmp_mark
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         expected = emit_report(run(cfg), "json")
-    assert err.getvalue() == ""  # run() adds no handler of its own
+    assert err.getvalue() == ""  # run() only counts; main() prints the count
     for _ in range(2):  # the second main() in one process prints it once too
         assert main_output(args) == (EXIT_OK, expected, warning)
-    proc = subprocess.run(  # with no logging set up, and no last-resort line
+    proc = subprocess.run(  # a fresh interpreter prints the same one line
         [sys.executable, "-m", "vendormatch.cli", *args],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         capture_output=True,
@@ -673,10 +673,30 @@ def test_main_exits_two_quietly_when_the_reader_of_stdout_is_gone(
 
 # --------------------------------------------------------- hostile inputs
 
-_ROW_TEXT = st.text(
-    st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1, max_size=12
-)
+# any text, non-ASCII included, or a corpus word; either may end in NULs,
+# which zero padding gives the codes of the phrase without them
+_ROW_TEXT = st.tuples(
+    st.one_of(
+        st.text(
+            st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1, max_size=12
+        ),
+        st.sampled_from(POOL),
+    ),
+    st.sampled_from(["", "\x00", "\x00" * 3]),
+).map("".join)
 _ROWS = st.lists(st.tuples(_ROW_TEXT, st.integers(1, 10**18 - 1).map(str)), max_size=4)
+
+
+@st.composite
+def _taxonomies(draw):
+    """Taxonomy file bytes: a random rooted DAG or tree of up to 20 concepts,
+    most named after corpus words, the rest ``cNN``."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges, ids = draw(st.sampled_from([random_rooted_dag, random_rooted_tree]))(rng, 20)
+    names = dict(zip(ids, rng.sample(POOL, min(len(ids), len(POOL)))))
+    return "".join(f"{names.get(c, c)}\t{names.get(p, p)}\n" for c, p in edges).encode()
+
+
 _DOCS = st.lists(
     st.one_of(
         st.binary(max_size=40),
@@ -715,6 +735,7 @@ def non_ascii_count(data):
 
 @settings(max_examples=200, deadline=None)
 @given(
+    taxonomy=_taxonomies(),
     rows=_ROWS,
     vendor_docs=_DOCS,
     query_docs=_DOCS,
@@ -723,6 +744,7 @@ def non_ascii_count(data):
     wup=_WUP,
 )
 @example(
+    taxonomy=(DATA_DIR / "taxonomy.tsv").read_bytes(),
     rows=[("zebra", "1" * 5000)],  # too long for int() to parse
     vendor_docs=[b"solar panels"],
     query_docs=[b"solar"],
@@ -731,9 +753,10 @@ def non_ascii_count(data):
     wup=None,
 )
 def test_main_keeps_its_exit_codes_and_percentages_on_hostile_inputs(
-    rows, vendor_docs, query_docs, r, fallback, wup
+    taxonomy, rows, vendor_docs, query_docs, r, fallback, wup
 ):
-    """main() on any marking rows, corpus bytes and extreme thresholds.
+    """main() on a drawn taxonomy, any marking rows, corpus bytes and
+    extreme thresholds.
 
     Exit 0 reports percentages in [0, 100] and prints at most the one
     non-ASCII warning; exit 1 or 2 prints one error line and leaves the
@@ -746,6 +769,7 @@ def test_main_keeps_its_exit_codes_and_percentages_on_hostile_inputs(
             (directory / kind).mkdir()
             for i, data in enumerate(docs):
                 (directory / kind / f"d{i}.txt").write_bytes(data)
+        (directory / "taxonomy.tsv").write_bytes(taxonomy)
         marking = directory / "marking.tsv"
         marking.write_bytes(
             (DATA_DIR / "marking.tsv").read_bytes()
@@ -765,7 +789,7 @@ def test_main_keeps_its_exit_codes_and_percentages_on_hostile_inputs(
             "--vendors-dir", str(directory / "vendors"),
             "--queries-dir", str(directory / "queries"),
             "--marking", str(marking),
-            "--taxonomy", str(DATA_DIR / "taxonomy.tsv"),
+            "--taxonomy", str(directory / "taxonomy.tsv"),
             "--output", "json",
             *(arg for flag, value in thresholds.items() if value for arg in (flag, value)),
         ]

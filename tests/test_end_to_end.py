@@ -49,10 +49,7 @@ def write_corpus(directory, docs):
 def as_instance_sets(extracted):
     return {
         doc_id: InstanceSet(
-            instances={
-                phrase: InstanceRecord(frequency, best_r, matched, via_fallback)
-                for phrase, (frequency, best_r, matched, via_fallback) in found.items()
-            },
+            instances={phrase: InstanceRecord(*record) for phrase, record in found.items()},
         )
         for doc_id, found in extracted.items()
     }

@@ -13,7 +13,7 @@ from reference import exact_moments, oracle_relatedness, reference_extract
 from synth_corpus import POOL, SEED_TERMS, fresh_marking, make_corpus
 from vendormatch import extraction
 from vendormatch.config import Thresholds
-from vendormatch.extraction import _MarkedIndex, extract_corpus
+from vendormatch.extraction import InstanceRecord, _MarkedIndex, extract_corpus
 from vendormatch.marking import load_marking
 from vendormatch.textstats import (
     DEFAULT_STOPWORDS,
@@ -24,11 +24,12 @@ from vendormatch.textstats import (
 )
 
 DEFAULTS = Thresholds()
-#: The lookup bound, max(r_threshold, fallback_threshold), at the defaults,
-#: at fallback 0.05, at r 0.2 and at fallback 0.5, where the code-sum window
-#: and the distance check prune rows of another length
-SETTING_BOUNDS = [
-    max(t.r_threshold, t.fallback_threshold)
+#: An index's (r_threshold, bound), bound = max(r_threshold,
+#: fallback_threshold), at the defaults, at fallback 0.05, at r 0.2 and at
+#: fallback 0.5, where the code-sum window and the distance check prune rows
+#: of another length
+SETTINGS = [
+    (t.r_threshold, max(t.r_threshold, t.fallback_threshold))
     for t in (
         DEFAULTS,
         Thresholds(fallback_threshold=0.05),
@@ -43,13 +44,10 @@ def extract_one(text, marking, thresholds):
 
 
 def test_exact_marked_phrase_extracted_with_zero_r():
+    assert oracle_relatedness("energy", "energy") == 0.0
     marking = {"energy": 165}
     out = extract_one("energy energy, energy; energy!", marking, DEFAULTS)
-    rec = out.instances["energy"]
-    assert rec.frequency == 4
-    assert rec.best_r == 0.0
-    assert rec.matched_marked_phrase == "energy"
-    assert not rec.via_fallback
+    assert out.instances["energy"] == InstanceRecord(frequency=4, via_fallback=False)
     assert marking["energy"] == 165 + 4
 
 
@@ -74,9 +72,7 @@ def test_near_variant_decision_agrees_with_oracle():
     marking = {"sun": 37, "turbines": 12}
     out = extract_one("sunny turbiner", marking, DEFAULTS)
     assert "sunny" not in out.instances
-    rec = out.instances["turbiner"]
-    assert rec.matched_marked_phrase == "turbines"
-    assert not rec.via_fallback
+    assert not out.instances["turbiner"].via_fallback
     assert "turbiner" in marking  # adaptive update appended the new instance
 
 
@@ -91,18 +87,22 @@ def test_fallback_branch_flags_instances():
 
 
 def test_instance_record_threshold_invariants():
-    rng = random.Random(404)
-    marking = fresh_marking()
-    for doc in make_corpus(rng, 10).values():
-        out = extract_one(doc, marking, DEFAULTS)
-        for rec in out.instances.values():
-            bound = (
-                DEFAULTS.fallback_threshold
-                if rec.via_fallback
-                else DEFAULTS.r_threshold
-            )
-            assert rec.best_r < bound
-            assert rec.frequency >= 1
+    # each document's instances are its admitted candidates in lookup order,
+    # so the rows each one was looked up against can be rebuilt: the
+    # marking before the document and the new instances before it
+    docs = make_corpus(random.Random(404), 10)
+    for thresholds in (DEFAULTS, Thresholds(fallback_threshold=0.05)):
+        marking = fresh_marking()
+        for doc in docs.values():
+            rows = list(marking)
+            out = extract_one(doc, marking, thresholds)
+            for phrase, rec in out.instances.items():
+                best = min(oracle_relatedness(row, phrase) for row in rows)
+                assert best < max(thresholds.r_threshold, thresholds.fallback_threshold)
+                assert rec.via_fallback == (best >= thresholds.r_threshold)
+                assert rec.frequency >= 1
+                if phrase not in rows:
+                    rows.append(phrase)
 
 
 def test_duplicate_occurrences_aggregate_frequency():
@@ -119,10 +119,12 @@ def test_within_document_adaptive_chaining():
     assert oracle_relatedness("turbines", "turbinew") > DEFAULTS.r_threshold
     assert oracle_relatedness("turbineu", "turbinew") < DEFAULTS.r_threshold
 
+    r = DEFAULTS.r_threshold
+    assert _MarkedIndex({"turbines": 12}, r, r).admit(encode("turbinew")) is None
     marking = {"turbines": 12}
     out = extract_one("turbineu then turbinew", marking, DEFAULTS)
-    assert out.instances["turbineu"].matched_marked_phrase == "turbines"
-    assert out.instances["turbinew"].matched_marked_phrase == "turbineu"
+    assert out.instances["turbineu"] == out.instances["turbinew"] == InstanceRecord(1, False)
+    assert list(marking) == ["turbines", "turbineu", "turbinew"]
 
     # reversed order: 'turbinew' is scored before the stepping stone exists
     marking2 = {"turbines": 12}
@@ -143,12 +145,12 @@ def searched_phrases(monkeypatch):
     points, sigma = extraction._points, extraction._sigma
 
     def counted_points(phrase):
-        if sys._getframe(1).f_code is _MarkedIndex.best.__code__:
+        if sys._getframe(1).f_code is _MarkedIndex.admit.__code__:
             searched.append(phrase)
         return points(phrase)
 
     def counted_sigma(codes, total):
-        if sys._getframe(1).f_code is _MarkedIndex.best.__code__:
+        if sys._getframe(1).f_code is _MarkedIndex.admit.__code__:
             keyed.append("".join(map(chr, codes)))
         return sigma(codes, total)
 
@@ -178,8 +180,7 @@ def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
     out = extract_corpus({"a": "solau", "b": "solat", "c": "solau"}, marking, DEFAULTS)
     assert looked_up == keyed == ["solau", "solat", "solau"]
     assert not out["a"].instances
-    assert out["b"].instances["solat"].matched_marked_phrase == "solar"
-    assert out["c"].instances["solau"].matched_marked_phrase == "solat"
+    assert out["b"].instances["solat"] == out["c"].instances["solau"] == InstanceRecord(1, False)
 
 
 @pytest.mark.parametrize(
@@ -201,17 +202,17 @@ def test_a_lookup_no_row_can_answer_returns_before_its_moments(
     # reaches length 2, which has no row, and builds no key. 'sun' has no
     # shorter row in play ('n' squared is 12,100), but 'sun\x00' is a longer
     # row with no tail past 3; 'sun\x01' ends low enough to keep 'sun' in
-    # play. Those two are the answers, at 0.37, and lie in the code-sum window
+    # play. Those two score 0.37 and lie in the code-sum window
     looked_up, keyed = searched_phrases(monkeypatch)
     vec = encode(candidate)
-    got = _MarkedIndex({row: 1}, 0.5).best(vec)
-    assert got == scan_best([row], vec, 0.5)
+    got = _MarkedIndex({row: 1}, 0.5, 0.5).admit(vec)
+    assert got == scan_admit([row], vec, 0.5, 0.5)
     assert (got is not None) == hit
     assert looked_up == [candidate] * searched
     assert keyed == [candidate] * hit
 
 
-def test_tied_marked_objects_match_the_earlier_entry():
+def test_tied_marked_objects_admit_the_candidate():
     # 'aa' differs from 'ab' and 'ba' by one code point at mirrored positions
     assert oracle_relatedness("ab", "aa") == oracle_relatedness("ba", "aa")
     assert oracle_relatedness("ab", "aa") < DEFAULTS.r_threshold
@@ -220,7 +221,9 @@ def test_tied_marked_objects_match_the_earlier_entry():
     # way round) and between rows of different lengths (in different
     # buckets). The non-ASCII rows differ from the candidate by one code
     # point, up and down; the earlier one's stddev key is 4.4e-16 off its
-    # fsum stddev, which the distance check must not turn into a skipped tie
+    # fsum stddev, which the distance check must not turn into a skipped
+    # row. At thresholds one step above the tied score either row answers;
+    # at the score itself neither does
     row = "\u06bc\u030d"
     assert extraction._sigma(*extraction._points(row)) != encode(row).stddev
     for phrase, tied in (
@@ -229,14 +232,22 @@ def test_tied_marked_objects_match_the_earlier_entry():
         ("\x02\x01", ("\x02", "\x01\x01")),
         ("\u06bb\u030d", ("\u06bc\u030d", "\u06ba\u030d")),
     ):
-        r = scan(list(tied), encode(phrase))
+        vec = encode(phrase)
+        r = scan(list(tied), vec)
         assert r[0] == r[1] < DEFAULTS.r_threshold
-        for first, second in (tied, tied[::-1]):
-            index = _MarkedIndex({first: 1, second: 1}, DEFAULTS.r_threshold)
-            assert index.best(encode(phrase))[1] == first
+        up = math.nextafter(r[0], math.inf)
+        for order in (tied, tied[::-1]):
+            for threshold, bound, expected in (
+                (DEFAULTS.r_threshold, DEFAULTS.r_threshold, False),
+                (up, up, False),
+                (r[0], up, True),
+                (r[0], r[0], None),
+            ):
+                index = _MarkedIndex(dict.fromkeys(order, 1), threshold, bound)
+                assert index.admit(vec) is scan_admit(order, vec, threshold, bound) is expected
             if phrase.isalpha():
-                out = extract_one(phrase, {first: 1, second: 1}, DEFAULTS)
-                assert out.instances[phrase].matched_marked_phrase == first
+                out = extract_one(phrase, dict.fromkeys(order, 1), DEFAULTS)
+                assert out.instances[phrase] == InstanceRecord(1, False)
 
 
 def test_extract_corpus_orders_and_keys():
@@ -291,17 +302,19 @@ def test_marking_covers_every_extracted_instance():
 
 
 def test_batch_scoring_agrees_with_oracle():
+    # an infinite bound admits every candidate, and the flag tells whether
+    # the nearest row lies under r_threshold; no word's lies within 1e-6 of it
     rng = random.Random(55)
     pool = ["sun", "wind", "solar energy", "turbines", "grid", "storage unit"]
-    index = _MarkedIndex(dict.fromkeys(pool, 1), math.inf)
+    r = DEFAULTS.r_threshold
+    index = _MarkedIndex(dict.fromkeys(pool, 1), r, math.inf)
     words = pool + ["sunny", "turbiner", "zzz", "a", "speed of wind", "xylophone"]
+    nearest = {w: min(oracle_relatedness(p, w) for p in pool) for w in words}
+    assert all(abs(best - r) > 1e-6 for best in nearest.values())
+    assert {best < r for best in nearest.values()} == {True, False}
     for _ in range(200):
         phrase = rng.choice(words)
-        vec = encode(phrase)
-        batch_r, batch_phrase = index.best(vec)
-        oracle = {p: oracle_relatedness(p, phrase) for p in pool}
-        assert batch_r == pytest.approx(min(oracle.values()), abs=1e-12)
-        assert oracle[batch_phrase] == pytest.approx(batch_r, abs=1e-12)
+        assert index.admit(encode(phrase)) == (nearest[phrase] >= r)
 
 
 def scan(phrases, vec):
@@ -313,13 +326,14 @@ def scan(phrases, vec):
     return r
 
 
-def scan_best(phrases, vec, bound):
-    """Plain lookup: every row scored, first minimum wins, None at ``bound``."""
-    r = scan(phrases, vec)
-    best_row = r.index(min(r))
-    if r[best_row] >= bound:
+def scan_admit(phrases, vec, r_threshold, bound):
+    """Plain lookup: every row scored; None when none scores under ``bound``,
+    else whether none scores under ``r_threshold`` (admitted via the fallback).
+    """
+    best = min(scan(phrases, vec))
+    if best >= bound:
         return None
-    return r[best_row], phrases[best_row]
+    return best >= r_threshold
 
 
 # control characters have codes near 0, so rows of other lengths and far
@@ -330,7 +344,11 @@ index_phrases = st.text(alphabet=index_chars, min_size=1, max_size=40)
 
 @st.composite
 def lookups(draw, rows):
-    """A phrase near one of ``rows`` or anywhere, and a bound to look it up at."""
+    """A phrase near one of ``rows`` or anywhere, and thresholds to look it up at.
+
+    Returns the phrase's vector, ``r_threshold`` and ``bound``, with
+    ``0 < r_threshold <= bound``.
+    """
     phrase = draw(st.one_of(index_phrases, st.sampled_from(rows)))
     edit = draw(st.sampled_from(["none", "nudge", "append", "drop"]))
     at = draw(st.integers(min_value=0, max_value=len(phrase) - 1))
@@ -342,27 +360,43 @@ def lookups(draw, rows):
     elif edit == "drop" and len(phrase) > 1:
         phrase = phrase[:at] + phrase[at + 1 :]
     vec = encode(phrase)
-    nearest = min(scan(rows, vec))
-    bound = draw(
-        st.one_of(
-            st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
-            st.just(math.inf),
-            # just above or below the answer, where a loose bound would prune
-            # it; 0.0 for a phrase that is a row, and nothing scores under 0.0
-            st.floats(min_value=0.9, max_value=1.1).map(lambda f: nearest * f),
-        )
+    # just above or below a row's score, where a loose threshold would prune
+    # that row: between two scores, r_threshold puts the nearer row under it
+    # and the other in the fallback band
+    scores = [r for r in scan(rows, vec) if r > 0.0] or [1.0]
+    threshold = st.one_of(
+        st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
+        st.just(math.inf),
+        st.tuples(st.sampled_from(scores), st.floats(min_value=0.9, max_value=1.1)).map(
+            lambda pair: pair[0] * pair[1]
+        ),
     )
-    return vec, bound
+    bound = draw(threshold)
+    r_threshold = draw(st.one_of(st.just(bound), threshold))
+    return vec, min(r_threshold, bound), bound
+
+
+def drawn_thresholds(rng, scores, anywhere):
+    """``(r_threshold, bound)``, each near a positive score or ``anywhere()``."""
+    scores = [r for r in scores if r > 0.0]
+
+    def threshold():
+        if scores and rng.random() < 0.5:
+            return rng.choice(scores) * rng.uniform(0.9, 1.1)
+        return anywhere()
+
+    bound = threshold()
+    return (bound if rng.random() < 0.3 else min(threshold(), bound)), bound
 
 
 def setting_indexes(rows):
-    """One index of ``rows`` at each of SETTING_BOUNDS, with its bound."""
-    return [(_MarkedIndex(dict.fromkeys(rows, 1), bound), bound) for bound in SETTING_BOUNDS]
+    """One index of ``rows`` at each of SETTINGS, with its thresholds."""
+    return [(_MarkedIndex(dict.fromkeys(rows, 1), r, bound), r, bound) for r, bound in SETTINGS]
 
 
 def append_row(rows, indexes, phrase):
     rows.append(phrase)
-    for index, _ in indexes:
+    for index, *_ in indexes:
         index.append(encode(phrase))
 
 
@@ -379,10 +413,10 @@ def test_pruned_lookup_equals_full_scan(marking, data):
     for step in range(data.draw(st.integers(min_value=1, max_value=8))):
         if step == 2:  # a row longer than every row so far
             append_row(rows, indexes, max(rows, key=len) + data.draw(index_phrases))
-        vec, bound = data.draw(lookups(rows))
-        drawn = _MarkedIndex(dict.fromkeys(rows, 1), bound)
-        for index, bound in [(drawn, bound), *indexes]:
-            assert index.best(vec) == scan_best(rows, vec, bound)
+        vec, r, bound = data.draw(lookups(rows))
+        drawn = _MarkedIndex(dict.fromkeys(rows, 1), r, bound)
+        for index, r, bound in [(drawn, r, bound), *indexes]:
+            assert index.admit(vec) == scan_admit(rows, vec, r, bound)
         if data.draw(st.booleans()):
             append_row(rows, indexes, data.draw(index_phrases))
 
@@ -411,13 +445,12 @@ def test_pruned_lookup_equals_full_scan_on_seeded_markings():
             elif edit < 0.75 and len(probe) > 1:
                 probe = probe[:at] + probe[at + 1 :]
             vec = encode(probe)
-            if rng.random() < 0.5:
-                bound = min(scan(rows, vec)) * rng.uniform(1.0, 1.1)
-            else:
-                bound = 10.0 ** rng.uniform(-4.0, 0.0)
-            drawn = _MarkedIndex(dict.fromkeys(rows, 1), bound)
-            for index, bound in [(drawn, bound), *indexes]:
-                assert index.best(vec) == scan_best(rows, vec, bound)
+            r, bound = drawn_thresholds(
+                rng, scan(rows, vec), lambda: 10.0 ** rng.uniform(-4.0, 0.0)
+            )
+            drawn = _MarkedIndex(dict.fromkeys(rows, 1), r, bound)
+            for index, r, bound in [(drawn, r, bound), *indexes]:
+                assert index.admit(vec) == scan_admit(rows, vec, r, bound)
             if rng.random() < 0.5:
                 append_row(rows, indexes, phrase())
 
@@ -441,8 +474,8 @@ def test_mean_bound_at_the_edges_of_bound():
     just_out = (r * (1 - 1e-6), math.nextafter(r, 0.0), r)
     for bound in just_in + just_out:
         for order in (rows, rows[::-1]):
-            got = _MarkedIndex(dict.fromkeys(order, 1), bound).best(vec)
-            assert got == scan_best(order, vec, bound)
+            got = _MarkedIndex(dict.fromkeys(order, 1), bound, bound).admit(vec)
+            assert got == scan_admit(order, vec, bound, bound)
             assert (got is None) == (bound in just_out)
 
 
@@ -471,9 +504,9 @@ def test_row_bound_alone_keeps_a_row_from_the_kernel(monkeypatch, row, candidate
         return relatedness_terms(a, b)
 
     monkeypatch.setattr(extraction, "relatedness_terms", counted)
-    assert _MarkedIndex({row: 1}, bound).best(encode(candidate)) is None
+    assert _MarkedIndex({row: 1}, bound, bound).admit(encode(candidate)) is None
     assert calls == 0
-    assert _MarkedIndex({row: 1}, 0.7).best(encode(candidate)) is not None
+    assert _MarkedIndex({row: 1}, 0.7, 0.7).admit(encode(candidate)) is not None
     assert calls == 1
 
 
@@ -505,8 +538,8 @@ def test_code_sum_window_at_the_edges_of_bound(candidate, rows):
     edge = extraction._slack(size) * (m - 2 * extraction._KEY_SLACK)
     for bound in (r, math.nextafter(r, math.inf), edge, math.nextafter(edge, math.inf), 0.5):
         for order in (rows, rows[::-1]):
-            got = _MarkedIndex(dict.fromkeys(order, 1), bound).best(vec)
-            assert got == scan_best(order, vec, bound)
+            got = _MarkedIndex(dict.fromkeys(order, 1), bound, bound).admit(vec)
+            assert got == scan_admit(order, vec, bound, bound)
             assert (got is None) == (bound <= r)
 
 
@@ -531,8 +564,10 @@ def test_code_sums_off_by_half_the_slack_change_no_answer(monkeypatch, slack, ca
     monkeypatch.setattr(extraction, "_sigma", lambda codes, total: sigma(codes, sum(codes)))
     vec = encode(candidate)
     r = scan([row], vec)[0]
-    for bound in (math.nextafter(r, math.inf), r * (1 + 1e-12), r, 0.5, math.inf, *SETTING_BOUNDS):
-        assert _MarkedIndex({row: 1}, bound).best(vec) == scan_best([row], vec, bound)
+    bounds = (math.nextafter(r, math.inf), r * (1 + 1e-12), r, 0.5, math.inf)
+    for threshold, bound in [(b, b) for b in bounds] + SETTINGS:
+        got = _MarkedIndex({row: 1}, threshold, bound).admit(vec)
+        assert got == scan_admit([row], vec, threshold, bound)
 
 
 def test_length_cut_at_the_edges_of_bound(monkeypatch):
@@ -555,8 +590,8 @@ def test_length_cut_at_the_edges_of_bound(monkeypatch):
     just_out = (r, math.nextafter(r, 0.0), r * (1 - 1e-9))
     for candidate, row in ((short, long), (long, short)):
         for bound in just_in + just_out:
-            got = _MarkedIndex({row: 1}, bound).best(encode(candidate))
-            assert got == (None if bound in just_out else (r, row))
+            got = _MarkedIndex({row: 1}, bound, bound).admit(encode(candidate))
+            assert got is (None if bound in just_out else False)
 
 
 def counted_kernel(monkeypatch):
@@ -606,7 +641,8 @@ def test_distance_check_at_the_edges_of_bound(monkeypatch, candidate, row):
         (widened * (1 - 1e-12), 0),
     ):
         calls.clear()
-        assert _MarkedIndex({row: 1}, bound).best(vec) == scan_best([row], vec, bound)
+        got = _MarkedIndex({row: 1}, bound, bound).admit(vec)
+        assert got == scan_admit([row], vec, bound, bound)
         assert len(calls) == scored
 
 
@@ -617,7 +653,7 @@ def test_distance_check_keeps_a_row_exactly_at_its_edge(monkeypatch):
     # above it), and one read a step past the edge does not. d is D / (127
     # sqrt(2)); at d near 0.01 the check's cancel term is under half an ulp
     vec = encode("cd")
-    index = _MarkedIndex({"de": 1}, 0.01)
+    index = _MarkedIndex({"de": 1}, 0.01, 0.01)
     edge = index._limit + 2 * extraction._KEY_SLACK
     root = 127 * math.sqrt(2)
     at = edge * root
@@ -629,9 +665,40 @@ def test_distance_check_keeps_a_row_exactly_at_its_edge(monkeypatch):
     while past / root == edge:
         past = math.nextafter(past, math.inf)
     assert at / root == edge < past / root
-    for distance, expected in ((at, scan_best(["de"], vec, 0.01)), (past, None)):
+    for distance, expected in ((at, scan_admit(["de"], vec, 0.01, 0.01)), (past, None)):
         monkeypatch.setattr(extraction, "_distance", lambda p, q: distance)
-        assert index.best(vec) == expected
+        assert index.admit(vec) is expected
+
+
+@pytest.mark.parametrize(
+    ("candidate", "rows"),
+    [("cd", ["ab", "de"]), ("\x01\x01", ["\x03\x03", "\x00"])],
+    ids=["same-bucket", "later-bucket"],
+)
+def test_r_threshold_edge_after_a_fallback_row(monkeypatch, candidate, rows):
+    # rows[0] is walked first (a lower code sum, or the candidate's own
+    # length) and scores twice rows[1]'s, in the fallback band of a bound of
+    # 0.05; from then on the search is narrowed to r_threshold. rows[1]'s
+    # difference vector is constant, so its distance check is its score to
+    # a few ulps: at r_threshold one step above that score it admits the
+    # candidate as primary, at the score it does not. Just inside the
+    # widened r_threshold edge it is scored, just outside it is not
+    calls = counted_kernel(monkeypatch)
+    vec = encode(candidate)
+    first, second = scan(rows, vec)
+    assert first == pytest.approx(2 * second) and first < 0.05
+    widened = extraction._slack(2) * (second - 2 * extraction._KEY_SLACK)
+    for r, scored, expected in (
+        (math.nextafter(second, math.inf), 2, False),
+        (second, 2, True),
+        (math.nextafter(second, 0.0), 2, True),
+        (widened * (1 + 1e-12), 2, True),
+        (widened * (1 - 1e-12), 1, True),
+    ):
+        calls.clear()
+        got = _MarkedIndex(dict.fromkeys(rows, 1), r, 0.05).admit(vec)
+        assert got is scan_admit(rows, vec, r, 0.05) is expected
+        assert [row for row, _ in calls] == rows[:scored]
 
 
 def test_distance_check_leaves_room_for_the_variance_loss(monkeypatch):
@@ -652,58 +719,55 @@ def test_distance_check_leaves_room_for_the_variance_loss(monkeypatch):
     r = dist + gap + (variance - loss)
     assert loss > (1 - extraction._slack(n)) * r + 2 * extraction._KEY_SLACK
     monkeypatch.setattr(extraction, "relatedness_terms", lambda a, b: (dist, gap, variance - loss))
-    for bound, expected in ((math.nextafter(r, math.inf), (r, row)), (r, None)):
-        assert _MarkedIndex({row: 1}, bound).best(vec) == expected
+    for bound, expected in ((math.nextafter(r, math.inf), False), (r, None)):
+        assert _MarkedIndex({row: 1}, bound, bound).admit(vec) is expected
 
 
 def test_marked_candidate_after_rows_of_its_length_matches_itself():
+    # a candidate that is a row scores 0.0 against it, under any r_threshold
     marking = {"sum": 1, "run": 1, "sup": 1, "sun": 1, "tun": 1}
-    for bound in (DEFAULTS.r_threshold, 0.05, math.inf):
-        assert _MarkedIndex(marking, bound).best(encode("sun")) == (0.0, "sun")
-        assert scan_best(list(marking), encode("sun"), bound) == (0.0, "sun")
+    for r, bound in [(DEFAULTS.r_threshold, 0.05), (5e-324, math.inf), *SETTINGS]:
+        assert _MarkedIndex(marking, r, bound).admit(encode("sun")) is False
+        assert scan_admit(list(marking), encode("sun"), r, bound) is False
     out = extract_one("sun", dict(marking), DEFAULTS)
-    assert out.instances["sun"].best_r == 0.0
-    assert out.instances["sun"].matched_marked_phrase == "sun"
+    assert out.instances["sun"] == InstanceRecord(1, False)
     assert_equals_reference({"d": "sun sums run sun"}, dict(marking), DEFAULTS)
 
 
 def test_nul_padded_row_before_the_candidate_row():
     # zero padding gives 'sun\x00' the codes of 'sun': the distance is 0
-    # and only the stddev gap keeps it from tying the candidate's own row
+    # and only the stddev gap keeps it from scoring 0.0
     marking = {"sun\x00": 1, "sun": 1}
     assert scan(list(marking), encode("sun"))[0] > 0.0
-    assert _MarkedIndex(marking, 1.0).best(encode("sun")) == (0.0, "sun")
+    assert _MarkedIndex(marking, 1.0, 1.0).admit(encode("sun")) is False
     assert_equals_reference({"d": "sun"}, dict(marking), DEFAULTS)
     # 'b1' and 'b1' with 16 NULs have the same stddev to the last bit, so
-    # the rows tie at exactly 0.0 and the earlier one answers either of
-    # them, the padded one included: a rule that answered a marked
-    # candidate with itself would name the candidate. At a bound of 0
-    # nothing scores, a candidate's own row included
+    # each scores exactly 0.0 against the other, as against itself: either
+    # row admits either candidate under any r_threshold, also where the
+    # candidate is not a row and a search must find the other. A bound
+    # whose square underflows must still keep a tail of NULs only
     padded = "b1" + "\x00" * 16
     assert scan([padded], encode("b1")) == [0.0]
-    # a bound whose square underflows must still keep a tail of NULs only
     tiny = Thresholds(r_threshold=1e-200, fallback_threshold=1e-200)
-    for order in ([padded, "b1"], ["b1", padded]):
+    edges = [(b, b) for b in (DEFAULTS.r_threshold, math.inf, 1e-200, 5e-324)]
+    for order in ([padded, "b1"], ["b1", padded], [padded], ["b1"]):
         marking = dict.fromkeys(order, 1)
-        for bound in (DEFAULTS.r_threshold, math.inf, 1e-200, 5e-324):
-            assert _MarkedIndex(marking, bound).best(encode("b1")) == (0.0, order[0])
-        for candidate in order:
+        for candidate in (padded, "b1"):
             vec = encode(candidate)
-            assert scan_best(order, vec, DEFAULTS.r_threshold) == (0.0, order[0])
-            for bound in (*SETTING_BOUNDS, 0.0):
-                assert _MarkedIndex(marking, bound).best(vec) == scan_best(order, vec, bound)
+            for r, bound in edges + SETTINGS:
+                assert _MarkedIndex(marking, r, bound).admit(vec) is False
+                assert scan_admit(order, vec, r, bound) is False
         for thresholds in (DEFAULTS, tiny):
             out = extract_one("b1", dict(marking), thresholds)
-            assert out.instances["b1"].best_r == 0.0
-            assert out.instances["b1"].matched_marked_phrase == order[0]
+            assert out.instances["b1"] == InstanceRecord(1, False)
 
 
 @pytest.mark.parametrize(
     ("thresholds", "most"),
     [
         (DEFAULTS, 4),
-        (Thresholds(fallback_threshold=0.05), 170),
-        (Thresholds(r_threshold=0.3, fallback_threshold=0.5), 7_000),
+        (Thresholds(fallback_threshold=0.05), 107),
+        (Thresholds(r_threshold=0.3, fallback_threshold=0.5), 2_191),
     ],
     ids=["defaults", "fb0.05", "loose"],
 )
@@ -711,9 +775,10 @@ def test_bundled_extraction_scores_few_rows(
     monkeypatch, tmp_marking, bundled_corpus, thresholds, most
 ):
     # a full scan of the bundled corpus makes 1,326 kernel calls at the
-    # defaults and 6,429 at fallback 0.05; pruning keeps 2 and 156, and the
-    # kernel scores each of them in full. At r 0.3 / fallback 0.5 the length
-    # cut keeps longer rows, each bucket visited once per lookup: 6,581 calls
+    # defaults and 6,429 at fallback 0.05; pruning and the stop at the first
+    # score under r_threshold keep 2 and 107, and the kernel scores each of
+    # them in full. At r 0.3 / fallback 0.5 the length cut keeps longer
+    # rows, each bucket visited once per lookup: 2,191 calls
     calls = scored = 0
 
     def counted(a, b):
@@ -733,7 +798,7 @@ def test_bundled_extraction_scores_few_rows(
 
 @pytest.mark.parametrize(
     ("thresholds", "most", "most_stddevs"),
-    [(DEFAULTS, 10, 10), (Thresholds(fallback_threshold=0.05), 170, 170)],
+    [(DEFAULTS, 10, 10), (Thresholds(fallback_threshold=0.05), 134, 134)],
     ids=["defaults", "fb0.05"],
 )
 def test_bundled_extraction_builds_few_codes(
@@ -742,7 +807,7 @@ def test_bundled_extraction_builds_few_codes(
     # every candidate and marked phrase is encoded (1,412 vectors at the
     # defaults, 1,463 at fallback 0.05), but a vector builds its codes and
     # its fsum stddev, which it then keeps in its __dict__, only when the
-    # kernel scores it: 4 and 144 vectors do
+    # kernel scores it: 4 and 134 vectors do
     vectors = []
 
     def kept(phrase):
@@ -840,15 +905,16 @@ def test_longer_rows_are_walked_once_a_row_ends_low(tail):
     # candidates of length 3. At 0.005 its own length's cut, 4 * 0.635**2 =
     # 1.61, lets a tail of 1 through, and length 1's, 0.40, would not
     rows = ["a", "ab", "sun"]
-    indexes = [(_MarkedIndex(dict.fromkeys(rows, 1), b), b) for b in (0.005, *SETTING_BOUNDS)]
+    settings = [(0.005, 0.005), *SETTINGS]
+    indexes = [(_MarkedIndex(dict.fromkeys(rows, 1), r, b), r, b) for r, b in settings]
     vec = encode("\x01\x01\x01")
-    for index, bound in indexes:
-        assert index.best(vec) == scan_best(rows, vec, bound)
-    # the lookups above missed: the new row must end the remembered miss
+    for index, r, bound in indexes:
+        assert index.admit(vec) is scan_admit(rows, vec, r, bound) is None
+    # the lookups above missed: the new row, which scores under 0.005, must
+    # end the remembered miss
     append_row(rows, indexes, "\x01\x01\x01" + tail)
-    for index, bound in indexes:
-        assert index.best(vec) == scan_best(rows, vec, bound)
-        assert index.best(vec)[1] == rows[-1]
+    for index, r, bound in indexes:
+        assert index.admit(vec) is scan_admit(rows, vec, r, bound) is False
 
 
 @pytest.mark.parametrize(
@@ -873,7 +939,8 @@ def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candida
     # the one term the stddev window and the distance check read from the
     # keys. Keys moved apart by half the slack must still leave the row in
     # play, also once 'snC', in the bucket of the candidate's length and so
-    # scored first, has set the best score a little above it. '`d' is 'ac'
+    # scored first, has scored a little above it, in the fallback band of a
+    # bound of 0.5, and narrowed the search to r_threshold. '`d' is 'ac'
     # spread about the same mean: its score is exactly 2 gap + gap**2, the
     # edge of the own-length distance check and of its stddev window; code
     # points 1000 and 3000 against 0 and 4000 put the same edge at a gap of
@@ -893,8 +960,10 @@ def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candida
     assert r[0] == pytest.approx(2 * gap + gap * gap if len(rows[0]) == len(candidate) else gap)
     assert all(r[0] < other < r[0] + slack / 2 for other in r[1:])
     bounds = (math.nextafter(r[0], math.inf), r[0] * (1 + 1e-12), r[0], 0.5, math.inf)
-    for bound in bounds + tuple(SETTING_BOUNDS):
-        assert _MarkedIndex(dict.fromkeys(rows, 1), bound).best(vec) == scan_best(rows, vec, bound)
+    settings = [(b, b) for b in bounds] + [(b, 0.5) for b in bounds[:3]] + SETTINGS
+    for threshold, bound in settings:
+        got = _MarkedIndex(dict.fromkeys(rows, 1), threshold, bound).admit(vec)
+        assert got == scan_admit(rows, vec, threshold, bound)
 
 
 def test_pruned_lookup_equals_full_scan_on_hostile_rows():
@@ -916,13 +985,14 @@ def test_pruned_lookup_equals_full_scan_on_hostile_rows():
                 nudged = chr(min(0x10FFFF, max(0, ord(probe[at]) + rng.choice([-1, 1]))))
                 probe = probe[:at] + nudged + probe[at + 1 :]
             vec = encode(probe)
-            nearest = min(scan(rows, vec))
-            bound = rng.choice(
-                [nearest * rng.uniform(1.0, 1.1), 10.0 ** rng.uniform(-4.0, 4.0), math.inf]
+            r, bound = drawn_thresholds(
+                rng,
+                scan(rows, vec),
+                lambda: rng.choice([10.0 ** rng.uniform(-4.0, 4.0), math.inf]),
             )
-            drawn = _MarkedIndex(dict.fromkeys(rows, 1), bound)
-            for index, bound in [(drawn, bound), *indexes]:
-                assert index.best(vec) == scan_best(rows, vec, bound)
+            drawn = _MarkedIndex(dict.fromkeys(rows, 1), r, bound)
+            for index, r, bound in [(drawn, r, bound), *indexes]:
+                assert index.admit(vec) == scan_admit(rows, vec, r, bound)
             if rng.random() < 0.3:
                 row = hostile_phrase(rng, rng.choice([2, 400]))
                 if row not in rows:
@@ -945,13 +1015,16 @@ def test_pruned_lookup_equals_full_scan_past_a_million_characters():
         vec = encode(probe)
         dist, gap, variance = relatedness_terms(row, vec)
         r = dist + gap + variance
-        for bound, expected in ((math.nextafter(r, math.inf), (r, row.phrase)), (r, None)):
-            index = _MarkedIndex({}, bound)
+        for bound, expected in ((math.nextafter(r, math.inf), False), (r, None)):
+            index = _MarkedIndex({}, bound, bound)
             index.append(row)  # shares the row's codes with the scan above
-            assert index.best(vec) == expected
+            assert index.admit(vec) is expected
 
 
 def test_exact_hit_guarantee_on_random_marked_phrases():
+    # only a score of exactly 0.0 lies under the smallest r_threshold there
+    # is; anything else would be admitted through the fallback
+    exact = Thresholds(r_threshold=5e-324, fallback_threshold=0.5)
     rng = random.Random(777)
 
     def word():
@@ -963,8 +1036,8 @@ def test_exact_hit_guarantee_on_random_marked_phrases():
     for _ in range(25):
         phrase = " ".join(word() for _ in range(rng.randint(1, 3)))
         marking = {phrase: 5}
-        out = extract_one(f"report: {phrase} noted", marking, DEFAULTS)
-        assert out.instances[phrase].best_r == 0.0
+        out = extract_one(f"report: {phrase} noted", marking, exact)
+        assert not out.instances[phrase].via_fallback
 
 
 def assert_equals_reference(docs, marking, thresholds):
@@ -974,14 +1047,8 @@ def assert_equals_reference(docs, marking, thresholds):
 
     assert list(got) == list(want)
     for doc_id, expected in want.items():
-        records = got[doc_id].instances
-        assert list(records) == list(expected)
-        for phrase, (frequency, best_r, matched, via_fallback) in expected.items():
-            rec = records[phrase]
-            assert rec.frequency == frequency
-            assert rec.best_r == pytest.approx(best_r, abs=1e-12)
-            assert rec.matched_marked_phrase == matched
-            assert rec.via_fallback == via_fallback
+        # a record is the tuple (frequency, via_fallback)
+        assert list(got[doc_id].instances.items()) == list(expected.items())
     assert list(marking.items()) == list(expected_marking.items())
 
 

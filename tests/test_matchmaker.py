@@ -33,12 +33,7 @@ DEFAULTS = Thresholds()
 def instance_set(**freqs):
     return InstanceSet(
         instances={
-            phrase: InstanceRecord(
-                frequency=freq,
-                best_r=0.0,
-                matched_marked_phrase=phrase,
-                via_fallback=False,
-            )
+            phrase: InstanceRecord(frequency=freq, via_fallback=False)
             for phrase, freq in freqs.items()
         },
     )

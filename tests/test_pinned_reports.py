@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from pinned_reports import (
+    FALLBACK_BUNDLED_MARKING_SHA256,
     FALLBACK_BUNDLED_SHA256,
+    LOOSE_BUNDLED_MARKING_SHA256,
     LOOSE_BUNDLED_SHA256,
     STDDEV_VECTORS,
     SYNTH_KERNEL_CALLS,
@@ -113,6 +115,27 @@ def test_loose_bundled_report_is_pinned(tmp_marking):
 def test_fallback_bundled_report_is_pinned(tmp_marking):
     thresholds = Thresholds(fallback_threshold=0.05)
     assert bundled_report_sha256(tmp_marking, thresholds) == FALLBACK_BUNDLED_SHA256
+
+
+@pytest.mark.parametrize(
+    ("thresholds", "pin"),
+    [
+        (Thresholds(r_threshold=0.3, fallback_threshold=0.5), LOOSE_BUNDLED_MARKING_SHA256),
+        (Thresholds(fallback_threshold=0.05), FALLBACK_BUNDLED_MARKING_SHA256),
+    ],
+    ids=["loose", "fallback"],
+)
+def test_marking_grown_by_a_bundled_run_is_pinned(tmp_marking, thresholds, pin):
+    run(
+        RunConfig(
+            vendors_dir=DATA_DIR / "vendors",
+            queries_dir=DATA_DIR / "queries",
+            marking_path=tmp_marking,
+            taxonomy_path=DATA_DIR / "taxonomy.tsv",
+            thresholds=thresholds,
+        )
+    )
+    assert hashlib.sha256(tmp_marking.read_bytes()).hexdigest() == pin
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ def test_import_loads_no_class_generator(module):
     assert not added & {"dataclasses", "inspect", "ast", "dis", "logging"}
 
 
-_RECORD = InstanceRecord(3, 0.0, "sun", False)
+_RECORD = InstanceRecord(3, False)
 _PAIR = MatchPair("solar", "sun", 0.95, 2, 4)
 _RESULT = VendorResult("v1", (_PAIR,), 95.0, {"q1": 95.0})
 

@@ -210,7 +210,7 @@ def test_encode_codes_in_unit_interval(phrase):
 
 @given(st.text(alphabet=st.characters(max_codepoint=127), min_size=1, max_size=40))
 def test_encode_stddev_is_the_two_pass_fsum_formula(phrase):
-    # equal bits, not approx: the stddev enters every reported best_r
+    # equal bits, not approx: the stddev enters every admission decision
     codes = [ord(ch) / 127 for ch in phrase]
     mu = math.fsum(codes) / len(codes)
     var = math.fsum((c - mu) ** 2 for c in codes) / len(codes)
@@ -354,7 +354,7 @@ def test_relatedness_nonnegative_on_thousand_random_pairs():
         assert sum(relatedness_terms(encode(a or "x"), encode(b or "x"))) >= 0.0
 
 
-# the terms of pinned pairs, bit for bit, which every reported best_r rests
+# the terms of pinned pairs, bit for bit, which every admission decision rests
 # on: zero padding, NUL-padded rows, non-ASCII and code points up to U+10FFFF
 PINNED_TERMS = [
     (("sun", "son"), ("0x1.bee5797875b66p-6", "0x1.946670544b338p-8", "0x1.040c2050c1c46p-11")),
