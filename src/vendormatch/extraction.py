@@ -12,9 +12,9 @@ discovered early in a corpus pass is available to later documents.
 
 Every lookup goes through :class:`_MarkedIndex`. Its docstring gives the
 checks that leave a marked object unscored (the length cut, the code-sum
-window, the stddev check and the exact code-point distance check, all read
-from integer code points), the exact-hit rule, the early miss that no row
-can answer and the remembered misses; none of them changes the output.
+window and the exact code-point distance check, all read from integer code
+points), the exact-hit rule, the early miss that no row can answer and the
+remembered misses; none of them changes the output.
 Only a pair that passes every check reaches the kernel, which scores it in
 full, and a lookup stops at the first score under ``r_threshold``.
 """
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .config import Thresholds, _Fields
 from .marking import update_marking
@@ -58,17 +57,15 @@ class InstanceSet(_Fields):
         return len(self.instances)
 
 
-#: Absolute widening of the stddev check, the code-sum window and the
-#: distance check, whose keys are exact integer moments (:func:`_points`,
-#: :func:`_sigma`), not the float codes the kernel reads. With M the largest
-#: scaled code (1 for ASCII, < 8,774 for any code point) and u = 2**-53: each
-#: float code is within u M of the exact one, and a population stddev moves
-#: by at most the largest change of an element; the two ``math.fsum`` passes
-#: add under 4 u M, and the key (``n * Q - S * S`` rounded once, then a sqrt
-#: and a division) under 2 u M. So a key is within 7 u M < 7e-12 of the
-#: kernel's stddev, and ``|S_row - S_cand| / (127 L)`` within 2 u M of
-#: ``|s1| / L``. Measured on phrases of up to 4,000 characters, the gaps stay
-#: under 2e-16 for ASCII and 1e-12 up to U+10FFFF.
+#: Absolute widening of the code-sum window and the distance check, which
+#: read exact integer code points and their sums (:func:`_points`), not the
+#: float codes the kernel reads. With M the largest scaled code (1 for ASCII,
+#: < 8,774 for any code point) and u = 2**-53, each float code is within u M
+#: of the exact one, and each float difference of two codes within 3 u M;
+#: the checks below lose no more than that, under 3e-12, to the float codes.
+#: Measured on phrases of up to 4,000 characters, ``S / (127 n)`` stays
+#: under 2e-16 from the mean of the float codes for ASCII and under 2e-12 up
+#: to U+10FFFF.
 _KEY_SLACK = 1e-9
 #: The Euclidean distance of two code-point sequences of one length, in one C
 #: call; on integers it stays within 4 u of the exact value (measured under
@@ -79,25 +76,14 @@ _distance = math.dist
 # the Euclidean distance of the integer code points, so d = D / (127
 # sqrt(L)), three roundings later, is within 7 u of the exact distance term.
 # The kernel's distance term falls short of that exact term by its relative
-# rounding, L u / 2 + 3 u, and by its float codes' error, under 3 u M. Its
-# gap term is within 15 u M < _KEY_SLACK / 2 of the key gap g. Its variance
-# term is at least the variance floor v less the cancellation: v is g**2 at
-# the candidate's own length n, where population stddev is a seminorm, and 0
-# at others; g**2 is within g _KEY_SLACK of the kernel's gap squared, where
-# d >= g makes that a relative 5e-10 of the check; and the float value of
-# s2 / n - (s1 / n)**2 can fall (3 n + 8) u s2 / n = cancel d**2 short of the
-# exact variance (at other lengths the kernel clamps it at 0, so there the
-# term only loosens the check). So relatedness is at least d + g + v - cancel
-# d**2, less _KEY_SLACK and a relative L u / 2 + 10 u + 5e-10, which _slack
-# covers beside a fixed count of roundings. A row is skipped when that value
+# rounding, L u / 2 + 3 u, and by its float differences' error, under 3 u M.
+# Its gap term is at least 0 and its variance term is clamped at 0, so
+# relatedness is at least d, less 3 u M and a relative L u / 2 + 10 u, which
+# _slack covers beside a fixed count of roundings. A row is skipped when d
 # exceeds edge = limit + 2 _KEY_SLACK, the code-sum window's edge below,
 # with limit = bound / _slack(size), or r_threshold / _slack(size) once a
 # row has scored under ``bound``: its score is then above that threshold,
 # and it cannot change the answer.
-# Since d >= g at the own length, relatedness is also at least 2 g + g**2,
-# under ``bound`` only while g < sqrt(1 + bound) - 1: that stddev window,
-# widened by _KEY_SLACK (which also covers its rounding), is about half the
-# ``bound`` other lengths keep.
 # The code-sum window. Every term is non-negative, so a kernel score is at
 # least its distance term, which is at least the absolute mean of the L
 # differences (Cauchy-Schwarz), short only by the kernel's relative
@@ -109,8 +95,7 @@ _distance = math.dist
 # rounding. The window keeps |S_row - S_cand| <= 127 L edge: 2 _KEY_SLACK
 # covers the 3 u M, and the relative 5e-10 the two roundings of ``edge`` and
 # of the product. The ends S_cand -+ 127 L edge round monotonically, so past
-# no integer inside the window, and are infinite at an infinite bound. The
-# window has no variance term, so it loses nothing to the cancellation.
+# no integer inside the window, and are infinite at an infinite bound.
 
 
 def _slack(size: int) -> float:
@@ -118,16 +103,14 @@ def _slack(size: int) -> float:
 
     Taken left to right, the kernel's sum of ``size`` squares can fall a
     relative ``size * u`` (u = 2**-53) short of the exact one, its distance
-    term half that. The own stddev window leaves the variance term's loss,
-    (3 n + 8) u s2 / n, to this slack too: at the window's edge the
-    least-scoring pair has s2 / n = gap**2, under the bound 2 gap + gap**2.
-    Hence ``3 * size * u``, beside 1e-9 for the keys' relative 5e-10 and a
-    fixed count of roundings. The slack only grows with ``size``.
+    term half that. ``3 * size * u`` covers that six times over, and 1e-9 a
+    fixed count of roundings; a tighter slack would only skip a few more
+    rows at the edge of a bound. The slack only grows with ``size``.
     """
     return 1.0 - 1e-9 - 3 * size * 2.0**-53
 
 
-def _points(phrase: str) -> tuple[Sequence[int], int]:
+def _points(phrase: str) -> tuple[tuple[int, ...], int]:
     """A phrase's code points and their exact sum S.
 
     An ASCII phrase's UTF-8 bytes are its code points, and ``str.encode``
@@ -135,20 +118,8 @@ def _points(phrase: str) -> tuple[Sequence[int], int]:
     character. The tokenizer makes every candidate ASCII; only a marking row
     can take the slower path, and the integers are the same either way.
     """
-    points = phrase.encode() if phrase.isascii() else list(map(ord, phrase))
+    points = tuple(phrase.encode() if phrase.isascii() else map(ord, phrase))
     return points, sum(points)
-
-
-def _sigma(points: Sequence[int], total: int) -> float:
-    """The stddev key of code points summing to ``total``.
-
-    ``sqrt(n * Q - S * S) / (127 * n)`` from the exact integer sum S and sum
-    of squares Q of the n code points; it stands in for the ``math.fsum``
-    stddev of :func:`encode` within ``_KEY_SLACK``.
-    """
-    n = len(points)
-    spread = n * sum(map(mul, points, points)) - total * total
-    return math.sqrt(spread) / (CODE_SCALE * n)
 
 
 class _MarkedIndex:
@@ -157,14 +128,13 @@ class _MarkedIndex:
     ``r_threshold`` and ``bound``, the larger of the two thresholds, are
     fixed when the index is built. Rows are the vectors in the
     marking's key order, also bucketed by length, each bucket sorted by its
-    rows' exact integer code sums S (:func:`_points`) beside their stddev
-    keys (:func:`_sigma`) and their code points. Every check is read from
-    these integers, never from float codes, so a vector builds its codes and
-    its fsum stddev (:class:`~vendormatch.textstats.ObjectVector` builds
-    them on first read) only when the kernel scores it. A candidate's key is
-    computed only once a bucket's code-sum window holds a row. Relatedness
-    is ``dist + gap + variance`` with every term non-negative, so four
-    checks leave a row out:
+    rows' exact integer code sums S (:func:`_points`) beside their code
+    points. Every check is read from these integers, never from float codes,
+    so a vector builds its codes and its fsum stddev
+    (:class:`~vendormatch.textstats.ObjectVector` builds them on first read)
+    only when the kernel scores it. Relatedness is ``dist + gap + variance``
+    with every term non-negative, so a lower bound on the distance term
+    alone prunes soundly, and three checks leave a row out:
 
     - the length cut: the distance term is at least ``sqrt(T / L)``, where
       L is the longer length of the pair and T the sum of squared codes of
@@ -181,20 +151,11 @@ class _MarkedIndex:
       it visits for the rows whose S lies within ``127 L`` times the
       threshold in force (``bound``, then ``r_threshold`` once a row has
       scored under ``bound``), widened as derived beside ``_KEY_SLACK``;
-    - the stddev check: relatedness is at least the stddev gap, so only
-      a row whose key lies within ``bound`` of the candidate's, widened by
-      ``_KEY_SLACK`` for the keys' distance from the kernel's stddevs, can
-      score under ``bound``; at the candidate's own length the distance
-      check narrows it to ``sqrt(1 + bound) - 1``, about half as wide;
     - the distance check: the distance term ``d`` comes from the exact
       Euclidean distance of the integer code points, the shorter side
-      zero-padded, in one :data:`_distance` call. The variance of the
-      difference vector is at least the variance floor v, ``gap**2`` at the
-      candidate's own length, where population stddev is a seminorm, and 0
-      at others, so relatedness is at least ``d + gap + v``. A row is
-      skipped when this bound, less the variance term's rounding loss and
-      widened as derived beside ``_KEY_SLACK``, exceeds the threshold in
-      force.
+      zero-padded, in one :data:`_distance` call. A row is skipped when
+      ``d``, widened as derived beside ``_KEY_SLACK``, exceeds the threshold
+      in force.
 
     :meth:`admit` scores each remaining row in full with
     :func:`~vendormatch.textstats.relatedness_terms`, the value a scan of
@@ -207,7 +168,7 @@ class _MarkedIndex:
     scores exactly 0.0 against it, under any ``r_threshold`` (which
     :class:`~vendormatch.config.Thresholds` keeps above 0), so it is
     admitted without a search. A candidate of n characters is a miss
-    without a search, and without S or its key, when no row has length n,
+    without a search, and without S, when no row has length n,
     ``_longer`` has no entry for n (a present entry is never empty) and the
     length cut already skips length n - 1, whose tail T is the candidate's
     last code point squared: T only grows as rows get shorter, so no bucket
@@ -221,10 +182,8 @@ class _MarkedIndex:
         self._bound = bound
         self._reach(1)
         # per length, parallel lists sorted by code sum: the sums, each
-        # row's stddev key, its code points and its vector
-        self._buckets: dict[
-            int, tuple[list[int], list[float], list[tuple[int, ...]], list[ObjectVector]]
-        ] = {}
+        # row's code points and its vector
+        self._buckets: dict[int, tuple[list[int], list[tuple[int, ...]], list[ObjectVector]]] = {}
         self._longer: dict[int, list[int]] = {}  # see the length cut above
         self._phrases: set[str] = set()
         self._missed: set[str] = set()
@@ -247,8 +206,6 @@ class _MarkedIndex:
         # smallest float still cuts every positive (integer) tail
         self._cut = scaled * scaled or 5e-324
         self._limit = self._bound / self._slack
-        # the own length's stddev window (derived beside _KEY_SLACK)
-        self._own = math.sqrt(1.0 + self._limit) - 1.0
 
     def append(self, vec: ObjectVector) -> None:
         phrase = vec.phrase
@@ -259,11 +216,10 @@ class _MarkedIndex:
         self._phrases.add(phrase)
         self._missed.clear()  # a new row can turn any miss into a hit
 
-        sums, sigmas, codes, vectors = self._buckets.setdefault(length, ([], [], [], []))
+        sums, codes, vectors = self._buckets.setdefault(length, ([], [], []))
         at = bisect_right(sums, total)
         sums.insert(at, total)
-        sigmas.insert(at, _sigma(points, total))
-        codes.insert(at, tuple(points))
+        codes.insert(at, points)
         vectors.insert(at, vec)
         tail, most = 0, length * self._cut
         for n in range(length - 1, 0, -1):  # the row's tail past n
@@ -305,39 +261,25 @@ class _MarkedIndex:
             tail += points[length - 1] * points[length - 1]
         kept += self._longer.get(n, ())  # longer rows: their own tails
 
-        # the variance term's float error per unit of d**2 (derived beside
-        # _KEY_SLACK)
-        cancel = (3 * n + 8) * 2.0**-53
         fallback = False  # whether a row has scored under ``bound``
         edge = self._limit + 2 * _KEY_SLACK  # a distance check above it skips the row
-        sigma = None  # the candidate's key, once a window holds a row
         for length in kept:
             bucket = self._buckets.get(length)
             if bucket is None:
                 continue
-            sums, sigmas, codes, vectors = bucket
+            sums, codes, vectors = bucket
             size = max(n, length)
             width = CODE_SCALE * size * edge  # the code-sum window (derived beside _KEY_SLACK)
             lo = bisect_left(sums, total - width)
             hi = bisect_right(sums, total + width, lo)
             if lo == hi:
                 continue
-            if sigma is None:
-                sigma = _sigma(points, total)
-                points = tuple(points)
             # the shorter side is zero-padded to the pair's length
             probe, pad = points + (0,) * (size - n), (0,) * (size - length)
             root = CODE_SCALE * math.sqrt(size)
-            # the variance floor v is g**2 at the candidate's length, else 0
-            half, floor = (self._own, 1.0) if length == n else (self._bound, 0.0)
-            half += _KEY_SLACK
             for i in range(lo, hi):
-                g = abs(sigmas[i] - sigma)
-                if g > half:
-                    continue
-                d = _distance(codes[i] + pad, probe) / root
-                if d + g + floor * g * g - cancel * d * d > edge:
-                    continue
+                if _distance(codes[i] + pad, probe) / root > edge:
+                    continue  # the distance check (derived beside _KEY_SLACK)
                 dist, gap, variance = relatedness_terms(vectors[i], vec)
                 r = dist + gap + variance
                 if r < self._r:

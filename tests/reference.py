@@ -40,14 +40,12 @@ def direct_var(xs):
 
 
 def exact_moments(phrase):
-    """Code points, their sum and ``sqrt(n Q - S**2) / (127 n)``, by plain loops."""
+    """Code points and their sum, by a plain loop."""
     points = list(map(ord, phrase))
-    total = squares = 0
+    total = 0
     for p in points:
         total += p
-        squares += p * p
-    n = len(points)
-    return points, total, math.sqrt(n * squares - total * total) / (127.0 * n)
+    return points, total
 
 
 def oracle_relatedness(a: str, b: str) -> float:

@@ -134,51 +134,40 @@ def test_within_document_adaptive_chaining():
 
 
 def searched_phrases(monkeypatch):
-    """The phrases whose lookups reach a search, and those that build a key.
+    """The phrases whose lookups reach a search.
 
     A search reads the candidate's code points and their sum S
     (``_points``); a remembered miss and an early miss return before that.
-    It builds the candidate's stddev key (``_sigma``) only once a code-sum
-    window holds a row. Calls from append, for the new row, are not counted.
+    Calls from append, for the new row, are not counted.
     """
-    searched, keyed = [], []
-    points, sigma = extraction._points, extraction._sigma
+    searched = []
+    points = extraction._points
 
     def counted_points(phrase):
         if sys._getframe(1).f_code is _MarkedIndex.admit.__code__:
             searched.append(phrase)
         return points(phrase)
 
-    def counted_sigma(codes, total):
-        if sys._getframe(1).f_code is _MarkedIndex.admit.__code__:
-            keyed.append("".join(map(chr, codes)))
-        return sigma(codes, total)
-
     monkeypatch.setattr(extraction, "_points", counted_points)
-    monkeypatch.setattr(extraction, "_sigma", counted_sigma)
-    return searched, keyed
+    return searched
 
 
 def test_a_missed_phrase_is_looked_up_once_per_gazetteer_state(monkeypatch):
-    looked_up, keyed = searched_phrases(monkeypatch)
+    looked_up = searched_phrases(monkeypatch)
     # nothing is admitted, so the second document makes no lookup. A far row
     # of each candidate's own length takes every first lookup past the
-    # early miss, so each one is searched. Spaces sum to far less than
-    # letters: only 'solar' lies in a code-sum window, that of 'solau', so
-    # only 'solau' builds its key
+    # early miss, so each one is searched
     text = "solau wind solau and turbinew"
     marking = {"solar": 1}
     marking.update((" " * len(phrase), 1) for phrase in candidates(tokenize(text)))
     out = extract_corpus({"a": text, "b": text}, marking, DEFAULTS)
     assert not out["a"].instances and not out["b"].instances
     assert looked_up == list(candidates(tokenize(text)))
-    assert keyed == ["solau"]
 
     # 'b' admits 'solat', a new row that brings 'solau' under the bound
     looked_up.clear()
-    keyed.clear()
     out = extract_corpus({"a": "solau", "b": "solat", "c": "solau"}, marking, DEFAULTS)
-    assert looked_up == keyed == ["solau", "solat", "solau"]
+    assert looked_up == ["solau", "solat", "solau"]
     assert not out["a"].instances
     assert out["b"].instances["solat"] == out["c"].instances["solau"] == InstanceRecord(1, False)
 
@@ -199,17 +188,16 @@ def test_a_lookup_no_row_can_answer_returns_before_its_moments(
     # 4,032 n. No candidate here has a row of its own length. 'ba' ends in
     # 'a', whose square, 9,409, reaches the cut at n = 2, so the shorter rows
     # are cut. 'aba' ends in the same 'a', inside [2, 3) cuts: its search
-    # reaches length 2, which has no row, and builds no key. 'sun' has no
+    # reaches length 2, which has no row, and misses. 'sun' has no
     # shorter row in play ('n' squared is 12,100), but 'sun\x00' is a longer
     # row with no tail past 3; 'sun\x01' ends low enough to keep 'sun' in
     # play. Those two score 0.37 and lie in the code-sum window
-    looked_up, keyed = searched_phrases(monkeypatch)
+    looked_up = searched_phrases(monkeypatch)
     vec = encode(candidate)
     got = _MarkedIndex({row: 1}, 0.5, 0.5).admit(vec)
     assert got == scan_admit([row], vec, 0.5, 0.5)
     assert (got is not None) == hit
     assert looked_up == [candidate] * searched
-    assert keyed == [candidate] * hit
 
 
 def test_tied_marked_objects_admit_the_candidate():
@@ -220,12 +208,8 @@ def test_tied_marked_objects_admit_the_candidate():
     # stddevs and code sums (a bucket sorted by code sum lists them the other
     # way round) and between rows of different lengths (in different
     # buckets). The non-ASCII rows differ from the candidate by one code
-    # point, up and down; the earlier one's stddev key is 4.4e-16 off its
-    # fsum stddev, which the distance check must not turn into a skipped
-    # row. At thresholds one step above the tied score either row answers;
-    # at the score itself neither does
-    row = "\u06bc\u030d"
-    assert extraction._sigma(*extraction._points(row)) != encode(row).stddev
+    # point, up and down. At thresholds one step above the tied score either
+    # row answers; at the score itself neither does
     for phrase, tied in (
         ("aa", ("ab", "ba")),
         ("ab", ("ac", "aa")),
@@ -481,21 +465,19 @@ def test_mean_bound_at_the_edges_of_bound():
 
 @pytest.mark.parametrize(
     ("row", "candidate", "bound"),
-    [("0000", "zzzzz", 0.66), ("c0", "cc", 0.5)],
+    [("0000", "zzzzz", 0.66), ("ca", "ac", 0.015)],
     ids=["other-length", "own-length"],
 )
 def test_row_bound_alone_keeps_a_row_from_the_kernel(monkeypatch, row, candidate, bound):
-    # other length: both stddev keys are 0, so '0000' is inside the stddev
-    # window, the tail of 'zzzzz', 122**2 = 14,884, is under the length cut
-    # of 5 * (127 * 0.66)**2 = 35,131, and the mean term (5 * 122 - 4 * 48)
-    # / (127 * 5) = 0.658 puts it inside the code-sum window at 0.66: only
-    # the distance check, its exact distance term sqrt(4 * 74**2 + 122**2) /
-    # (127 sqrt(5)) = 0.675, prunes the row.
-    # Own length: 'c0' and 'cc' differ by 51 / 127 in one place, so their
-    # stddev gap and mean term are both 51 / 254 = 0.201, inside the own
-    # window sqrt(1.5) - 1 = 0.225, and their distance term is 0.284, so d
-    # + g is 0.485: only the variance floor lifts the check to 0.525, the
-    # pair's exact score
+    # other length: the tail of 'zzzzz', 122**2 = 14,884, is under the length
+    # cut of 5 * (127 * 0.66)**2 = 35,131, and the mean term (5 * 122 - 4 *
+    # 48) / (127 * 5) = 0.658 puts '0000' inside the code-sum window at 0.66:
+    # only the distance check, its exact distance term sqrt(4 * 74**2 +
+    # 122**2) / (127 sqrt(5)) = 0.675, prunes the row.
+    # Own length: 'ca' mirrors 'ac', so their code sums are equal and their
+    # stddev gap is 0; their distance term, 2 / 127 = 0.0157, is 98% of the
+    # pair's score, 0.0160, the rest being the variance 4 / 127**2. Only the
+    # distance check prunes the row at 0.015
     calls = 0
 
     def counted(a, b):
@@ -543,6 +525,17 @@ def test_code_sum_window_at_the_edges_of_bound(candidate, rows):
             assert (got is None) == (bound <= r)
 
 
+def sums_apart(monkeypatch, row, shift):
+    """Read ``row``'s code sum ``shift`` high and every other phrase's ``shift`` low."""
+    points = extraction._points
+
+    def apart(phrase):
+        codes, total = points(phrase)
+        return codes, total + (shift if phrase == row else -shift)
+
+    monkeypatch.setattr(extraction, "_points", apart)
+
+
 @pytest.mark.parametrize("slack", [extraction._KEY_SLACK, 0.01], ids=["slack", "wide-slack"])
 @pytest.mark.parametrize(
     ("candidate", "row"), [("de", "ef"), ("\x00", "\x01\x01")], ids=["own-length", "other-length"]
@@ -552,16 +545,7 @@ def test_code_sums_off_by_half_the_slack_change_no_answer(monkeypatch, slack, ca
     # until that term, read from them, is half the slack over the kernel's
     # must still leave the row in its code-sum window
     monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
-    points, sigma = extraction._points, extraction._sigma
-    shift = 127 * max(len(candidate), len(row)) * slack / 4
-
-    def apart(phrase):
-        codes, total = points(phrase)
-        return codes, total + (shift if phrase == row else -shift)
-
-    monkeypatch.setattr(extraction, "_points", apart)
-    # the stddev keys stay those of the true sums
-    monkeypatch.setattr(extraction, "_sigma", lambda codes, total: sigma(codes, sum(codes)))
+    sums_apart(monkeypatch, row, 127 * max(len(candidate), len(row)) * slack / 4)
     vec = encode(candidate)
     r = scan([row], vec)[0]
     bounds = (math.nextafter(r, math.inf), r * (1 + 1e-12), r, 0.5, math.inf)
@@ -609,8 +593,8 @@ def counted_kernel(monkeypatch):
 @pytest.mark.parametrize(
     ("candidate", "row"),
     [
-        ("ac", "hl"),
-        ("\u03e8\u044c", "\u044c\u0514"),
+        ("ac", "hj"),
+        ("\u03e8\u044c", "\u044c\u04b0"),
         ("\x00", "\x01\x01"),
         ("\x01\x01", "\x00"),
     ],
@@ -622,11 +606,10 @@ def counted_kernel(monkeypatch):
     ],
 )
 def test_distance_check_at_the_edges_of_bound(monkeypatch, candidate, row):
-    # Each row's distance check, d + g + v, is its score to a few ulps. At
-    # the own length the row is twice the candidate less a constant, so the
-    # difference vector is the candidate shifted and its variance is the
-    # floor v = g**2. At other lengths the zero-padded difference vector is
-    # constant: no gap and no variance. So the check alone decides at a
+    # Each row's distance check, d, is its score to a few ulps: at the own
+    # length the row is the candidate shifted by 7 or 100 code points, and
+    # at other lengths the zero-padded difference vector is constant too, so
+    # there is no gap and no variance. So the check alone decides at a
     # bound whose edge, bound / _slack + 2 _KEY_SLACK, is near the score:
     # just inside that widening the row is scored, just outside it is not.
     # At the score and one ulp above it the answers are the scan's
@@ -651,7 +634,7 @@ def test_distance_check_keeps_a_row_exactly_at_its_edge(monkeypatch):
     # 1 / 127 and a score under 0.01. A distance read as exactly the edge,
     # 0.01 / _slack + 2 _KEY_SLACK, keeps the row (the check skips only
     # above it), and one read a step past the edge does not. d is D / (127
-    # sqrt(2)); at d near 0.01 the check's cancel term is under half an ulp
+    # sqrt(2))
     vec = encode("cd")
     index = _MarkedIndex({"de": 1}, 0.01, 0.01)
     edge = index._limit + 2 * extraction._KEY_SLACK
@@ -703,13 +686,13 @@ def test_r_threshold_edge_after_a_fallback_row(monkeypatch, candidate, rows):
 
 def test_distance_check_leaves_room_for_the_variance_loss(monkeypatch):
     # The kernel's variance s2 / n - (s1 / n)**2 cancels, and its float
-    # value may fall cancel d**2 = (3 n + 8) u s2 / n short of the exact one
-    # (derived beside _KEY_SLACK). 100,000 code points alternating 1000 and
-    # 1002, against their doubles plus 11,700, make that loss larger than the
-    # slack: the difference vector is the candidate shifted by 11,700, so its
-    # variance is the floor g**2 = (1 / 127)**2, and d is about 100. A
-    # kernel whose variance falls short by the whole loss stands in: the
-    # row must still answer at one ulp above that score
+    # value may fall (3 n + 8) u s2 / n short of the exact one. 100,000 code
+    # points alternating 1000 and 1002, against their doubles plus 11,700,
+    # make that loss larger than the slack: the difference vector is the
+    # candidate shifted by 11,700, so its variance is (1 / 127)**2, and d is
+    # about 100. The distance check reads no variance, so a kernel whose
+    # variance falls short by the whole loss must still see the row answer
+    # at one ulp above that score
     n = 100_000
     candidate = "\u03e8\u03ea" * (n // 2)
     row = "".join(chr(2 * ord(ch) + 11_700) for ch in candidate)
@@ -766,8 +749,8 @@ def test_nul_padded_row_before_the_candidate_row():
     ("thresholds", "most"),
     [
         (DEFAULTS, 4),
-        (Thresholds(fallback_threshold=0.05), 107),
-        (Thresholds(r_threshold=0.3, fallback_threshold=0.5), 2_191),
+        (Thresholds(fallback_threshold=0.05), 268),
+        (Thresholds(r_threshold=0.3, fallback_threshold=0.5), 3_290),
     ],
     ids=["defaults", "fb0.05", "loose"],
 )
@@ -776,9 +759,9 @@ def test_bundled_extraction_scores_few_rows(
 ):
     # a full scan of the bundled corpus makes 1,326 kernel calls at the
     # defaults and 6,429 at fallback 0.05; pruning and the stop at the first
-    # score under r_threshold keep 2 and 107, and the kernel scores each of
+    # score under r_threshold keep 2 and 268, and the kernel scores each of
     # them in full. At r 0.3 / fallback 0.5 the length cut keeps longer
-    # rows, each bucket visited once per lookup: 2,191 calls
+    # rows, each bucket visited once per lookup: 3,290 calls
     calls = scored = 0
 
     def counted(a, b):
@@ -798,7 +781,7 @@ def test_bundled_extraction_scores_few_rows(
 
 @pytest.mark.parametrize(
     ("thresholds", "most", "most_stddevs"),
-    [(DEFAULTS, 10, 10), (Thresholds(fallback_threshold=0.05), 134, 134)],
+    [(DEFAULTS, 10, 10), (Thresholds(fallback_threshold=0.05), 222, 222)],
     ids=["defaults", "fb0.05"],
 )
 def test_bundled_extraction_builds_few_codes(
@@ -807,7 +790,7 @@ def test_bundled_extraction_builds_few_codes(
     # every candidate and marked phrase is encoded (1,412 vectors at the
     # defaults, 1,463 at fallback 0.05), but a vector builds its codes and
     # its fsum stddev, which it then keeps in its __dict__, only when the
-    # kernel scores it: 4 and 134 vectors do
+    # kernel scores it: 4 and 222 vectors do
     vectors = []
 
     def kept(phrase):
@@ -834,8 +817,9 @@ def hostile_phrase(rng, length):
 
 
 def test_integer_moment_keys_stay_far_inside_the_slack():
-    # the index's keys stand in for the kernel's float statistics; each gap
-    # must stay at least 100x below the slack that widens the bounds
+    # the code sum S stands in for the kernel's float codes in the code-sum
+    # window; the gap of S / (127 n) to their mean must stay at least 100x
+    # below the slack that widens the bounds
     rng = random.Random(1711)
     phrases = [hostile_phrase(rng, rng.choice([1, 2, 7, 40, 400, 4_000])) for _ in range(300)]
     phrases += [
@@ -845,14 +829,11 @@ def test_integer_moment_keys_stay_far_inside_the_slack():
         "\x01" * 4_000,
         "z",
     ]
-    worst_sigma = worst_mean = 0.0
+    worst_mean = 0.0
     for phrase in phrases:
-        points, total = extraction._points(phrase)
-        sigma = extraction._sigma(points, total)
-        vec = encode(phrase)
-        worst_sigma = max(worst_sigma, abs(sigma - vec.stddev))
-        worst_mean = max(worst_mean, abs(total / 127 - math.fsum(vec.codes)) / len(phrase))
-    assert worst_sigma * 100 <= extraction._KEY_SLACK
+        _, total = extraction._points(phrase)
+        codes = encode(phrase).codes
+        worst_mean = max(worst_mean, abs(total / 127 - math.fsum(codes)) / len(phrase))
     assert worst_mean * 100 <= extraction._KEY_SLACK
 
 
@@ -880,7 +861,7 @@ def test_code_point_distance_stays_within_its_assumed_error():
 
 def test_moments_equal_the_exact_integer_moments():
     # ASCII phrases are read from their bytes, others by code point: both
-    # must give the code points, the sum and the key of plain integer loops
+    # must give the code points and the sum of plain integer loops
     rng = random.Random(2310)
     phrases = [hostile_phrase(rng, rng.choice([1, 2, 7, 40, 400])) for _ in range(300)]
     phrases += [
@@ -889,11 +870,9 @@ def test_moments_equal_the_exact_integer_moments():
     ]
     for phrase in phrases:
         points, total = extraction._points(phrase)
-        sigma = extraction._sigma(points, total)
-        want_points, want_total, want_sigma = exact_moments(phrase)
+        want_points, want_total = exact_moments(phrase)
         assert list(points) == want_points
         assert total == want_total
-        assert sigma.hex() == want_sigma.hex()
 
 
 @pytest.mark.parametrize("tail", ["\x00", "\x01"])
@@ -936,23 +915,19 @@ def test_longer_rows_are_walked_once_a_row_ends_low(tail):
 )
 def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candidate, rows):
     # 'sun\x00' pads to the codes of 'sun': its score is the stddev gap alone,
-    # the one term the stddev window and the distance check read from the
-    # keys. Keys moved apart by half the slack must still leave the row in
-    # play, also once 'snC', in the bucket of the candidate's length and so
-    # scored first, has scored a little above it, in the fallback band of a
-    # bound of 0.5, and narrowed the search to r_threshold. '`d' is 'ac'
-    # spread about the same mean: its score is exactly 2 gap + gap**2, the
-    # edge of the own-length distance check and of its stddev window; code
-    # points 1000 and 3000 against 0 and 4000 put the same edge at a gap of
-    # 7.9
+    # a term no check reads. '`d' is 'ac' spread about the same mean: its
+    # score is exactly 2 gap + gap**2, of which the distance term is gap;
+    # code points 1000 and 3000 against 0 and 4000 put that gap at 7.9. The
+    # index's keys, the code sums and the code-point distance, read half the
+    # slack apart must still leave rows[0] in play, also once 'snC', in the
+    # bucket of the candidate's length and so scored first, has scored a
+    # little above it, in the fallback band of a bound of 0.5, and narrowed
+    # the search to r_threshold
     monkeypatch.setattr(extraction, "_KEY_SLACK", slack)
-    sigma = extraction._sigma
-
-    def apart(points, total):
-        phrase = "".join(map(chr, points))
-        return sigma(points, total) + slack / 4 * (1 if phrase == rows[0] else -1)
-
-    monkeypatch.setattr(extraction, "_sigma", apart)
+    sums_apart(monkeypatch, rows[0], 127 * max(len(candidate), len(rows[0])) * slack / 4)
+    monkeypatch.setattr(
+        extraction, "_distance", lambda p, q: math.dist(p, q) + 127 * math.sqrt(len(q)) * slack / 2
+    )
     vec = encode(candidate)
     r = scan(rows, vec)
     gap = encode(rows[0]).stddev - vec.stddev
@@ -968,7 +943,7 @@ def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candida
 
 def test_pruned_lookup_equals_full_scan_on_hostile_rows():
     # non-ASCII rows and 400-character rows, where the keys stray furthest
-    # from the kernel's statistics; near misses of a row and bounds just
+    # from the kernel's float codes; near misses of a row and bounds just
     # above or below the answer put rows at the edge of every bound
     rng = random.Random(4242)
     for _ in range(150):

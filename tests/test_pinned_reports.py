@@ -11,6 +11,8 @@ from pinned_reports import (
     FALLBACK_BUNDLED_SHA256,
     LOOSE_BUNDLED_MARKING_SHA256,
     LOOSE_BUNDLED_SHA256,
+    R_0_2_BUNDLED_MARKING_SHA256,
+    R_0_2_BUNDLED_SHA256,
     STDDEV_VECTORS,
     SYNTH_KERNEL_CALLS,
     SYNTH_PINS,
@@ -117,13 +119,19 @@ def test_fallback_bundled_report_is_pinned(tmp_marking):
     assert bundled_report_sha256(tmp_marking, thresholds) == FALLBACK_BUNDLED_SHA256
 
 
+def test_r_0_2_bundled_report_is_pinned(tmp_marking):
+    thresholds = Thresholds(r_threshold=0.2)
+    assert bundled_report_sha256(tmp_marking, thresholds) == R_0_2_BUNDLED_SHA256
+
+
 @pytest.mark.parametrize(
     ("thresholds", "pin"),
     [
         (Thresholds(r_threshold=0.3, fallback_threshold=0.5), LOOSE_BUNDLED_MARKING_SHA256),
         (Thresholds(fallback_threshold=0.05), FALLBACK_BUNDLED_MARKING_SHA256),
+        (Thresholds(r_threshold=0.2), R_0_2_BUNDLED_MARKING_SHA256),
     ],
-    ids=["loose", "fallback"],
+    ids=["loose", "fallback", "r0.2"],
 )
 def test_marking_grown_by_a_bundled_run_is_pinned(tmp_marking, thresholds, pin):
     run(
