@@ -125,12 +125,12 @@ def _points(phrase: str) -> tuple[tuple[int, ...], int]:
 class _MarkedIndex:
     """Marked-object vectors, scored only where they can fall under a bound.
 
-    ``r_threshold`` and ``bound``, the larger of the two thresholds, are
-    fixed when the index is built. Rows are the vectors in the
-    marking's key order, also bucketed by length, each bucket sorted by its
-    rows' exact integer code sums S (:func:`_points`) beside their code
-    points. Every check is read from these integers, never from float codes,
-    so a vector builds its codes and its fsum stddev
+    The thresholds are fixed when the index is built; ``bound`` is the
+    larger of the two. Rows are the vectors in the marking's key order,
+    also bucketed by length, each bucket sorted by its rows' exact integer
+    code sums S (:func:`_points`) beside their code points. Every check is
+    read from these integers, never from float codes, so a vector builds
+    its codes and its fsum stddev
     (:class:`~vendormatch.textstats.ObjectVector` builds them on first read)
     only when the kernel scores it. Relatedness is ``dist + gap + variance``
     with every term non-negative, so a lower bound on the distance term
@@ -177,9 +177,11 @@ class _MarkedIndex:
     row since the last :meth:`append`.
     """
 
-    def __init__(self, marking: dict[str, int], r_threshold: float, bound: float) -> None:
+    def __init__(
+        self, marking: dict[str, int], r_threshold: float, fallback_threshold: float
+    ) -> None:
         self._r = r_threshold
-        self._bound = bound
+        self._bound = max(r_threshold, fallback_threshold)
         self._reach(1)
         # per length, parallel lists sorted by code sum: the sums, each
         # row's code points and its vector
@@ -304,12 +306,10 @@ def extract_corpus(
     to keep corpus runs reproducible. Within a document, candidates are
     processed in first-occurrence order; each admitted instance is written
     into the marking (new phrase appended, known phrase's frequency
-    accumulated) before the next candidate is scored. One gazetteer index,
-    bounded by ``max(r_threshold, fallback_threshold)``, serves the whole
-    call, grows with each new admitted phrase and answers every lookup.
+    accumulated) before the next candidate is scored. One gazetteer index
+    answers every lookup of the call and grows with each new admitted phrase.
     """
-    r_threshold = thresholds.r_threshold
-    index = _MarkedIndex(marking, r_threshold, max(r_threshold, thresholds.fallback_threshold))
+    index = _MarkedIndex(marking, thresholds.r_threshold, thresholds.fallback_threshold)
     results = {}
     for doc_id in sorted(documents):
         result = results[doc_id] = InstanceSet()

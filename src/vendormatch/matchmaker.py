@@ -172,18 +172,17 @@ def rank_vendors(
 ) -> MatchReport:
     """Score every vendor against the pooled queries and rank them.
 
-    Each set is read into a phrase-sorted frequency map. The pooled phrases
-    are ranked once against the union of the vendors' phrases. A query
-    phrase's best vendor phrase does not depend on its query, so one loop
-    over the vendor's pooled pairs gives both percentages: each pair adds
-    its score, times the phrase's frequency, to the pooled sum and to each
-    query that holds the phrase. A percentage is 100 exactly only when
-    every phrase matched at score 1.0. Products add left to right in phrase
-    order, from 0.0, since builtin ``sum()`` of floats rounds differently
-    from Python 3.12 on.
+    The pooled phrases are ranked once against the set of the vendors'
+    phrases. A query phrase's best vendor phrase does not depend on its
+    query, so one loop over the vendor's pooled pairs gives both
+    percentages: each pair adds its score, times the phrase's frequency, to
+    the pooled sum and to each query that holds the phrase. A percentage is
+    100 exactly only when every phrase matched at score 1.0. Products add
+    left to right in pooled phrase order, from 0.0, since builtin ``sum()``
+    of floats rounds differently from Python 3.12 on.
     """
     def frequencies(s: InstanceSet) -> dict[str, int]:
-        return {p: rec.frequency for p, rec in sorted(s.instances.items())}
+        return {p: rec.frequency for p, rec in s.instances.items()}
 
     query_freqs = {qid: frequencies(queries[qid]) for qid in sorted(queries)}
     totals = {qid: sum(f.values()) for qid, f in query_freqs.items()}
@@ -193,12 +192,12 @@ def rank_vendors(
             holders.setdefault(phrase, []).append((qid, frequency))
     pooled = pool_queries(query_freqs)
     pooled_total = sum(pooled.values())
-    vendor_phrases = sorted({p for s in vendors.values() for p in s.instances})
+    vendor_phrases = {p for s in vendors.values() for p in s.instances}
     ranked = rank_phrases(pooled, vendor_phrases, t, cfg)
     results = []
     for vendor_id in sorted(vendors):
         pairs = semantic_match(pooled, frequencies(vendors[vendor_id]), ranked)
-        # pairs come in pooled phrase order, which is each query's own order
+        # pairs, and so each query's sum, follow pooled phrase order
         pooled_matched = 0.0
         matched = dict.fromkeys(query_freqs, 0.0)
         for p in pairs:

@@ -1,8 +1,52 @@
 """Reports that no golden file covers, pinned by sha256, and their kernel calls.
 
-Each pin is written once, here. ``test_pinned_reports.py`` checks them, and
-the CI workflow's steps read them from this module too.
+Each pin is written once, here. ``test_pinned_reports.py`` checks them, in
+process and under fixed string-hash seeds; the CI workflow's benchmark smoke
+step reads ``SYNTH_PINS`` from this module too.
 """
+
+#: The bundled corpus's runs away from the default thresholds, each from a
+#: copy of ``data/marking.tsv`` with marking updates on: ``{name: (CLI
+#: flags, the JSON report's sha256, the grown marking's sha256 or None)}``.
+#: The grown marking holds every admitted phrase and its frequency, which
+#: the report covers only through ranking.
+#:
+#: - ``loose``: at this bound the gazetteer index's length cut keeps longer
+#:   rows, which the default thresholds never do.
+#: - ``fallback``: the lookup bound is five times the default's, and so is
+#:   the code-sum window of the candidate's own length.
+#: - ``r0.2``: many rows score mostly through their stddev gap, which no
+#:   index check reads, so the index leaves the most rows to the kernel.
+#: - ``wup0.6`` and ``wup1.0``: ranking scores the phrase pairs whose token
+#:   pairs reach 0.2 and 1.0, not the default's 0.8, and at 1.0 keeps only
+#:   pairs at exactly the threshold.
+BUNDLED_PINS = {
+    "loose": (
+        ("--r-threshold", "0.3", "--fallback-threshold", "0.5"),
+        "1cf71b21d8966c45959372092325afdb90c57f3d761bc10368e43b8e292dd7fb",
+        "bf218f0f2cffe5c8283ca05baeae54af48351e0385fc85ea2b140306f2050bdd",
+    ),
+    "fallback": (
+        ("--fallback-threshold", "0.05"),
+        "1d232fb549cc880b3e1e1c26b37d40cc2434f3f372807f1828a9dcfa9696d2d6",
+        "333c87fe7e1ab57a92e3126440ea8bfea5593a0c5779fbc223fd530fb6f07e5b",
+    ),
+    "r0.2": (
+        ("--r-threshold", "0.2"),
+        "a5648780c63dcfa0c17c1950fab5781383534b5138e8882ce779c5d56cc6a5ad",
+        "d7ec71526c8375b47ba35b81cca68e6845c139c02baf7052ed0b8a6aac419f5f",
+    ),
+    "wup0.6": (
+        ("--wup-threshold", "0.6"),
+        "80102f481e8afdd944d654ef28b08d247128fb17cbe5784e66d3c4dcd8f4ce1a",
+        None,
+    ),
+    "wup1.0": (
+        ("--wup-threshold", "1.0"),
+        "fd05315471ecda82633e9ad609ab70acc55c83b490479c95ec0d07b0eecbfcdd",
+        None,
+    ),
+}
 
 #: The JSON report's sha256 and the marking's row count after one run, with
 #: marking updates on, over ``benchmark/workloads.py``'s corpus at seed 1.
@@ -21,37 +65,3 @@ SYNTH_KERNEL_CALLS = {"rank_dense": 0, "extract_growth": 367}
 #: updates on, counted over the vectors ``vendormatch.extraction.encode``
 #: makes. Only a pair the kernel scores in full reads one.
 STDDEV_VECTORS = {"bundled": 4, "rank_dense": 0, "extract_growth": 393}
-
-#: The bundled corpus's JSON report at ``--r-threshold 0.3
-#: --fallback-threshold 0.5`` without a marking update. At this bound the
-#: gazetteer index's length cut keeps longer rows, which the default
-#: thresholds never do.
-LOOSE_BUNDLED_SHA256 = "1cf71b21d8966c45959372092325afdb90c57f3d761bc10368e43b8e292dd7fb"
-
-#: The bundled corpus's JSON report at ``--fallback-threshold 0.05`` without a
-#: marking update. The lookup bound is then five times the default's, and so
-#: is the code-sum window of the candidate's own length.
-FALLBACK_BUNDLED_SHA256 = "1d232fb549cc880b3e1e1c26b37d40cc2434f3f372807f1828a9dcfa9696d2d6"
-
-#: The sha256 of the marking file that a bundled run grows from
-#: ``data/marking.tsv``, with marking updates on, at ``--r-threshold 0.3
-#: --fallback-threshold 0.5`` and at ``--fallback-threshold 0.05``. The
-#: report pins above cover admission only through ranking; these pin every
-#: admitted phrase and its frequency.
-LOOSE_BUNDLED_MARKING_SHA256 = "bf218f0f2cffe5c8283ca05baeae54af48351e0385fc85ea2b140306f2050bdd"
-FALLBACK_BUNDLED_MARKING_SHA256 = "333c87fe7e1ab57a92e3126440ea8bfea5593a0c5779fbc223fd530fb6f07e5b"
-
-#: The bundled corpus's JSON report at ``--r-threshold 0.2`` without a
-#: marking update, and the sha256 of the marking that a run at that setting
-#: grows from ``data/marking.tsv`` with updates on. Many rows there score
-#: mostly through their stddev gap, which no index check reads, so this is
-#: where the index leaves the most rows to the kernel.
-R_0_2_BUNDLED_SHA256 = "a5648780c63dcfa0c17c1950fab5781383534b5138e8882ce779c5d56cc6a5ad"
-R_0_2_BUNDLED_MARKING_SHA256 = "d7ec71526c8375b47ba35b81cca68e6845c139c02baf7052ed0b8a6aac419f5f"
-
-#: The bundled corpus's JSON report at ``--wup-threshold 0.6`` and ``1.0``
-#: without a marking update. Ranking then scores the phrase pairs whose token
-#: pairs reach 0.2 and 1.0, not the default's 0.8, and at 1.0 only pairs at
-#: exactly the threshold are kept.
-WUP_0_6_BUNDLED_SHA256 = "80102f481e8afdd944d654ef28b08d247128fb17cbe5784e66d3c4dcd8f4ce1a"
-WUP_1_0_BUNDLED_SHA256 = "fd05315471ecda82633e9ad609ab70acc55c83b490479c95ec0d07b0eecbfcdd"

@@ -78,26 +78,6 @@ def test_golden_report_snapshot():
     assert emit_report(report, "json") == GOLDEN_REPORT.read_text(encoding="utf-8")
 
 
-def test_golden_report_without_numpy(tmp_marking):
-    # the library needs nothing beyond the standard library: with numpy
-    # made unimportable the CLI still prints the golden report
-    script = (
-        "import sys\n"
-        "sys.modules['numpy'] = None\n"
-        "from vendormatch.cli import main\n"
-        "raise SystemExit(main(sys.argv[1:]))\n"
-    )
-    args = cli_args(tmp_marking, "--no-update-marking", "--output", "json")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        capture_output=True,
-        timeout=60,
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr.decode()
-    assert proc.stdout == GOLDEN_REPORT.read_bytes()
-
-
 def test_marking_with_a_byte_order_mark_reads_as_without(tmp_path, tmp_marking, capsys):
     bom = tmp_path / "bom.tsv"
     bom.write_bytes(b"\xef\xbb\xbf" + tmp_marking.read_bytes())

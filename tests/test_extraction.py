@@ -936,9 +936,9 @@ def test_keys_off_by_half_the_slack_change_no_answer(monkeypatch, slack, candida
     assert all(r[0] < other < r[0] + slack / 2 for other in r[1:])
     bounds = (math.nextafter(r[0], math.inf), r[0] * (1 + 1e-12), r[0], 0.5, math.inf)
     settings = [(b, b) for b in bounds] + [(b, 0.5) for b in bounds[:3]] + SETTINGS
-    for threshold, bound in settings:
-        got = _MarkedIndex(dict.fromkeys(rows, 1), threshold, bound).admit(vec)
-        assert got == scan_admit(rows, vec, threshold, bound)
+    for threshold, fallback in settings:
+        got = _MarkedIndex(dict.fromkeys(rows, 1), threshold, fallback).admit(vec)
+        assert got == scan_admit(rows, vec, threshold, max(threshold, fallback))
 
 
 def test_pruned_lookup_equals_full_scan_on_hostile_rows():
